@@ -17,14 +17,16 @@ offset   content
 
 A JSON sidecar (same path plus ``.json``) stores the medium descriptor,
 Gram/residual metadata and the solver seed.  Round trips are bit-exact:
-the h representation is recomputed from g and the rebuilt permittivity,
-which reproduces the original arrays bitwise.
+the g fields, the only form a bank holds, are read back bitwise into the
+same C-ordered layout the solver produces, and the permittivity is
+rebuilt from the descriptor.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -104,10 +106,20 @@ def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
-def _atomic_write(path: Path, data: bytes):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def write_atomic(path: Path, data: bytes):
+    """Write through a uniquely named temporary file in the target directory.
+
+    The rename is atomic, so readers see the old file or the new one, and
+    concurrent writers into one directory never share a temporary file.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_bank(bank: ModeBank, path) -> None:
@@ -130,7 +142,7 @@ def save_bank(bank: ModeBank, path) -> None:
         chunks.append(struct.pack("<d", float(bank.frequencies[i])))
         for a in range(3):
             chunks.append(bank.modes_g[i, a].ravel(order="F").tobytes())
-    _atomic_write(path, b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
     sidecar = {
         "format": "epsmodes-bank-sidecar",
@@ -144,7 +156,7 @@ def save_bank(bank: ModeBank, path) -> None:
         "complete": bank.complete,
         "seed": bank.seed,
     }
-    _atomic_write(
+    write_atomic(
         _sidecar_path(path),
         (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode(),
     )
@@ -179,11 +191,21 @@ def load_bank(path) -> ModeBank:
     sidecar_file = _sidecar_path(path)
     if not sidecar_file.exists():
         raise BankFileError(f"missing sidecar {sidecar_file}")
-    sidecar = json.loads(sidecar_file.read_text())
-    desc = descriptor_from_dict(sidecar["medium"])
-    mu_desc = (
-        descriptor_from_dict(sidecar["mu"]) if sidecar.get("mu") is not None else None
-    )
+    try:
+        sidecar = json.loads(sidecar_file.read_text())
+        desc = descriptor_from_dict(sidecar["medium"])
+        mu_desc = (
+            descriptor_from_dict(sidecar["mu"]) if sidecar.get("mu") is not None else None
+        )
+        residuals = np.asarray(sidecar["residuals"], dtype=np.float64)
+        gram_defect = float(sidecar["gram_defect"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise BankFileError(f"malformed sidecar {sidecar_file}: {exc!r}") from exc
+    if residuals.shape != (n_modes,):
+        raise BankFileError(
+            f"sidecar {sidecar_file} holds {residuals.size} residuals for "
+            f"{n_modes} modes"
+        )
     medium = build_profile(desc, grid, mu_desc)
 
     freqs = np.empty(n_modes)
@@ -196,15 +218,13 @@ def load_bank(path) -> ModeBank:
             comp = np.frombuffer(raw, dtype="<f8", count=ncells, offset=off)
             g[i, a] = comp.reshape(grid.dims, order="F")
             off += ncells * 8
-    h = g / np.sqrt(medium.eps)[None, ...]
     return ModeBank(
         medium=medium,
         variant=_VARIANT_NAME[variant_code],
         frequencies=freqs,
         modes_g=g,
-        modes_h=h,
-        residuals=np.asarray(sidecar["residuals"], dtype=np.float64),
-        gram_defect=float(sidecar["gram_defect"]),
+        residuals=residuals,
+        gram_defect=gram_defect,
         complete=bool(sidecar.get("complete", False)),
         seed=sidecar.get("seed"),
     )

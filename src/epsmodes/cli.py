@@ -222,22 +222,20 @@ def _atoms_from_config(entries):
     return atoms
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload: dict):
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    from .bankfile import write_atomic
+
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _write_csv(path: Path, rows, params: dict, columns=("omega", "value")):
+    from .bankfile import write_atomic
+
     lines = [f"# {k}={params[k]}" for k in sorted(params)]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 class _Runner:
@@ -260,7 +258,7 @@ class _Runner:
         solver = config.get("solver", {})
         self.poisson_tol = solver.get("poisson_tol", 1e-10)
         self.eig_tol = solver.get("eig_tol", 1e-8)
-        self.max_iter = solver.get("max_iter")
+        self.max_iter = solver.get("max_iter", 1000)
         self.bank = None
         self.si_length = config.get("si", {}).get("length_unit_m")
 
@@ -302,6 +300,7 @@ class _Runner:
             count,
             tol=self.eig_tol,
             seed=self.seed,
+            maxiter=self.max_iter,
             poisson_tol=min(self.poisson_tol, 1e-10),
         )
         payload = {
@@ -541,8 +540,13 @@ def validate_config(config: dict):
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)
         if key and key not in config:
             raise ConfigError(f"task {task!r} needs a {key!r} config section")
-    if "rate" in config["tasks"] and not config.get("atoms"):
-        raise ConfigError("task 'rate' needs a nonempty 'atoms' list")
+    if "rate" in config["tasks"]:
+        n_atoms = len(config.get("atoms", []))
+        if not n_atoms:
+            raise ConfigError("task 'rate' needs a nonempty 'atoms' list")
+        atom = config.get("rate", {}).get("atom", 0)
+        if atom >= n_atoms:
+            raise ConfigError(f"rate.atom={atom} is out of range for {n_atoms} atoms")
 
 
 def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:

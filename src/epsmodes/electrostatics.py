@@ -35,7 +35,7 @@ from .lattice import (
     dplus,
     grad_raw,
 )
-from .medium import MediumProfile, Sphere, build_profile
+from .medium import MediumProfile, Sphere, _min_image, build_profile
 
 DEFAULT_TOL = 1e-10
 
@@ -187,7 +187,10 @@ def helmholtz_decompose(
 
     ``x = x1 + x2`` with ``div(x1) ~ 0`` and ``x2 = eps * grad(chi)``
     exactly by construction, where chi solves the generalized Poisson
-    problem with source ``-div(x)``.
+    problem with source ``-div(x)``.  ``x1`` is also the constrained
+    functional derivative of ``integral(X . Y)`` in Y under
+    generalized-transverse variations: transverse inputs pass through
+    unchanged and eps-weighted gradients map to zero.
     """
     if x.placement != EDGE:
         raise PlacementError("decomposition expects an edge field")
@@ -203,19 +206,6 @@ def helmholtz_decompose(
         chi=ScalarField(m.grid, chi),
         residual_norm=float(res),
     )
-
-
-def constrained_derivative_linear(
-    x: VectorField, m: MediumProfile, tol: float = DEFAULT_TOL
-) -> VectorField:
-    """Constrained functional derivative of ``integral(X . Y)`` in Y.
-
-    With variations restricted to generalized-transverse fields, the
-    derivative is the divergence-free part ``x - eps * grad(chi)`` of
-    the decomposition; transverse inputs pass through unchanged and
-    eps-weighted gradients map to zero.
-    """
-    return helmholtz_decompose(x, m, tol=tol).x1
 
 
 def cavity_field_factor(
@@ -250,10 +240,7 @@ def cavity_field_factor(
     chi, _, _ = solve_poisson_block(rhs, m, tol=tol)
     total = applied - grad_raw(chi, grid.spacing)
 
-    pts = grid.component_positions(EDGE, 0)
-    delta = pts - np.asarray(center)
-    for a in range(3):
-        delta[..., a] -= grid.lengths[a] * np.round(delta[..., a] / grid.lengths[a])
+    delta = _min_image(grid.component_positions(EDGE, 0) - np.asarray(center), grid.lengths)
     inside = np.linalg.norm(delta, axis=-1) <= radius - interior_margin * grid.spacing
     if not inside.any():
         raise ProfileError("interior margin leaves no cavity samples")

@@ -12,7 +12,7 @@ effects are isolated from discretization error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class EmissionReport:
     ratio: float
     eta: float
     local_field_factor: float = 1.0
-    ldos_samples: list[tuple[float, float]] = field(default_factory=list)
 
 
 def _check_position(position, grid: Grid):
@@ -111,16 +110,18 @@ def sample_mode_fields(bank: ModeBank, position) -> np.ndarray:
     """Trilinear sample of every h mode at a position, shape (n, 3).
 
     Each staggered component is interpolated on its own sub-lattice;
-    nearest-sample lookup would bias against the offset directions.
+    nearest-sample lookup would bias against the offset directions.  The
+    corner samples of h are those of g over the local sqrt(eps).
     """
     grid = bank.grid
     _check_position(position, grid)
     offsets = grid.component_offsets(EDGE)
+    eps = bank.medium.eps
     out = np.zeros((len(bank), 3))
     for a in range(3):
         for (i, j, k), w in _interp_weights(position, grid, offsets[a]):
             if w:
-                out[:, a] += w * bank.modes_h[:, a, i, j, k]
+                out[:, a] += w * (bank.modes_g[:, a, i, j, k] / np.sqrt(eps[a, i, j, k]))
     return out
 
 

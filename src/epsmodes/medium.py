@@ -167,10 +167,6 @@ class MediumProfile:
             mu.setflags(write=False)
             object.__setattr__(self, "mu", mu)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return bool(np.all(self.eps == self.eps.flat[0]))
-
 
 def build_profile(
     desc: Descriptor, grid: Grid, mu_desc: Descriptor | None = None
@@ -190,13 +186,6 @@ def build_profile(
     return MediumProfile(grid, eps, mu, descriptor=desc, mu_descriptor=mu_desc)
 
 
-@dataclass(frozen=True)
-class EpsInnerProductReport:
-    value: float
-    first: str
-    second: str
-
-
 def eps_inner(u: VectorField, v: VectorField, m: MediumProfile) -> float:
     """Permittivity-weighted inner product sum(eps * u . v) * cell volume."""
     if u.grid != m.grid or v.grid != m.grid:
@@ -204,12 +193,6 @@ def eps_inner(u: VectorField, v: VectorField, m: MediumProfile) -> float:
     if u.placement != EDGE or v.placement != EDGE:
         raise PlacementError("eps_inner is defined for edge fields")
     return float(np.vdot(u.values, m.eps * v.values)) * m.grid.cell_volume
-
-
-def eps_inner_report(
-    u: VectorField, v: VectorField, m: MediumProfile, names=("u", "v")
-) -> EpsInnerProductReport:
-    return EpsInnerProductReport(eps_inner(u, v, m), names[0], names[1])
 
 
 def eps_norm(u: VectorField, m: MediumProfile) -> float:

@@ -10,12 +10,12 @@ Poisson problem, the three constant-induced zero-frequency modes are
 deflated explicitly, and the solver returns the lowest nonzero
 eigenpairs.
 
-Mode banks store two representations of every mode: ``g`` (orthonormal
-under the plain inner product) and ``h = g / sqrt(eps)``, which is
-orthonormal under the eps-weighted inner product, satisfies
-``curl_t(curl(h)) = eps * omega^2 * h`` and the weighted-divergence
-constraint ``div(eps h) = 0``.  (The alternative convention
-``h = sqrt(eps) g`` breaks all three identities at once.)
+Mode banks store each mode once, as ``g`` (orthonormal under the plain
+inner product).  The physical mode function is ``h = g / sqrt(eps)``,
+formed where it is used: it is orthonormal under the eps-weighted inner
+product, satisfies ``curl_t(curl(h)) = eps * omega^2 * h`` and the
+weighted-divergence constraint ``div(eps h) = 0``.  (The alternative
+convention ``h = sqrt(eps) g`` breaks all three identities at once.)
 """
 
 from __future__ import annotations
@@ -123,16 +123,17 @@ def project_transverse_g(
 class ModeBank:
     """Orthonormal generalized-transverse eigenmodes with frequencies.
 
-    ``modes_g[i]`` are orthonormal under the plain inner product;
-    ``modes_h[i] = modes_g[i] / sqrt(eps)`` under the eps-weighted one.
-    Arrays are stored mode-major with shape (n, 3, nx, ny, nz).
+    ``modes_g[i]`` are orthonormal under the plain inner product and are
+    the only stored form of the modes, C-ordered and mode-major with
+    shape (n, 3, nx, ny, nz).  The physical modes ``h = g / sqrt(eps)``,
+    orthonormal under the eps-weighted inner product, come from
+    :meth:`mode_h` or are formed by each consumer where it needs them.
     """
 
     medium: MediumProfile
     variant: str
     frequencies: np.ndarray          # (n,) ascending, >= 0
     modes_g: np.ndarray              # (n, 3, nx, ny, nz)
-    modes_h: np.ndarray              # (n, 3, nx, ny, nz)
     residuals: np.ndarray            # per-mode wave-equation residuals
     gram_defect: float
     complete: bool = False
@@ -145,11 +146,9 @@ class ModeBank:
     def __len__(self) -> int:
         return len(self.frequencies)
 
-    def mode_g(self, i: int) -> VectorField:
-        return VectorField(self.grid, EDGE, self.modes_g[i])
-
     def mode_h(self, i: int) -> VectorField:
-        return VectorField(self.grid, EDGE, self.modes_h[i])
+        """Physical mode ``h_i = g_i / sqrt(eps)`` as an edge field."""
+        return VectorField(self.grid, EDGE, self.modes_g[i] / np.sqrt(self.medium.eps))
 
 
 @dataclass
@@ -160,44 +159,42 @@ class ResidualReport:
     matches_stored: bool
 
 
-def _wave_residuals(bank_h: np.ndarray, freqs: np.ndarray, m: MediumProfile,
-                    inv_w: np.ndarray | None) -> np.ndarray:
-    s = m.grid.spacing
-    out = np.empty(len(freqs))
-    for i, (h, om) in enumerate(zip(bank_h, freqs)):
-        w = curl_raw(h, s)
-        if inv_w is not None:
-            w = inv_w * w
-        lhs = curl_t_raw(w, s) - m.eps * om**2 * h
-        out[i] = np.linalg.norm(lhs) / np.linalg.norm(h)
-    return out
+def _bank_invariants(op: QOperator, freqs: np.ndarray, g: np.ndarray,
+                     divergence: bool = False):
+    """Gram defect, per-mode wave residuals and worst weighted divergence.
+
+    With ``h = g / sqrt(eps)`` the residual
+    ``||sqrt(eps) (Q g - omega^2 g)|| / ||h||`` equals
+    ``||curl_t(w curl h) - eps omega^2 h|| / ||h||``, and
+    ``div(sqrt(eps) g) = div(eps h)``.  Modes are taken one at a time.
+    The divergence costs an extra stencil pass per mode, so it is computed
+    only when asked for and reported as 0 otherwise.
+    """
+    m = op.medium
+    n = len(freqs)
+    flat = g.reshape(n, -1)
+    gram = flat @ flat.T * m.grid.cell_volume
+    gram_defect = float(np.abs(gram - np.eye(n)).max())
+    sqrt_eps = np.sqrt(m.eps)
+    residuals = np.empty(n)
+    div_defect = 0.0
+    for i, (gi, om) in enumerate(zip(g, freqs)):
+        h_norm = np.linalg.norm(op.inv_sqrt_eps * gi)
+        residuals[i] = np.linalg.norm(sqrt_eps * (op.apply_raw(gi) - om**2 * gi)) / h_norm
+        if divergence:
+            d = div_raw(sqrt_eps * gi, m.grid.spacing)
+            div_defect = max(div_defect, float(np.linalg.norm(d) / h_norm))
+    return gram_defect, residuals, div_defect
 
 
 def mode_residual_report(bank: ModeBank) -> ResidualReport:
     """Recompute bank invariants from scratch and compare with metadata."""
     if len(bank) == 0:
         raise ValueError("empty mode bank")
-    m = bank.medium
-    vol = m.grid.cell_volume
-    n = len(bank)
-    flat_h = bank.modes_h.reshape(n, -1)
-    weighted = (m.eps[None, ...] * bank.modes_h).reshape(n, -1)
-    gram = flat_h @ weighted.T * vol
-    gram_defect = float(np.abs(gram - np.eye(n)).max())
-
-    inv_w = None
-    if bank.variant == MAGNETIC:
-        inv_w = 1.0 / m.mu if m.mu is not None else np.ones((3,) + m.grid.dims)
-    residuals = _wave_residuals(bank.modes_h, bank.frequencies, m, inv_w)
-
-    div_defect = 0.0
-    for i in range(n):
-        d = div_raw(m.eps * bank.modes_h[i], m.grid.spacing)
-        div_defect = max(
-            div_defect,
-            float(np.linalg.norm(d) / np.linalg.norm(bank.modes_h[i])),
-        )
-
+    gram_defect, residuals, div_defect = _bank_invariants(
+        QOperator(bank.medium, bank.variant), bank.frequencies, bank.modes_g,
+        divergence=True,
+    )
     matches = (
         abs(gram_defect - bank.gram_defect) <= 1e-12
         and np.all(np.abs(residuals - bank.residuals) <= 1e-12 * (1 + residuals))
@@ -216,6 +213,9 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     Within each cluster the basis is rebuilt by Gram-Schmidt over the
     projections of coordinate unit fields taken in lexicographic order,
     so the result depends only on the eigenspace, not on solver history.
+    Each projection is orthogonalized twice: a picked row can be nearly
+    inside the span of the earlier picks, and one pass then leaves its
+    cancellation error in the basis.
     """
     vecs = vecs.copy()
     scale = max(freqs.max(), 1.0)
@@ -234,7 +234,8 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
             # fields, visited in lexicographic order
             for row in range(v.shape[0]):
                 c = v[row].copy()
-                c -= coeff[:picked].T @ (coeff[:picked] @ c)
+                for _ in range(2):
+                    c -= coeff[:picked].T @ (coeff[:picked] @ c)
                 nc = np.linalg.norm(c)
                 if nc > 1e-6:
                     coeff[picked] = c / nc
@@ -472,29 +473,25 @@ def solve_modes(
 
     freqs = np.sqrt(np.clip(theta, 0.0, None))
     x = _canonicalize_clusters(x, freqs)
-    return _assemble_bank(m, op.variant, op, freqs, x, complete=False, seed=seed)
+    return _assemble_bank(op, freqs, x, complete=False, seed=seed)
 
 
-def _assemble_bank(m, variant, op, freqs, cols, complete, seed=None) -> ModeBank:
+def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:
+    m = op.medium
     n = cols.shape[1]
-    shape = (3,) + m.grid.dims
-    vol = m.grid.cell_volume
     # plain-orthonormal g scaled so that h = g/sqrt(eps) is eps-orthonormal
-    # with the volume weight included
-    g = (cols / np.sqrt(vol)).T.reshape((n,) + shape)
-    h = g / np.sqrt(m.eps)[None, ...]
-    flat_h = h.reshape(n, -1)
-    weighted = (m.eps[None, ...] * h).reshape(n, -1)
-    gram = flat_h @ weighted.T * vol
-    gram_defect = float(np.abs(gram - np.eye(n)).max())
-    inv_w = op.inv_w if op is not None else None
-    residuals = _wave_residuals(h, freqs, m, inv_w)
+    # with the volume weight included; C order makes a solved bank and one
+    # loaded from disk reduce in the same order, so their invariants agree
+    # bitwise
+    g = np.divide(cols.T, np.sqrt(m.grid.cell_volume), order="C")
+    g = g.reshape((n, 3) + m.grid.dims)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    gram_defect, residuals, _ = _bank_invariants(op, freqs, g)
     return ModeBank(
         medium=m,
-        variant=variant,
-        frequencies=np.asarray(freqs, dtype=np.float64),
+        variant=op.variant,
+        frequencies=freqs,
         modes_g=g,
-        modes_h=h,
         residuals=residuals,
         gram_defect=gram_defect,
         complete=complete,
@@ -556,5 +553,4 @@ def dense_transverse_spectrum(
     cols = cols[:, keep]
     freqs = np.sqrt(evals)
     cols = _canonicalize_clusters(cols, freqs)
-    complete = include_zero_modes
-    return _assemble_bank(m, op.variant, op, freqs, cols, complete=complete)
+    return _assemble_bank(op, freqs, cols, complete=include_zero_modes)

@@ -74,9 +74,6 @@ class FieldSnapshot:
     on demand as the curl of the potential.
     """
 
-    #: scalar potential is gauged away, so E is represented as -dA/dt
-    ELECTRIC_FIELD_CONVENTION = "minus-dA-dt"
-
     vector_potential: VectorField
     conjugate_momentum: VectorField
 
@@ -86,24 +83,35 @@ class FieldSnapshot:
 
 
 def synthesize_fields(bank: ModeBank, coeffs: ModeCoefficients) -> FieldSnapshot:
-    """Normal-mode synthesis A = sum q_l h_l, Pi = sum p_l eps h_l."""
+    """Normal-mode synthesis A = sum q_l h_l, Pi = sum p_l eps h_l.
+
+    With ``h = g / sqrt(eps)`` these are ``(sum q_l g_l) / sqrt(eps)`` and
+    ``sqrt(eps) * sum p_l g_l``.
+    """
     if len(coeffs) != len(bank):
         raise ValueError(f"{len(coeffs)} coefficients for {len(bank)} modes")
-    a = np.tensordot(coeffs.q, bank.modes_h, axes=(0, 0))
-    pi = bank.medium.eps * np.tensordot(coeffs.p, bank.modes_h, axes=(0, 0))
+    sqrt_eps = np.sqrt(bank.medium.eps)
+    a = np.tensordot(coeffs.q, bank.modes_g, axes=(0, 0)) / sqrt_eps
+    pi = sqrt_eps * np.tensordot(coeffs.p, bank.modes_g, axes=(0, 0))
     return FieldSnapshot(
         vector_potential=VectorField(bank.grid, EDGE, a),
         conjugate_momentum=VectorField(bank.grid, EDGE, pi),
     )
 
 
-def analyze_field(bank: ModeBank, field: VectorField) -> np.ndarray:
-    """Coefficients of an edge field in the eps-weighted mode basis."""
-    if field.grid != bank.grid:
+def _overlaps(bank: ModeBank, x: VectorField, weight: np.ndarray) -> np.ndarray:
+    """``sum g_l . (weight * x) dV`` for every mode of the bank."""
+    if x.grid != bank.grid:
         raise GridMismatchError("field and bank grids differ")
-    weighted = bank.medium.eps * field.values
-    return np.tensordot(bank.modes_h, weighted, axes=([1, 2, 3, 4], [0, 1, 2, 3])) \
+    if x.placement != EDGE:
+        raise PlacementError("mode analysis expects edge fields")
+    return np.tensordot(bank.modes_g, weight * x.values, axes=([1, 2, 3, 4], [0, 1, 2, 3])) \
         * bank.grid.cell_volume
+
+
+def analyze_field(bank: ModeBank, field: VectorField) -> np.ndarray:
+    """Coefficients ``<field, h_l>_eps`` of an edge field in the mode basis."""
+    return _overlaps(bank, field, np.sqrt(bank.medium.eps))
 
 
 @dataclass
@@ -152,32 +160,19 @@ class TransverseProjector:
     def __init__(self, bank: ModeBank):
         self.bank = bank
 
-    def _coefficients(self, x: VectorField, weighted_analysis: bool) -> np.ndarray:
-        if x.grid != self.bank.grid:
-            raise GridMismatchError("field and bank grids differ")
-        if x.placement != EDGE:
-            raise PlacementError("projector expects edge fields")
-        values = self.bank.medium.eps * x.values if weighted_analysis else x.values
-        return np.tensordot(
-            self.bank.modes_h, values, axes=([1, 2, 3, 4], [0, 1, 2, 3])
-        ) * self.bank.grid.cell_volume
-
     def apply(self, x: VectorField) -> VectorField:
         """First-slot contraction: eps * sum_l <x, h_l> h_l (transverse out)."""
-        coef = self._coefficients(x, weighted_analysis=False)
-        out = self.bank.medium.eps * np.tensordot(coef, self.bank.modes_h, axes=(0, 0))
+        sqrt_eps = np.sqrt(self.bank.medium.eps)
+        coef = _overlaps(self.bank, x, 1.0 / sqrt_eps)
+        out = sqrt_eps * np.tensordot(coef, self.bank.modes_g, axes=(0, 0))
         return VectorField(self.bank.grid, EDGE, out)
 
     def apply_weighted(self, x: VectorField) -> VectorField:
         """Second-slot contraction: sum_l <x, h_l>_eps h_l (gen.-transverse out)."""
-        coef = self._coefficients(x, weighted_analysis=True)
-        out = np.tensordot(coef, self.bank.modes_h, axes=(0, 0))
+        coef = analyze_field(self.bank, x)
+        out = np.tensordot(coef, self.bank.modes_g, axes=(0, 0))
+        out /= np.sqrt(self.bank.medium.eps)
         return VectorField(self.bank.grid, EDGE, out)
-
-
-def apply_projector(p: TransverseProjector, x: VectorField) -> VectorField:
-    """Contract a field against the first slot of the projector kernel."""
-    return p.apply(x)
 
 
 def projector_matrix(bank: ModeBank) -> np.ndarray:
@@ -191,9 +186,10 @@ def projector_matrix(bank: ModeBank) -> np.ndarray:
     dof = 3 * bank.grid.ncells
     if dof > 4000:
         raise ValueError(f"dense projector refused for {dof} degrees of freedom")
-    h = bank.modes_h.reshape(n, dof)
-    he = (bank.medium.eps[None, ...] * bank.modes_h).reshape(n, dof)
-    return h.T @ he * bank.grid.cell_volume
+    sqrt_eps = np.sqrt(bank.medium.eps)
+    h = (bank.modes_g / sqrt_eps).reshape(n, dof)
+    eps_h = (bank.modes_g * sqrt_eps).reshape(n, dof)
+    return h.T @ eps_h * bank.grid.cell_volume
 
 
 def commutator_dyadic(bank: ModeBank, r_index, rp_index) -> np.ndarray:
@@ -207,7 +203,7 @@ def commutator_dyadic(bank: ModeBank, r_index, rp_index) -> np.ndarray:
         raise IncompleteBankError("commutator dyadic needs a complete bank")
     i, j, k = r_index
     ip, jp, kp = rp_index
-    h_r = bank.modes_h[:, :, i, j, k]          # (n, 3)
-    h_rp = bank.modes_h[:, :, ip, jp, kp]      # (n, 3)
-    eps_rp = bank.medium.eps[:, ip, jp, kp]    # (3,)
-    return np.einsum("la,lb,b->ab", h_r, h_rp, eps_rp)
+    eps = bank.medium.eps
+    h_r = bank.modes_g[:, :, i, j, k] / np.sqrt(eps[:, i, j, k])              # (n, 3)
+    eps_h_rp = bank.modes_g[:, :, ip, jp, kp] * np.sqrt(eps[:, ip, jp, kp])  # (n, 3)
+    return h_r.T @ eps_h_rp

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ def test_round_trip_bit_exact(bank, tmp_path):
     loaded = load_bank(path)
     assert np.array_equal(loaded.frequencies, bank.frequencies)
     assert np.array_equal(loaded.modes_g, bank.modes_g)
-    assert np.array_equal(loaded.modes_h, bank.modes_h)
+    for i in range(len(bank)):
+        assert np.array_equal(loaded.mode_h(i).values, bank.mode_h(i).values)
     assert loaded.grid == bank.grid
     assert loaded.variant == bank.variant
     assert loaded.gram_defect == bank.gram_defect
@@ -79,6 +82,24 @@ def test_missing_sidecar_rejected(bank, tmp_path):
         load_bank(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"gram_defect"', '"gram_defect_"'),
+        lambda text: json.dumps({**json.loads(text), "residuals": [0.0]}),
+    ],
+    ids=["invalid-json", "missing-key", "residual-count"],
+)
+def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
+    path = tmp_path / "bank.qmb"
+    save_bank(bank, path)
+    sidecar = path.with_name("bank.qmb.json")
+    sidecar.write_text(corrupt(sidecar.read_text()))
+    with pytest.raises(BankFileError):
+        load_bank(path)
+
+
 def test_descriptor_required(tmp_path, rng):
     grid = Grid((4, 4, 4))
     medium = MediumProfile(grid, 1.0 + rng.random((3,) + grid.dims), None)
@@ -97,4 +118,5 @@ def test_slab_descriptor_round_trip(tmp_path):
     save_bank(bank, path)
     loaded = load_bank(path)
     assert np.array_equal(loaded.medium.eps, bank.medium.eps)
-    assert np.array_equal(loaded.modes_h, bank.modes_h)
+    for i in range(len(bank)):
+        assert np.array_equal(loaded.mode_h(i).values, bank.mode_h(i).values)

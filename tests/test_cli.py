@@ -7,6 +7,7 @@ from epsmodes.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    EXIT_SOLVER,
     main,
     run,
     validate_config,
@@ -130,7 +131,7 @@ class TestRun:
         cfg1 = {
             "grid": {"dims": [6, 6, 6], "spacing": 1.0},
             "medium": {"kind": "homogeneous", "eps": 2.0},
-            "tasks": ["modes", "ldos"],
+            "tasks": ["modes", "verify", "ldos"],
             "modes": {"count": 12, "bank_out": "bank.qmb"},
             "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 25, "eta": 0.05,
                      "position": [3.0, 3.0, 3.0], "orientation": [0, 0, 1]},
@@ -141,12 +142,13 @@ class TestRun:
         assert run(write_config(tmp_path, cfg1, "c1.json"), p1) == EXIT_OK
 
         cfg2 = dict(cfg1)
-        cfg2["tasks"] = ["ldos"]
+        cfg2["tasks"] = ["verify", "ldos"]
         cfg2["modes"] = {"count": 12, "bank_in": str(p1 / "bank.qmb")}
         p2 = tmp_path / "second"
         p2.mkdir()
         assert run(write_config(tmp_path, cfg2, "c2.json"), p2) == EXIT_OK
         assert (p1 / "ldos.csv").read_bytes() == (p2 / "ldos.csv").read_bytes()
+        assert (p1 / "verify.json").read_bytes() == (p2 / "verify.json").read_bytes()
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
@@ -168,6 +170,45 @@ class TestRun:
             a = (outs[0] / fname).read_bytes()
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"tasks": ["modes", "rate"], "rate": {"atom": 1}}, EXIT_CONFIG),
+            ({"tasks": ["modes"], "solver": {"max_iter": 1}}, EXIT_SOLVER),
+        ],
+        ids=["rate-atom-out-of-range", "max-iter-reaches-solver"],
+    )
+    def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code):
+        cfg = base_config(
+            grid={"dims": [4, 4, 4]},
+            modes={"count": 4},
+            atoms=[{"position": [1, 1, 1], "levels": [0.0, 1.0],
+                    "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}],
+            **overrides,
+        )
+        assert run(write_config(tmp_path, cfg), tmp_path) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
+                          modes={"count": 4, "bank_out": "bank.qmb"})
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_OK
+        sidecar = tmp_path / "bank.qmb.json"
+        data = json.loads(sidecar.read_text())
+        del data["gram_defect"]
+        sidecar.write_text(json.dumps(data))
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["verify"],
+                          modes={"bank_in": str(tmp_path / "bank.qmb")})
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_CONFIG
+        assert "malformed sidecar" in capsys.readouterr().err
+
+    def test_stale_temp_path_does_not_block_writes(self, tmp_path):
+        (tmp_path / "modes.json.tmp").mkdir()
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4})
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_OK
+        assert json.loads((tmp_path / "modes.json").read_text())["count"] == 4
+        assert [p.name for p in tmp_path.glob("*.tmp")] == ["modes.json.tmp"]
 
     def test_verify_failure_exits_4(self, tmp_path, monkeypatch):
         # corrupt the decomposition tolerance path by monkeypatching the

@@ -130,7 +130,7 @@ class TestEmissionRate:
         gsq = coupling_strengths(vacuum8, atom, 1, 0)
         w = vacuum8.frequencies
         cluster = np.where(np.abs(w - w[0]) <= 1e-8 * w.max())[0]
-        h_cluster = vacuum8.modes_h[cluster]
+        h_cluster = np.stack([vacuum8.mode_h(i).values for i in cluster])
         q, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
         mixed = np.tensordot(q.T, h_cluster, axes=(1, 0))
         from epsmodes.emission import _interp_weights
@@ -166,7 +166,6 @@ class TestDefaultBroadening:
             vacuum8,
             frequencies=vacuum8.frequencies / 2,
             modes_g=vacuum8.modes_g,
-            modes_h=vacuum8.modes_h,
         )
         assert default_broadening(shrunk, 0.6) == pytest.approx(eta / 2, rel=1e-12)
 

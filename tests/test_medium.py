@@ -15,7 +15,6 @@ from epsmodes.medium import (
     Sphere,
     build_profile,
     eps_inner,
-    eps_inner_report,
     eps_norm,
     evaluate_descriptor,
 )
@@ -104,14 +103,12 @@ class TestEpsInner:
         got = eps_inner(u, v, m)
         assert abs(got - oracle) <= 1e-13 * abs(oracle)
 
-    def test_report_symmetry(self, rng):
+    def test_symmetry(self, rng):
         g = Grid((3, 3, 3))
         m = random_medium(g, rng)
         u = random_vector(g, rng)
         v = random_vector(g, rng)
-        r1 = eps_inner_report(u, v, m, ("u", "v"))
-        r2 = eps_inner_report(v, u, m, ("v", "u"))
-        assert r1.value == pytest.approx(r2.value, rel=1e-14)
+        assert eps_inner(u, v, m) == pytest.approx(eps_inner(v, u, m), rel=1e-14)
 
     def test_grid_mismatch(self, rng):
         m = random_medium(Grid((4, 4, 4)), rng)

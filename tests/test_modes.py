@@ -8,6 +8,7 @@ from epsmodes.modes import (
     MAGNETIC,
     ModeBank,
     QOperator,
+    _canonicalize_clusters,
     apply_q,
     dense_q_matrix,
     dense_transverse_spectrum,
@@ -232,7 +233,7 @@ class TestCompleteness:
 
         x = curl_t_raw(rng.standard_normal((3,) + g.dims), 1.0)
         n = len(bank)
-        flat_h = bank.modes_h.reshape(n, -1)
+        flat_h = np.stack([bank.mode_h(i).values for i in range(n)]).reshape(n, -1)
         coef = flat_h @ x.ravel() * g.cell_volume
         rebuilt = m.eps * (coef @ flat_h).reshape((3,) + g.dims)
         assert np.abs(rebuilt - x).max() <= 1e-8 * np.abs(x).max()
@@ -274,7 +275,6 @@ class TestResidualReport:
             variant=bank.variant,
             frequencies=bank.frequencies,
             modes_g=bank.modes_g * np.where(np.arange(6) == 2, 2.0, 1.0)[:, None, None, None, None],
-            modes_h=bank.modes_h * np.where(np.arange(6) == 2, 2.0, 1.0)[:, None, None, None, None],
             residuals=bank.residuals,
             gram_defect=bank.gram_defect,
         )
@@ -292,13 +292,63 @@ class TestResidualReport:
             variant=bank.variant,
             frequencies=bank.frequencies,
             modes_g=np.tensordot(q.T, bank.modes_g, axes=(1, 0)),
-            modes_h=np.tensordot(q.T, bank.modes_h, axes=(1, 0)),
             residuals=bank.residuals,
             gram_defect=bank.gram_defect,
         )
         report = mode_residual_report(rotated)
         assert report.gram_defect <= bank.gram_defect + 1e-10
         assert np.abs(np.sort(report.residuals) - np.sort(bank.residuals)).max() <= 1e-10
+
+
+def plane_wave_shells(n, eps, count):
+    """Unit-norm discrete plane waves of the lowest shells of a homogeneous box.
+
+    Each wave vector (one of each +-k pair) gives cos and sin waves in the
+    two polarizations orthogonal to the discrete wave vector sin(k/2); the
+    columns are sorted by frequency, so shells form degenerate clusters.
+    """
+    import itertools
+
+    grid = Grid((n, n, n), 1.0)
+    waves = []
+    for v in itertools.product(range(-2, 3), repeat=3):
+        v = np.array(v)
+        if v[v != 0].size and v[v != 0][0] > 0:
+            waves.append((4 * np.sum(np.sin(np.pi * v / n) ** 2) / eps, tuple(v)))
+    cols, freqs = [], []
+    for omega2, v in sorted(waves):
+        k = 2 * np.pi * np.array(v) / n
+        kappa = np.sin(k / 2)
+        p1 = np.cross(kappa, np.eye(3)[np.argmin(np.abs(kappa))])
+        p1 /= np.linalg.norm(p1)
+        p2 = np.cross(kappa, p1) / np.linalg.norm(kappa)
+        phases = [grid.component_positions(EDGE, a) @ k for a in range(3)]
+        for f in (np.cos, np.sin):
+            for p in (p1, p2):
+                col = np.stack([p[a] * f(phases[a]) for a in range(3)]).ravel()
+                cols.append(col / np.linalg.norm(col))
+                freqs.append(np.sqrt(omega2))
+    return np.array(cols[:count]).T, np.array(freqs[:count])
+
+
+class TestCanonicalizeClusters:
+    def test_orthonormal_and_mixing_independent(self):
+        # 12^3, eps = 4: the lowest 112 modes fill five shells of 12, 24,
+        # 16, 12 and 48 plane waves; a single Gram-Schmidt pass over the
+        # coordinate rows loses orthonormality here (defect ~1e-10)
+        v, w = plane_wave_shells(12, 4.0, 112)
+        edges = np.flatnonzero(np.diff(w) > 1e-8 * w.max()) + 1
+        outs = []
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            x = v.copy()
+            for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(w)]):
+                mix, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+                x[:, lo:hi] = np.linalg.qr(v[:, lo:hi])[0] @ mix
+            assert np.abs(x.T @ x - np.eye(len(w))).max() <= 1e-14
+            outs.append(_canonicalize_clusters(x, w))
+            assert np.abs(outs[-1].T @ outs[-1] - np.eye(len(w))).max() <= 1e-13
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-12
 
 
 def test_uniform_zero_modes_are_null(rng):
