@@ -190,12 +190,6 @@ CONFIG_SCHEMA = {
 _SPEED_OF_LIGHT = 299792458.0
 
 
-def _medium_from_config(data):
-    from .bankfile import descriptor_from_dict
-
-    return descriptor_from_dict(data)
-
-
 def _atoms_from_config(entries):
     import numpy as np
 
@@ -242,8 +236,10 @@ class _Runner:
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
         import numpy as np  # noqa: F401  (ensures numeric stack is up)
 
+        from .bankfile import descriptor_from_dict
         from .lattice import Grid
         from .medium import build_profile
+        from .modes import NONMAGNETIC
 
         self.config = config
         self.out_dir = out_dir
@@ -251,9 +247,10 @@ class _Runner:
         self.seed = int(config.get("seed", 0))
         grid_cfg = config["grid"]
         self.grid = Grid(tuple(grid_cfg["dims"]), grid_cfg.get("spacing", 1.0))
-        desc = _medium_from_config(config["medium"])
-        mu_desc = _medium_from_config(config["mu"]) if "mu" in config else None
+        desc = descriptor_from_dict(config["medium"])
+        mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
         self.medium = build_profile(desc, self.grid, mu_desc)
+        self.variant = config.get("modes", {}).get("variant", NONMAGNETIC)
         self.atoms = _atoms_from_config(config.get("atoms", []))
         solver = config.get("solver", {})
         self.poisson_tol = solver.get("poisson_tol", 1e-10)
@@ -278,30 +275,37 @@ class _Runner:
     def _require_bank(self):
         if self.bank is None:
             bank_in = self.config.get("modes", {}).get("bank_in")
-            if bank_in:
-                from .bankfile import load_bank
-
-                self.bank = load_bank(Path(bank_in))
-            else:
+            if not bank_in:
                 raise ValueError(
                     "task needs a mode bank: run the 'modes' task first or set modes.bank_in"
                 )
+            from .bankfile import load_bank
+
+            bank = load_bank(Path(bank_in))
+            # a bank solved for another problem must not reach the tasks
+            for name, got, want in (
+                ("grid.dims", bank.grid.dims, self.grid.dims),
+                ("grid.spacing", bank.grid.spacing, self.grid.spacing),
+                ("medium", bank.medium.descriptor, self.medium.descriptor),
+                ("mu", bank.medium.mu_descriptor, self.medium.mu_descriptor),
+                ("modes.variant", bank.variant, self.variant),
+            ):
+                if got != want:
+                    raise ValueError(
+                        f"modes.bank_in {bank_in}: the bank's {name} {got!r} differs "
+                        f"from the config's {want!r}"
+                    )
+            self.bank = bank
         return self.bank
 
     def task_modes(self):
-        from .modes import NONMAGNETIC, QOperator, solve_modes
+        from .modes import QOperator, solve_modes
 
         cfg = self.config.get("modes", {})
         count = cfg.get("count", 12)
-        variant = cfg.get("variant", NONMAGNETIC)
-        op = QOperator(self.medium, variant)
+        op = QOperator(self.medium, self.variant)
         self.bank = solve_modes(
-            op,
-            count,
-            tol=self.eig_tol,
-            seed=self.seed,
-            maxiter=self.max_iter,
-            poisson_tol=min(self.poisson_tol, 1e-10),
+            op, count, tol=self.eig_tol, seed=self.seed, maxiter=self.max_iter
         )
         payload = {
             "task": "modes",
@@ -309,7 +313,7 @@ class _Runner:
             "frequencies": [float(w) for w in self.bank.frequencies],
             "gram_defect": self.bank.gram_defect,
             "max_residual": float(self.bank.residuals.max()),
-            "params": self._params(variant=variant),
+            "params": self._params(variant=self.variant),
         }
         if self.si_length:
             scale = _SPEED_OF_LIGHT / self.si_length

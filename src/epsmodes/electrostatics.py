@@ -144,7 +144,7 @@ def solve_poisson_block(
     return x, res, total_iters
 
 
-def _check_compatible(sigma: np.ndarray, grid: Grid, neutralize: bool) -> np.ndarray:
+def _check_compatible(sigma: np.ndarray, neutralize: bool) -> np.ndarray:
     mean = sigma.mean()
     rms = float(np.sqrt(np.mean(sigma * sigma)))
     if rms == 0.0:
@@ -175,7 +175,7 @@ def solve_poisson(
         raise ProfileError("source and medium grids differ")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rhs = _check_compatible(sigma.values, m.grid, neutralize)
+    rhs = _check_compatible(sigma.values, neutralize)
     chi, res, iters = solve_poisson_block(rhs, m, tol=tol, maxiter=maxiter)
     return PoissonSolution(ScalarField(m.grid, chi), float(res), iters)
 

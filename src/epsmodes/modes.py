@@ -5,10 +5,13 @@ The operator applied here is ``Q g = S curl_t(w curl(S g))`` with
 on faces (magnetic variant).  Q is symmetric positive semidefinite under
 the plain volume-weighted inner product and its eigenvalues are squared
 mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
-const)``; the gradient sector is removed by solving a generalized
-Poisson problem, the three constant-induced zero-frequency modes are
-deflated explicitly, and the solver returns the lowest nonzero
-eigenpairs.
+const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
+iterates on face fields with ``B B^T``, as MPB does (Johnson &
+Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
+same, and its space, the range of B, is cut out by a constraint free of
+eps that one FFT imposes exactly, so no Poisson solve or zero-mode
+deflation is needed.  The three zero-frequency modes of Q belong only to
+complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -26,12 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .electrostatics import solve_poisson_block
-from .errors import (
-    FeasibilityError,
-    GridMismatchError,
-    PlacementError,
-    SolverError,
-)
+from .errors import FeasibilityError, GridMismatchError, PlacementError, SolverError
 from .lattice import EDGE, Grid, VectorField, curl_raw, curl_t_raw, div_raw, grad_raw
 from .medium import MediumProfile
 
@@ -47,38 +45,43 @@ DEGENERACY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class QOperator:
-    """Curl-curl operator symmetrized with inverse-sqrt-eps weights."""
+    """Curl-curl operator ``Q = B^T B``; ``B = w^(1/2) curl S`` maps edges to faces."""
 
     medium: MediumProfile
     variant: str = NONMAGNETIC
     inv_sqrt_eps: np.ndarray = field(init=False, repr=False)
-    inv_w: np.ndarray | None = field(init=False, repr=False)
+    sqrt_w: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in (NONMAGNETIC, MAGNETIC):
             raise ValueError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "inv_sqrt_eps", 1.0 / np.sqrt(self.medium.eps))
-        inv_w = None
-        if self.variant == MAGNETIC:
-            mu = self.medium.mu
-            inv_w = 1.0 / mu if mu is not None else np.ones((3,) + self.medium.grid.dims)
-        object.__setattr__(self, "inv_w", inv_w)
+        mu = self.medium.mu if self.variant == MAGNETIC else None
+        object.__setattr__(self, "sqrt_w", None if mu is None else 1.0 / np.sqrt(mu))
 
     @property
     def grid(self) -> Grid:
         return self.medium.grid
 
+    def b_raw(self, g: np.ndarray) -> np.ndarray:
+        """``B g`` for raw (3, nx, ny, nz[, batch]) edge arrays; face output."""
+        y = curl_raw(_batched(self.inv_sqrt_eps, g) * g, self.grid.spacing)
+        return y if self.sqrt_w is None else _batched(self.sqrt_w, y) * y
+
+    def bt_raw(self, y: np.ndarray) -> np.ndarray:
+        """``B^T y`` for raw (3, nx, ny, nz[, batch]) face arrays; edge output."""
+        if self.sqrt_w is not None:
+            y = _batched(self.sqrt_w, y) * y
+        return _batched(self.inv_sqrt_eps, y) * curl_t_raw(y, self.grid.spacing)
+
     def apply_raw(self, g: np.ndarray) -> np.ndarray:
-        """Operator application on a raw (3, nx, ny, nz[, B]) array."""
-        s = self.grid.spacing
-        if g.ndim == 4:
-            ise = self.inv_sqrt_eps
-        else:
-            ise = self.inv_sqrt_eps[..., None]
-        w = curl_raw(ise * g, s)
-        if self.inv_w is not None:
-            w = (self.inv_w if g.ndim == 4 else self.inv_w[..., None]) * w
-        return ise * curl_t_raw(w, s)
+        """Operator application ``B^T (B g)`` on a raw (3, nx, ny, nz[, B]) array."""
+        return self.bt_raw(self.b_raw(g))
+
+
+def _batched(coeff: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """A (3, nx, ny, nz) coefficient shaped to multiply ``arr``."""
+    return coeff if arr.ndim == 4 else coeff[..., None]
 
 
 def apply_q(op: QOperator, g: VectorField) -> VectorField:
@@ -90,22 +93,17 @@ def apply_q(op: QOperator, g: VectorField) -> VectorField:
     return VectorField(op.grid, EDGE, op.apply_raw(g.values))
 
 
-def _project_block_raw(
-    g: np.ndarray, m: MediumProfile, tol: float
-) -> np.ndarray:
+def _project_block_raw(g: np.ndarray, m: MediumProfile, tol: float) -> np.ndarray:
     """Remove the sqrt(eps)*grad(psi) component from a block of edge fields."""
     s = m.grid.spacing
-    sqrt_eps = np.sqrt(m.eps) if g.ndim == 4 else np.sqrt(m.eps)[..., None]
+    sqrt_eps = _batched(np.sqrt(m.eps), g)
     sigma = -div_raw(sqrt_eps * g, s)
-    # block columns may have wildly different scales; demeaning handles the
-    # compatibility, solve_poisson_block normalizes per column
+    # solve_poisson_block demeans and normalizes each column
     psi, _, _ = solve_poisson_block(sigma, m, tol=tol)
     return g - sqrt_eps * grad_raw(psi, s)
 
 
-def project_transverse_g(
-    g: VectorField, m: MediumProfile, tol: float = 1e-10
-) -> VectorField:
+def project_transverse_g(g: VectorField, m: MediumProfile, tol: float = 1e-10) -> VectorField:
     """Project an edge field onto ``div(sqrt(eps) g) = 0``.
 
     Idempotent up to solver tolerance; fields already satisfying the
@@ -278,22 +276,38 @@ def _orthonormalize(
     return q[:, keep]
 
 
-def uniform_zero_modes(m: MediumProfile, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the three zero-frequency transverse modes.
+def _range_projector(op: QOperator):
+    """Projector onto the range of ``B`` for raw (3, nx, ny, nz, batch) faces.
 
-    On the torus the transverse projections of ``sqrt(eps) * e_a`` are
-    exact null vectors of the mode operator; they carry zero frequency
-    and are excluded from solver banks but belong to complete spectra.
+    The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
+    ``w^(1/2) P(y / w^(1/2))`` projects onto it, with one FFT applying the
+    orthogonal projector P.  Also returns ``|d|^2``, the Fourier symbol of
+    the vacuum curl-curl on the rfftn half grid, ``d_a = (e^(ik_a) - 1)/s``.
     """
-    dims = m.grid.dims
-    cols = []
-    for a in range(3):
-        g = np.zeros((3,) + dims)
-        g[a] = np.sqrt(m.eps[a])
-        cols.append(_project_block_raw(g, m, tol).ravel())
-    z = np.stack(cols, axis=1)
-    q, _ = np.linalg.qr(z)
-    return q
+    grid = op.grid
+    axes = (1, 2, 3)
+    parts = []
+    for a, npts in enumerate(grid.dims):
+        k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
+        shape_a = [1, 1, 1]
+        shape_a[a] = len(k)
+        parts.append(((np.exp(1j * k) - 1.0) / grid.spacing).reshape(shape_a))
+    d = np.stack(np.broadcast_arrays(*parts))
+    sym = np.sum(np.abs(d) ** 2, axis=0)
+    inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
+    d_conj = d.conj()[..., None]
+    sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]
+
+    def project(y):
+        v = y if sqrt_w is None else y / sqrt_w
+        vk = np.fft.rfftn(v, axes=axes)
+        # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
+        vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
+        vk[:, 0, 0, 0] = 0.0
+        v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        return v if sqrt_w is None else sqrt_w * v
+
+    return project, sym
 
 
 def solve_modes(
@@ -302,18 +316,24 @@ def solve_modes(
     tol: float = 1e-8,
     seed: int = 0,
     maxiter: int = 1000,
-    poisson_tol: float | None = None,
     on_iteration=None,
 ) -> ModeBank:
     """Lowest nonzero-frequency eigenmodes via blocked Rayleigh-Ritz.
 
-    LOBPCG-style iteration: the search subspace is spanned by the
-    current Ritz block, preconditioned residuals and the previous
-    update directions.  New directions are projected onto the
-    generalized-transverse subspace after every operator application
-    and deflated against the three uniform zero modes, which keeps the
-    iteration inside the physical sector.  Deterministic for a fixed
-    seed.
+    LOBPCG-style iteration on face fields ``y`` with ``B B^T``, which has
+    Q's nonzero spectrum and is positive definite on the range of B: the
+    search subspace is spanned by the current Ritz block, preconditioned
+    residuals and the previous update directions, and new directions are
+    projected exactly onto that range.  Modes map back as ``g = B^T y /
+    omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0`` by
+    construction.  Deterministic for a fixed seed.
+
+    New directions are orthonormalized, projected, and orthonormalized
+    again.  Gram-Schmidt rescales directions that lie numerically inside
+    the current span to unit vectors of round-off, whose null-space part
+    Rayleigh-Ritz would return as zero-frequency Ritz vectors; only a
+    projection after it removes that part.  Projecting before it alone
+    breaks degenerate 12^3 solves.
 
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
@@ -330,51 +350,38 @@ def solve_modes(
             f"requested {n_modes} modes but the transverse subspace holds "
             f"only {n_nonzero} nonzero-frequency modes on this grid"
         )
-    if poisson_tol is None:
-        poisson_tol = min(1e-10, tol * 1e-3)
 
     block = min(n_modes + max(6, n_modes // 5), n_nonzero)
     shape = (3,) + grid.dims
+    axes = (1, 2, 3)
+    project, sym = _range_projector(op)
 
     def to_block(mat):
         return mat.reshape(shape + (mat.shape[1],))
 
-    def project_cols(mat):
-        projected = _project_block_raw(to_block(mat), m, poisson_tol)
-        return projected.reshape(dof, -1)
-
     def apply_cols(mat):
-        return op.apply_raw(to_block(mat)).reshape(dof, -1)
+        return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
-    zmodes = uniform_zero_modes(m, poisson_tol)
+    def project_cols(mat):
+        return project(to_block(mat)).reshape(dof, -1)
 
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dof, block))
-    x = project_cols(x)
-    x = _orthonormalize(x, [zmodes])
+    x = _orthonormalize(project_cols(rng.standard_normal((dof, block))), [])
     if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")
 
     # FFT preconditioner: Davidson-style inverse of the vacuum curl-curl
-    # symbol (scaled by the harmonic-mean permittivity) shifted per column.
-    s = grid.spacing
-    sym = np.zeros(grid.dims)
-    for a, npts in enumerate(grid.dims):
-        k = 2 * np.pi * np.fft.fftfreq(npts)
-        shape_a = [1, 1, 1]
-        shape_a[a] = npts
-        sym = sym + (4 * np.sin(k / 2) ** 2 / s**2).reshape(shape_a)
-    inv_eps_bar = float(np.mean(1.0 / m.eps))
+    # symbol (scaled by the mean coefficients) shifted per column
+    inv_mu = 1.0 if op.sqrt_w is None else op.sqrt_w**2
+    coeff = float(np.mean(1.0 / m.eps) * np.mean(inv_mu))
 
     def precondition(resid, shifts):
-        r = to_block(resid)
-        rk = np.fft.fftn(r, axes=(1, 2, 3))
-        denom = sym[None, ..., None] * inv_eps_bar - shifts[None, None, None, None, :]
+        rk = np.fft.rfftn(to_block(resid), axes=axes)
+        denom = sym[None, ..., None] * coeff - shifts[None, None, None, None, :]
         np.abs(denom, out=denom)
         np.maximum(denom, 0.1 * np.abs(shifts)[None, None, None, None, :], out=denom)
         rk /= denom
-        out = np.fft.ifftn(rk, axes=(1, 2, 3)).real
-        return out.reshape(dof, -1)
+        return np.fft.irfftn(rk, s=grid.dims, axes=axes).reshape(dof, -1)
 
     ax = apply_cols(x)
     t = x.T @ ax
@@ -385,9 +392,9 @@ def solve_modes(
     converged = False
     rnorm = np.full(n_modes, np.inf)
     # residuals are judged against the operator scale as well as the Ritz
-    # value: the projection/FFT pipeline has an absolute accuracy floor, so
-    # demanding tol * theta for theta far below ||Q|| can never be met
-    op_scale = 0.1 * float(sym.max() * np.max(1.0 / m.eps))
+    # value: rounding sets an absolute accuracy floor, so demanding
+    # tol * theta for theta far below ||Q|| can never be met
+    op_scale = 0.1 * float(sym.max() * np.max(1.0 / m.eps) * np.max(inv_mu))
     for _iteration in range(maxiter):
         resid = ax - x * theta
         rnorm = np.linalg.norm(resid, axis=0)
@@ -404,15 +411,11 @@ def solve_modes(
         r_act = resid[:, active] / rnorm[active]
         w = precondition(r_act, theta[active])
         w /= np.linalg.norm(w, axis=0)
-        # orthonormalize -> project -> orthonormalize: projecting after the
-        # Gram-Schmidt pass is essential, otherwise directions numerically
-        # inside span(x) get their null-space round-off amplified to unit
-        # vectors that the Rayleigh-Ritz step would rank below the physical
-        # spectrum
-        w = _orthonormalize(w, [zmodes, x, p], drop_abs=1e-9)
+        # orthonormalize -> project -> orthonormalize (see the docstring)
+        w = _orthonormalize(w, [x, p], drop_abs=1e-9)
         if w.shape[1]:
             w = project_cols(w)
-            w = _orthonormalize(w, [zmodes, x, p], drop_abs=1e-9)
+            w = _orthonormalize(w, [x, p], drop_abs=1e-9)
         if w.shape[1] == 0:
             raise SolverError(
                 "eigensolver stagnated: no independent search directions left "
@@ -440,14 +443,13 @@ def solve_modes(
         pnorm = np.linalg.norm(p_raw, axis=0)
         strong = pnorm > 1e-6
         p = p_raw[:, strong] / pnorm[strong]
-        p = _orthonormalize(p, [zmodes, x_new], drop_abs=1e-6)
+        p = _orthonormalize(p, [x_new], drop_abs=1e-6)
         if p.shape[1]:
             p = project_cols(p)
-            p = _orthonormalize(p, [zmodes, x_new], drop_abs=1e-6)
+            p = _orthonormalize(p, [x_new], drop_abs=1e-6)
         x = x_new
-        # exact operator images every iteration; the cost is negligible next
-        # to the transversality projections and it keeps the Rayleigh-Ritz
-        # data consistent over long runs
+        # exact operator images every iteration keep the Rayleigh-Ritz data
+        # consistent over long runs
         ax = apply_cols(x)
         ap = apply_cols(p)
 
@@ -459,21 +461,11 @@ def solve_modes(
             iterations=maxiter,
         )
 
-    # polish: tight transversality projection, deflation, final Rayleigh-Ritz
-    x = project_cols(x[:, :block])
-    x = _orthonormalize(x, [zmodes])
-    ax = apply_cols(x)
-    t = x.T @ ax
-    t = (t + t.T) / 2
-    theta, c = scipy.linalg.eigh(t)
-    x = x @ c
-    keep = slice(0, n_modes)
-    x = x[:, keep]
-    theta = theta[keep]
-
-    freqs = np.sqrt(np.clip(theta, 0.0, None))
-    x = _canonicalize_clusters(x, freqs)
-    return _assemble_bank(op, freqs, x, complete=False, seed=seed)
+    # orthonormal Ritz vectors y of B B^T give those of Q as B^T y / omega
+    freqs = np.sqrt(theta[:n_modes])
+    g = op.bt_raw(to_block(x[:, :n_modes])).reshape(dof, -1) / freqs
+    g = _canonicalize_clusters(g, freqs)
+    return _assemble_bank(op, freqs, g, complete=False, seed=seed)
 
 
 def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:

@@ -203,6 +203,32 @@ class TestRun:
         assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_CONFIG
         assert "malformed sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"grid": {"dims": [6, 6, 6]}}, "grid.dims"),
+            ({"grid": {"dims": [4, 4, 4], "spacing": 0.5}}, "grid.spacing"),
+            ({"medium": {"kind": "homogeneous", "eps": 2.0}}, "medium"),
+            ({"mu": {"kind": "homogeneous", "eps": 3.0}}, "mu"),
+            ({"modes": {"variant": "magnetic"}}, "modes.variant"),
+        ],
+        ids=["grid-dims", "grid-spacing", "medium", "mu", "variant"],
+    )
+    def test_bank_in_must_match_config(self, tmp_path, capsys, overrides, field):
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
+                          medium={"kind": "homogeneous", "eps": 4.0},
+                          modes={"count": 4, "bank_out": "bank.qmb"})
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_OK
+        out = tmp_path / "reuse"
+        cfg.update(tasks=["verify", "ldos"],
+                   ldos={"omega_min": 0.3, "omega_max": 0.6, "count": 5, "eta": 0.05})
+        cfg.update(overrides)
+        cfg["modes"] = dict(overrides.get("modes", {}), bank_in=str(tmp_path / "bank.qmb"))
+        assert run(write_config(tmp_path, cfg, "reuse.json"), out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bank's {field} " in err and "Traceback" not in err
+        assert not (out / "verify.json").exists() and not (out / "ldos.csv").exists()
+
     def test_stale_temp_path_does_not_block_writes(self, tmp_path):
         (tmp_path / "modes.json.tmp").mkdir()
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4})

@@ -2,20 +2,37 @@ import numpy as np
 import pytest
 
 from epsmodes.errors import FeasibilityError, GridMismatchError, SolverError
-from epsmodes.lattice import EDGE, Grid, VectorField, div_raw, grad_raw, inner
-from epsmodes.medium import Homogeneous, Layer, MediumProfile, SlabStack, build_profile
+from epsmodes.lattice import (
+    EDGE,
+    Grid,
+    VectorField,
+    curl_raw,
+    div_raw,
+    dminus,
+    dplus,
+    grad_raw,
+    inner,
+)
+from epsmodes.medium import (
+    Homogeneous,
+    Layer,
+    MediumProfile,
+    SlabStack,
+    Sphere,
+    build_profile,
+)
 from epsmodes.modes import (
     MAGNETIC,
     ModeBank,
     QOperator,
     _canonicalize_clusters,
+    _range_projector,
     apply_q,
     dense_q_matrix,
     dense_transverse_spectrum,
     mode_residual_report,
     project_transverse_g,
     solve_modes,
-    uniform_zero_modes,
 )
 
 from conftest import random_medium, random_vector, smooth_medium
@@ -125,6 +142,32 @@ class TestApplyQ:
         with pytest.raises(GridMismatchError):
             apply_q(op, random_vector(Grid((5, 5, 5)), rng))
 
+    def test_uniform_sector_in_null_space(self):
+        # the transverse parts of sqrt(eps) * e_a are the three exact
+        # zero-frequency modes of Q on the torus
+        g = Grid((5, 5, 5))
+        m = smooth_medium(g, seed=6)
+        op = QOperator(m)
+        for a in range(3):
+            vals = np.zeros((3,) + g.dims)
+            vals[a] = np.sqrt(m.eps[a])
+            z = project_transverse_g(VectorField(g, EDGE, vals), m, tol=1e-12)
+            assert np.linalg.norm(z.values) > 1.0
+            assert np.abs(apply_q(op, z).values).max() <= 1e-11
+
+    def test_halves_compose_to_q(self, rng):
+        g = Grid((4, 5, 3))
+        m = random_medium(g, rng)
+        mu = 1.0 + rng.random((3,) + g.dims)
+        op = QOperator(MediumProfile(g, m.eps, mu), MAGNETIC)
+        v = rng.standard_normal((3,) + g.dims + (2,))
+        y = rng.standard_normal((3,) + g.dims + (2,))
+        assert np.array_equal(op.apply_raw(v), op.bt_raw(op.b_raw(v)))
+        # B^T is the adjoint of B
+        lhs = np.vdot(op.b_raw(v), y)
+        rhs = np.vdot(v, op.bt_raw(y))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
 
 class TestProjectTransverse:
     def test_fixed_point(self, rng):
@@ -154,6 +197,55 @@ class TestProjectTransverse:
         assert np.abs(twice.values - once.values).max() <= 2e-10 * np.abs(x.values).max()
         d = div_raw(np.sqrt(m.eps) * once.values, g.spacing)
         assert np.linalg.norm(d) <= 1e-9 * np.linalg.norm(once.values)
+
+
+def magnetic_sphere_medium(g):
+    return build_profile(
+        Sphere((3.0, 3.0, 3.0), 1.8, 5.0, 2.0), g,
+        mu_desc=Sphere((2.0, 3.0, 3.5), 2.0, 3.0, 1.0),
+    )
+
+
+class TestRangeProjector:
+    """The solver's face-field projector ``w^(1/2) P(y / w^(1/2))``."""
+
+    @pytest.fixture(params=["nonmagnetic", "magnetic"])
+    def op(self, request):
+        m = magnetic_sphere_medium(Grid((6, 6, 6)))
+        assert m.mu.min() < m.mu.max()
+        return QOperator(m, request.param)
+
+    def sqrt_w(self, op):
+        return 1.0 if op.sqrt_w is None else op.sqrt_w[..., None]
+
+    def test_idempotent(self, op, rng):
+        project, _ = _range_projector(op)
+        y = rng.standard_normal((3,) + op.grid.dims + (3,))
+        once = project(y)
+        assert np.abs(project(once) - once).max() <= 1e-13 * np.abs(y).max()
+
+    def test_fixes_range_of_b(self, op, rng):
+        project, _ = _range_projector(op)
+        v = rng.standard_normal((3,) + op.grid.dims + (3,))
+        y = self.sqrt_w(op) * curl_raw(v, op.grid.spacing)
+        assert np.abs(project(y) - y).max() <= 1e-13 * np.abs(y).max()
+        by = op.b_raw(v)
+        assert np.abs(project(by) - by).max() <= 1e-13 * np.abs(by).max()
+
+    def test_annihilates_constants_and_dual_gradients(self, op, rng):
+        project, _ = _range_projector(op)
+        s = op.grid.spacing
+        phi = rng.standard_normal(op.grid.dims + (2,))
+        # the dual gradient is the adjoint of the face divergence sum_a dplus_a
+        dual_grad = -np.stack([dminus(phi, a, s) for a in range(3)])
+        const = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * np.ones(op.grid.dims + (1,))
+        for v in (dual_grad, const):
+            y = self.sqrt_w(op) * v
+            assert np.abs(project(y)).max() <= 1e-13 * np.abs(y).max()
+        # and the face divergence of its output vanishes
+        out = project(rng.standard_normal((3,) + op.grid.dims + (1,))) / self.sqrt_w(op)
+        div_face = sum(dplus(out[a], a, s) for a in range(3))
+        assert np.abs(div_face).max() <= 1e-13 * np.abs(out).max()
 
 
 class TestSolveModes:
@@ -193,6 +285,28 @@ class TestSolveModes:
         # band gap: a clear jump after the first band's 14 states
         edges = transfer_matrix_gap(eps_cells)
         assert bank.frequencies[-1] == pytest.approx(edges[0], rel=1e-6)
+
+    def test_slab_stack_converges_quickly(self):
+        # the criterion-10 solve converges in about 50 iterations
+        g = Grid((64, 1, 1), 1.0)
+        m = build_profile(SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), g)
+        iterations = []
+        solve_modes(QOperator(m), 16, tol=3e-7, seed=0,
+                    on_iteration=lambda i, theta, rnorm: iterations.append(i))
+        assert len(iterations) <= 100
+
+    def test_inhomogeneous_mu_matches_dense_oracle(self):
+        g = Grid((6, 6, 6), 1.0)
+        op = QOperator(magnetic_sphere_medium(g), MAGNETIC)
+        dense = dense_transverse_spectrum(op)
+        bank = solve_modes(op, 30, tol=1e-10)
+        ref = dense.frequencies[3:33]  # skip the three zero modes
+        assert np.abs(bank.frequencies - ref).max() <= 1e-10
+        report = mode_residual_report(bank)
+        assert report.matches_stored
+        assert report.gram_defect <= 1e-8
+        assert report.residuals.max() <= 1e-8
+        assert report.max_weighted_divergence <= 1e-8
 
     def test_deterministic_given_seed(self):
         g = Grid((5, 5, 5))
@@ -350,14 +464,3 @@ class TestCanonicalizeClusters:
             assert np.abs(outs[-1].T @ outs[-1] - np.eye(len(w))).max() <= 1e-13
         assert np.abs(outs[0] - outs[1]).max() <= 1e-12
 
-
-def test_uniform_zero_modes_are_null(rng):
-    g = Grid((5, 5, 5))
-    m = smooth_medium(g, seed=6)
-    z = uniform_zero_modes(m, tol=1e-12)
-    assert z.shape == (3 * g.ncells, 3)
-    op = QOperator(m)
-    for col in z.T:
-        field = VectorField(g, EDGE, col.reshape((3,) + g.dims))
-        out = apply_q(op, field)
-        assert np.abs(out.values).max() <= 1e-11
