@@ -349,6 +349,7 @@ class _Runner:
             "reconstruction_error": float(recon),
             "x1_divergence": float(div_rel),
             "poisson_residual": result.residual_norm,
+            "poisson_iterations": result.iterations,
             "params": self._params(),
         }
         _write_json(self.out_dir / "decompose.json", payload)

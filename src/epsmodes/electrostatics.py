@@ -4,8 +4,11 @@ The central linear problem is ``div(eps * grad(chi)) = -sigma`` on the
 periodic lattice.  The operator ``L = -div(eps grad .)`` is symmetric
 positive semidefinite with the constants as null space; the gauge is
 fixed by keeping chi zero-mean, the periodic analogue of a potential
-vanishing at infinity.  Solutions come from conjugate gradients with a
-Jacobi preconditioner and a mean-zero projection every iteration.
+vanishing at infinity.  Solutions come from conjugate gradients
+preconditioned by the exact inverse of ``mean(eps)`` times the periodic
+7-point Laplacian, applied with one FFT (Concus & Golub, SIAM J. Numer.
+Anal. 10, 1103 (1973)); the iteration count then depends on the eps
+contrast, not on the grid size.
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
@@ -33,6 +36,7 @@ from .lattice import (
     div_raw,
     dminus,
     dplus,
+    fourier_symbol,
     grad_raw,
 )
 from .medium import MediumProfile, Sphere, _min_image, build_profile
@@ -53,6 +57,7 @@ class DecompositionResult:
     x2: VectorField     # eps * grad(chi)
     chi: ScalarField
     residual_norm: float
+    iterations: int     # Poisson CG iterations
 
 
 def apply_weighted_laplacian(chi: np.ndarray, eps: np.ndarray, spacing: float) -> np.ndarray:
@@ -62,13 +67,6 @@ def apply_weighted_laplacian(chi: np.ndarray, eps: np.ndarray, spacing: float) -
         flux = eps[a] if chi.ndim == 3 else eps[a][..., None]
         out -= dminus(flux * dplus(chi, a, spacing), a, spacing)
     return out
-
-
-def _jacobi_diagonal(eps: np.ndarray, spacing: float) -> np.ndarray:
-    d = np.zeros(eps.shape[1:])
-    for a in range(3):
-        d += eps[a] + np.roll(eps[a], 1, axis=a)
-    return d / spacing**2
 
 
 def _demean(arr: np.ndarray) -> np.ndarray:
@@ -85,8 +83,10 @@ def solve_poisson_block(
 
     ``rhs`` has shape (nx, ny, nz) or (nx, ny, nz, B); each column is
     demeaned (periodic compatibility) and solved to relative residual
-    ``tol`` under a Jacobi preconditioner.  Returns (chi, relative
-    residuals, iterations); raises :class:`SolverError` on stagnation.
+    ``tol``.  The preconditioner inverts ``mean(eps) * (-div grad)`` in
+    Fourier space with the k = 0 term set to zero, so its output is
+    zero-mean.  Returns (chi, relative residuals, iterations); raises
+    :class:`SolverError` on stagnation.
     """
     if maxiter is None:
         maxiter = max(1000, 40 * max(m.grid.dims))
@@ -97,14 +97,20 @@ def solve_poisson_block(
 
     bnorm = np.sqrt(np.sum(b * b, axis=(0, 1, 2)))
     scale = np.where(bnorm > 0, bnorm, 1.0)
-    inv_diag = 1.0 / _jacobi_diagonal(m.eps, spacing)[..., None]
+    sym = fourier_symbol(m.grid)[1] * m.eps.mean()
+    inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
+
+    def precondition(r):
+        rk = np.fft.rfftn(r, axes=(0, 1, 2))
+        rk *= inv_sym
+        return np.fft.irfftn(rk, s=m.grid.dims, axes=(0, 1, 2))
 
     x = np.zeros_like(b)
     total_iters = 0
     res = bnorm / scale
     for _restart in range(3):
         r = _demean(b - apply_weighted_laplacian(x, m.eps, spacing))
-        z = _demean(inv_diag * r)
+        z = precondition(r)
         p = z.copy()
         rz = np.sum(r * z, axis=(0, 1, 2))
         while total_iters < maxiter:
@@ -119,7 +125,7 @@ def solve_poisson_block(
             x += alpha * p
             r -= alpha * ap
             r = _demean(r)
-            z = _demean(inv_diag * r)
+            z = precondition(r)
             rz_new = np.sum(r * z, axis=(0, 1, 2))
             beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
             rz = rz_new
@@ -197,7 +203,7 @@ def helmholtz_decompose(
     if x.grid != m.grid:
         raise ProfileError("field and medium grids differ")
     sigma = -div_raw(x.values, m.grid.spacing)
-    chi, res, _ = solve_poisson_block(sigma, m, tol=tol)
+    chi, res, iterations = solve_poisson_block(sigma, m, tol=tol)
     x2 = m.eps * grad_raw(chi, m.grid.spacing)
     x1 = x.values - x2
     return DecompositionResult(
@@ -205,6 +211,7 @@ def helmholtz_decompose(
         x2=VectorField(m.grid, EDGE, x2),
         chi=ScalarField(m.grid, chi),
         residual_norm=float(res),
+        iterations=iterations,
     )
 
 

@@ -174,6 +174,24 @@ def curl_t_raw(w: np.ndarray, spacing: float) -> np.ndarray:
     )
 
 
+def fourier_symbol(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier symbols of the forward differences on the rfftn half grid.
+
+    Returns ``d`` of shape (3, nx, ny, nz // 2 + 1) with ``d_a = (e^(ik_a)
+    - 1)/s``, so ``rfftn(dplus(f, a)) = d_a rfftn(f)``, and ``|d|^2 =
+    sum_a |d_a|^2``, the symbol of the periodic 7-point Laplacian ``-div
+    grad`` and of the vacuum curl-curl on divergence-free fields.
+    """
+    parts = []
+    for a, npts in enumerate(grid.dims):
+        k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
+        shape_a = [1, 1, 1]
+        shape_a[a] = len(k)
+        parts.append(((np.exp(1j * k) - 1.0) / grid.spacing).reshape(shape_a))
+    d = np.stack(np.broadcast_arrays(*parts))
+    return d, np.sum(np.abs(d) ** 2, axis=0)
+
+
 # Field-level operators.
 
 

@@ -30,7 +30,16 @@ import scipy.linalg
 
 from .electrostatics import solve_poisson_block
 from .errors import FeasibilityError, GridMismatchError, PlacementError, SolverError
-from .lattice import EDGE, Grid, VectorField, curl_raw, curl_t_raw, div_raw, grad_raw
+from .lattice import (
+    EDGE,
+    Grid,
+    VectorField,
+    curl_raw,
+    curl_t_raw,
+    div_raw,
+    fourier_symbol,
+    grad_raw,
+)
 from .medium import MediumProfile
 
 NONMAGNETIC = "nonmagnetic"
@@ -282,18 +291,11 @@ def _range_projector(op: QOperator):
     The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
     ``w^(1/2) P(y / w^(1/2))`` projects onto it, with one FFT applying the
     orthogonal projector P.  Also returns ``|d|^2``, the Fourier symbol of
-    the vacuum curl-curl on the rfftn half grid, ``d_a = (e^(ik_a) - 1)/s``.
+    the vacuum curl-curl on the rfftn half grid (:func:`fourier_symbol`).
     """
     grid = op.grid
     axes = (1, 2, 3)
-    parts = []
-    for a, npts in enumerate(grid.dims):
-        k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
-        shape_a = [1, 1, 1]
-        shape_a[a] = len(k)
-        parts.append(((np.exp(1j * k) - 1.0) / grid.spacing).reshape(shape_a))
-    d = np.stack(np.broadcast_arrays(*parts))
-    sym = np.sum(np.abs(d) ** 2, axis=0)
+    d, sym = fourier_symbol(grid)
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
     d_conj = d.conj()[..., None]
     sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]

@@ -85,6 +85,7 @@ class TestRun:
         report = json.loads((tmp_path / "decompose.json").read_text())
         assert report["reconstruction_error"] < 1e-12
         assert report["x1_divergence"] < 1e-9
+        assert isinstance(report["poisson_iterations"], int) and report["poisson_iterations"] > 0
         assert report["params"]["seed"] == 1
 
     def test_cavity_factor_task(self, tmp_path):

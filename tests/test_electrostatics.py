@@ -5,6 +5,7 @@ from epsmodes.electrostatics import (
     cavity_field_factor,
     helmholtz_decompose,
     solve_poisson,
+    solve_poisson_block,
 )
 from epsmodes.errors import ProfileError, SolverError, SourceCompatibilityError
 from epsmodes.lattice import (
@@ -17,7 +18,7 @@ from epsmodes.lattice import (
     grad_raw,
     inner,
 )
-from epsmodes.medium import Homogeneous, build_profile
+from epsmodes.medium import Homogeneous, Sphere, build_profile
 
 from conftest import random_medium, random_vector, smooth_medium
 
@@ -73,6 +74,42 @@ class TestSolvePoisson:
             solve_poisson(ScalarField(g, sigma), m)
         sol = solve_poisson(ScalarField(g, sigma), m, neutralize=True)
         assert sol.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("wavevectors", [[(1, 3, 7)], [(1, 3, 7), (2, 0, 5), (16, 16, 16)]],
+                             ids=["one-mode", "three-modes"])
+    def test_homogeneous_fourier_modes_match_analytic(self, wavevectors):
+        # past the dense limit: on a homogeneous 32^3 grid each lattice
+        # Fourier mode is an eigenvector of L with eigenvalue
+        # eps * sum_a 4 sin^2(pi k_a / n) / s^2, which the FFT
+        # preconditioner inverts exactly, so CG needs one iteration for
+        # any mix of modes
+        g = Grid((32, 32, 32), 0.5)
+        eps = 4.0
+        m = build_profile(Homogeneous(eps), g)
+        idx = np.indices(g.dims)
+        sigma = np.zeros(g.dims)
+        exact = np.zeros(g.dims)
+        for k in np.array(wavevectors):
+            mode = np.cos(2 * np.pi * np.tensordot(k, idx, axes=1) / 32 + 0.3)
+            lam = np.sum(4 * np.sin(np.pi * k / 32) ** 2) / g.spacing**2
+            sigma += mode
+            exact += mode / (eps * lam)
+        chi, res, iterations = solve_poisson_block(sigma, m)
+        assert iterations == 1
+        assert np.abs(chi - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert res <= 1e-12
+
+    def test_iterations_bounded_under_contrast(self, rng):
+        # eps 1 inside a sphere and 9 outside: the count depends on the
+        # contrast, not on the grid size
+        g = Grid((32, 32, 32))
+        m = build_profile(Sphere((15.5, 16.0, 16.5), 8.0, 1.0, 9.0), g)
+        sigma = rng.standard_normal(g.dims)
+        sigma -= sigma.mean()
+        chi, res, iterations = solve_poisson_block(sigma, m, tol=1e-10)
+        assert res <= 1e-10
+        assert iterations <= 40
+        assert abs(chi.mean()) < 1e-13 * np.abs(chi).max()
 
     def test_nonconvergence_raises_with_residual(self, rng):
         g = Grid((8, 8, 8))
@@ -179,9 +216,6 @@ class TestCavityFieldFactor:
     def test_interior_field_uniform(self):
         # classical benchmark: uniform applied field, eps 1 cavity in eps 4
         g = Grid((48, 48, 48), 1.0)
-        from epsmodes.electrostatics import solve_poisson_block
-        from epsmodes.medium import Sphere
-
         center = (24.0, 24.0, 24.0)
         m = build_profile(Sphere(center, 6.0, 1.0, 4.0), g)
         applied = np.zeros((3,) + g.dims)
