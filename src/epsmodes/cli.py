@@ -304,8 +304,14 @@ class _Runner:
         cfg = self.config.get("modes", {})
         count = cfg.get("count", 12)
         op = QOperator(self.medium, self.variant)
+
+        def stream(iteration, theta, rnorm):
+            worst = float(rnorm[:count].max())
+            self.log(f"modes: iteration {iteration}, worst residual {worst:.3e}", level=2)
+
         self.bank = solve_modes(
-            op, count, tol=self.eig_tol, seed=self.seed, maxiter=self.max_iter
+            op, count, tol=self.eig_tol, seed=self.seed, maxiter=self.max_iter,
+            on_iteration=stream if self.verbosity >= 2 else None,
         )
         payload = {
             "task": "modes",
@@ -620,7 +626,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--verbosity", type=int, default=1, choices=(0, 1, 2),
-        help="console chatter level",
+        help="console chatter level; 2 also streams the mode solver's residuals",
     )
     args = parser.parse_args(argv)
     return run(args.config, args.out_dir, args.threads, args.verbosity)

@@ -1,19 +1,21 @@
 """Generalized Poisson solver and the eps-weighted field decomposition.
 
 The central linear problem is ``div(eps * grad(chi)) = -sigma`` on the
-periodic lattice.  The operator ``L = -div(eps grad .)`` is symmetric
-positive semidefinite with the constants as null space; the gauge is
-fixed by keeping chi zero-mean, the periodic analogue of a potential
-vanishing at infinity.  Solutions come from conjugate gradients
-preconditioned by the exact inverse of ``mean(eps)`` times the periodic
-7-point Laplacian, applied with one FFT (Concus & Golub, SIAM J. Numer.
-Anal. 10, 1103 (1973)); the iteration count then depends on the eps
-contrast, not on the grid size.
+periodic lattice, solved for one right-hand side at a time.  The
+operator ``L = -div(eps grad .)`` is symmetric positive semidefinite
+with the constants as null space; the gauge is fixed by keeping chi
+zero-mean, the periodic analogue of a potential vanishing at infinity.
+Solutions come from conjugate gradients preconditioned by the exact
+inverse of ``mean(eps)`` times the periodic 7-point Laplacian, applied
+with one FFT (Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the
+iteration count then depends on the eps contrast, not on the grid size.
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
 which also realizes the constrained functional derivative restricted to
-generalized-transverse variations.
+generalized-transverse variations.  The split is written once, in
+:func:`helmholtz_decompose`; the mode module's transversality projection
+goes through it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .medium import MediumProfile, Sphere, _min_image, build_profile
 
 DEFAULT_TOL = 1e-10
 
+#: Cells between the cavity surface and the samples the cavity factor averages.
+CAVITY_INTERIOR_MARGIN = 1.5
+
 
 @dataclass
 class PoissonSolution:
@@ -61,16 +66,11 @@ class DecompositionResult:
 
 
 def apply_weighted_laplacian(chi: np.ndarray, eps: np.ndarray, spacing: float) -> np.ndarray:
-    """L chi = -div(eps * grad chi); batch axes trail the grid axes."""
+    """L chi = -div(eps * grad chi) for one (nx, ny, nz) field."""
     out = np.zeros_like(chi)
     for a in range(3):
-        flux = eps[a] if chi.ndim == 3 else eps[a][..., None]
-        out -= dminus(flux * dplus(chi, a, spacing), a, spacing)
+        out -= dminus(eps[a] * dplus(chi, a, spacing), a, spacing)
     return out
-
-
-def _demean(arr: np.ndarray) -> np.ndarray:
-    return arr - arr.mean(axis=(0, 1, 2), keepdims=True)
 
 
 def solve_poisson_block(
@@ -78,27 +78,29 @@ def solve_poisson_block(
     m: MediumProfile,
     tol: float = DEFAULT_TOL,
     maxiter: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """CG on ``L chi = rhs`` for a batch of right-hand sides.
+) -> tuple[np.ndarray, float, int]:
+    """Preconditioned CG on ``L chi = rhs`` for one right-hand side.
 
-    ``rhs`` has shape (nx, ny, nz) or (nx, ny, nz, B); each column is
-    demeaned (periodic compatibility) and solved to relative residual
-    ``tol``.  The preconditioner inverts ``mean(eps) * (-div grad)`` in
-    Fourier space with the k = 0 term set to zero, so its output is
-    zero-mean.  Returns (chi, relative residuals, iterations); raises
-    :class:`SolverError` on stagnation.
+    ``rhs`` has the grid's shape (nx, ny, nz); it is demeaned (periodic
+    compatibility) and solved to relative residual ``tol``, judged on the
+    true residual.  The preconditioner inverts ``mean(eps) * (-div grad)``
+    in Fourier space with the k = 0 term set to zero, so its output is
+    zero-mean.  Returns (chi, relative residual, iterations); raises
+    :class:`SolverError` on stagnation and ``ValueError`` for any other
+    rhs shape.
     """
+    if rhs.shape != m.grid.dims:
+        raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {m.grid.dims}")
     if maxiter is None:
         maxiter = max(1000, 40 * max(m.grid.dims))
-    single = rhs.ndim == 3
-    b = rhs[..., None] if single else rhs
-    b = _demean(np.asarray(b, dtype=np.float64))
+    b = np.asarray(rhs, dtype=np.float64)
+    b = b - b.mean()
     spacing = m.grid.spacing
 
-    bnorm = np.sqrt(np.sum(b * b, axis=(0, 1, 2)))
-    scale = np.where(bnorm > 0, bnorm, 1.0)
+    bnorm = np.linalg.norm(b)
+    scale = bnorm if bnorm > 0 else 1.0
     sym = fourier_symbol(m.grid)[1] * m.eps.mean()
-    inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
+    inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
 
     def precondition(r):
         rk = np.fft.rfftn(r, axes=(0, 1, 2))
@@ -107,46 +109,38 @@ def solve_poisson_block(
 
     x = np.zeros_like(b)
     total_iters = 0
-    res = bnorm / scale
     for _restart in range(3):
-        r = _demean(b - apply_weighted_laplacian(x, m.eps, spacing))
+        r = b - apply_weighted_laplacian(x, m.eps, spacing)
+        r -= r.mean()
         z = precondition(r)
-        p = z.copy()
-        rz = np.sum(r * z, axis=(0, 1, 2))
-        while total_iters < maxiter:
-            rnorm = np.sqrt(np.sum(r * r, axis=(0, 1, 2)))
-            active = rnorm > 0.5 * tol * scale
-            if not active.any():
-                break
+        p = z
+        rz = np.vdot(r, z)
+        while total_iters < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
             total_iters += 1
             ap = apply_weighted_laplacian(p, m.eps, spacing)
-            pap = np.sum(p * ap, axis=(0, 1, 2))
-            alpha = np.where(active & (pap > 0), rz / np.where(pap > 0, pap, 1.0), 0.0)
+            pap = np.vdot(p, ap)
+            if pap <= 0:
+                break
+            alpha = rz / pap
             x += alpha * p
             r -= alpha * ap
-            r = _demean(r)
+            r -= r.mean()
             z = precondition(r)
-            rz_new = np.sum(r * z, axis=(0, 1, 2))
-            beta = np.where(active, rz_new / np.where(rz > 0, rz, 1.0), 0.0)
+            rz_new = np.vdot(r, z)
+            p = z + (rz_new / rz) * p
             rz = rz_new
-            p = z + beta * p
-        x = _demean(x)
+        x -= x.mean()
         r_true = b - apply_weighted_laplacian(x, m.eps, spacing)
-        res = np.sqrt(np.sum(r_true * r_true, axis=(0, 1, 2))) / scale
-        if np.all(res <= tol):
+        res = float(np.linalg.norm(r_true)) / scale
+        if res <= tol or total_iters >= maxiter:
             break
-        if total_iters >= maxiter:
-            break
-    if not np.all(res <= tol):
+    if not res <= tol:
         raise SolverError(
             f"Poisson CG did not reach tol={tol:g} in {total_iters} iterations "
-            f"(worst residual {res.max():.3e})",
-            residual=float(res.max()),
+            f"(worst residual {res:.3e})",
+            residual=res,
             iterations=total_iters,
         )
-
-    if single:
-        return x[..., 0], res[0], total_iters
     return x, res, total_iters
 
 
@@ -220,7 +214,6 @@ def cavity_field_factor(
     grid: Grid,
     radius: float,
     tol: float = DEFAULT_TOL,
-    interior_margin: float = 1.5,
 ) -> float:
     """Mean field inside a spherical vacuum cavity per unit applied field.
 
@@ -228,7 +221,7 @@ def cavity_field_factor(
     periodic potential correction chi solves ``div(eps grad chi) =
     div(eps * xhat)`` and the total field is ``xhat - grad chi``.  The
     return value is the average x-component over edge samples at least
-    ``interior_margin`` cells inside the cavity; for a sphere in a
+    ``CAVITY_INTERIOR_MARGIN`` cells inside the cavity; for a sphere in a
     uniform host the quasi-static answer is ``3 eps / (2 eps + 1)``.
     """
     if eps_out <= 0:
@@ -248,7 +241,7 @@ def cavity_field_factor(
     total = applied - grad_raw(chi, grid.spacing)
 
     delta = _min_image(grid.component_positions(EDGE, 0) - np.asarray(center), grid.lengths)
-    inside = np.linalg.norm(delta, axis=-1) <= radius - interior_margin * grid.spacing
+    inside = np.linalg.norm(delta, axis=-1) <= radius - CAVITY_INTERIOR_MARGIN * grid.spacing
     if not inside.any():
         raise ProfileError("interior margin leaves no cavity samples")
     return float(total[0][inside].mean())

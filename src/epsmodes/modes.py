@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .electrostatics import solve_poisson_block
+from .electrostatics import helmholtz_decompose
 from .errors import FeasibilityError, GridMismatchError, PlacementError, SolverError
 from .lattice import (
     EDGE,
@@ -50,6 +50,10 @@ ZERO_EIGENVALUE_CUTOFF = 1e-10
 
 #: Relative frequency separation below which modes form a degenerate cluster.
 DEGENERACY_RTOL = 1e-8
+
+#: Thin-QR diagonal, relative to its largest entry, below which
+#: :func:`_orthonormalize` drops a column.
+QR_DROP_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -103,13 +107,15 @@ def apply_q(op: QOperator, g: VectorField) -> VectorField:
 
 
 def _project_block_raw(g: np.ndarray, m: MediumProfile, tol: float) -> np.ndarray:
-    """Remove the sqrt(eps)*grad(psi) component from a block of edge fields."""
-    s = m.grid.spacing
-    sqrt_eps = _batched(np.sqrt(m.eps), g)
-    sigma = -div_raw(sqrt_eps * g, s)
-    # solve_poisson_block demeans and normalizes each column
-    psi, _, _ = solve_poisson_block(sigma, m, tol=tol)
-    return g - sqrt_eps * grad_raw(psi, s)
+    """Remove the sqrt(eps)*grad(psi) component from one raw edge field.
+
+    ``sqrt(eps) g`` splits into a divergence-free part and
+    ``eps grad(psi)`` (:func:`helmholtz_decompose`); the first part over
+    ``sqrt(eps)`` is ``g - sqrt(eps) grad(psi)``.
+    """
+    sqrt_eps = np.sqrt(m.eps)
+    x = VectorField(m.grid, EDGE, sqrt_eps * g)
+    return helmholtz_decompose(x, m, tol).x1.values / sqrt_eps
 
 
 def project_transverse_g(g: VectorField, m: MediumProfile, tol: float = 1e-10) -> VectorField:
@@ -260,12 +266,7 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _orthonormalize(
-    block: np.ndarray,
-    against: list[np.ndarray],
-    drop_abs: float = 0.0,
-    drop_rel: float = 1e-10,
-):
+def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: float = 0.0):
     """Two-pass Gram-Schmidt against fixed bases, then thin QR with drops.
 
     ``drop_abs`` discards columns whose post-projection content fell
@@ -281,7 +282,7 @@ def _orthonormalize(
                 block = block - basis @ (basis.T @ block)
     q, r = np.linalg.qr(block)
     dr = np.abs(np.diag(r))
-    keep = dr > max(drop_abs, drop_rel * (dr.max() if dr.size else 1.0))
+    keep = dr > max(drop_abs, QR_DROP_RTOL * (dr.max() if dr.size else 1.0))
     return q[:, keep]
 
 
@@ -367,6 +368,14 @@ def solve_modes(
     def project_cols(mat):
         return project(to_block(mat)).reshape(dof, -1)
 
+    def clean(mat, against, drop_abs):
+        # orthonormalize -> project -> orthonormalize (see the docstring)
+        mat = _orthonormalize(mat, against, drop_abs=drop_abs)
+        if mat.shape[1]:
+            mat = project_cols(mat)
+            mat = _orthonormalize(mat, against, drop_abs=drop_abs)
+        return mat
+
     rng = np.random.default_rng(seed)
     x = _orthonormalize(project_cols(rng.standard_normal((dof, block))), [])
     if x.shape[1] < block:
@@ -413,11 +422,7 @@ def solve_modes(
         r_act = resid[:, active] / rnorm[active]
         w = precondition(r_act, theta[active])
         w /= np.linalg.norm(w, axis=0)
-        # orthonormalize -> project -> orthonormalize (see the docstring)
-        w = _orthonormalize(w, [x, p], drop_abs=1e-9)
-        if w.shape[1]:
-            w = project_cols(w)
-            w = _orthonormalize(w, [x, p], drop_abs=1e-9)
+        w = clean(w, [x, p], 1e-9)
         if w.shape[1] == 0:
             raise SolverError(
                 "eigensolver stagnated: no independent search directions left "
@@ -441,14 +446,13 @@ def solve_modes(
         # noise and would smuggle null-space content into the basis)
         cp = c.copy()
         cp[: x.shape[1], :] = 0.0
-        p_raw = basis @ cp
-        pnorm = np.linalg.norm(p_raw, axis=0)
+        # p is rebound at each step: an earlier form of it alive while
+        # clean runs would add a block to the solver's peak memory
+        p = basis @ cp
+        pnorm = np.linalg.norm(p, axis=0)
         strong = pnorm > 1e-6
-        p = p_raw[:, strong] / pnorm[strong]
-        p = _orthonormalize(p, [x_new], drop_abs=1e-6)
-        if p.shape[1]:
-            p = project_cols(p)
-            p = _orthonormalize(p, [x_new], drop_abs=1e-6)
+        p = p[:, strong] / pnorm[strong]
+        p = clean(p, [x_new], 1e-6)
         x = x_new
         # exact operator images every iteration keep the Rayleigh-Ritz data
         # consistent over long runs

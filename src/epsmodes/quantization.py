@@ -70,16 +70,11 @@ class FieldSnapshot:
     """Vector potential and its conjugate momentum on the grid.
 
     The conjugate field equals minus the displacement field; for the
-    free field it is divergence-free.  The magnetic field is available
-    on demand as the curl of the potential.
+    free field it is divergence-free.
     """
 
     vector_potential: VectorField
     conjugate_momentum: VectorField
-
-    def magnetic_field(self) -> VectorField:
-        a = self.vector_potential
-        return VectorField(a.grid, "face", curl_raw(a.values, a.grid.spacing))
 
 
 def synthesize_fields(bank: ModeBank, coeffs: ModeCoefficients) -> FieldSnapshot:

@@ -172,6 +172,23 @@ class TestRun:
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"
 
+    def test_verbosity_2_streams_convergence(self, tmp_path, capsys):
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
+                          modes={"count": 4, "bank_out": "bank.qmb"})
+        path = write_config(tmp_path, cfg)
+        lines = {}
+        for level in (1, 2):
+            assert run(path, tmp_path / f"v{level}", verbosity=level) == EXIT_OK
+            lines[level] = capsys.readouterr().out.splitlines()
+        streamed = [line for line in lines[2] if "iteration" in line]
+        assert streamed[0].startswith("modes: iteration 0, worst residual ")
+        assert [line for line in lines[2] if line not in streamed] == lines[1]
+        assert not any("iteration" in line for line in lines[1])
+        # the stream only prints: reports and banks stay byte-identical
+        for fname in ("modes.json", "bank.qmb", "bank.qmb.json"):
+            a = (tmp_path / "v1" / fname).read_bytes()
+            assert a == (tmp_path / "v2" / fname).read_bytes(), fname
+
     @pytest.mark.parametrize(
         "overrides, code",
         [

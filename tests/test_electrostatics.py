@@ -111,6 +111,14 @@ class TestSolvePoisson:
         assert iterations <= 40
         assert abs(chi.mean()) < 1e-13 * np.abs(chi).max()
 
+    def test_batched_rhs_rejected(self, rng):
+        # one right-hand side only: a trailing batch axis of size nz would
+        # broadcast eps against the wrong axes and give a wrong answer
+        g = Grid((4, 4, 4))
+        m = random_medium(g, rng)
+        with pytest.raises(ValueError):
+            solve_poisson_block(rng.standard_normal(g.dims + (4,)), m)
+
     def test_nonconvergence_raises_with_residual(self, rng):
         g = Grid((8, 8, 8))
         m = smooth_medium(g, lo=1.0, hi=13.0)

@@ -248,14 +248,33 @@ class TestRangeProjector:
         assert np.abs(div_face).max() <= 1e-13 * np.abs(out).max()
 
 
+def homogeneous_frequencies(grid, eps):
+    """Sorted nonzero frequencies of a homogeneous lattice, with multiplicity.
+
+    ``omega^2 = (4/s^2) sum_a sin^2(k_a s/2) / eps`` with two modes per
+    nonzero lattice wavevector ``k_a = 2 pi n_a / (N_a s)``.
+    """
+    n = np.indices(grid.dims).reshape(3, -1)
+    dims = np.array(grid.dims)[:, None]
+    omega2 = 4 / grid.spacing**2 * np.sum(np.sin(np.pi * n / dims) ** 2, axis=0) / eps
+    return np.sort(np.repeat(np.sqrt(omega2[omega2 > 0]), 2))
+
+
 class TestSolveModes:
-    def test_vacuum_lowest_band(self):
-        # twelve modes at the first nonzero frequency: 3 axes x 2
-        # polarizations x 2 real combinations
-        g = Grid((8, 8, 8), 1.0)
-        bank = solve_modes(QOperator(build_profile(Homogeneous(1.0), g)), 12, tol=1e-10)
-        expected = 2 * np.sin(np.pi / 8)
-        assert np.abs(bank.frequencies - expected).max() < 1e-9
+    @pytest.mark.parametrize(
+        "dims, spacing, eps, n_modes",
+        [((8, 8, 8), 1.0, 1.0, 12), ((16, 16, 16), 0.5, 4.0, 36)],
+        ids=["8^3-vacuum", "16^3-eps4"],
+    )
+    def test_vacuum_lowest_band(self, dims, spacing, eps, n_modes):
+        # homogeneous analytic oracle; 8^3 holds the first shell (3 axes x
+        # 2 polarizations x 2 real combinations), 16^3 is past the dense
+        # limit and holds two closed shells
+        g = Grid(dims, spacing)
+        expected = homogeneous_frequencies(g, eps)
+        assert expected[n_modes] - expected[n_modes - 1] > 1e-3 * expected[n_modes]
+        bank = solve_modes(QOperator(build_profile(Homogeneous(eps), g)), n_modes, tol=1e-10)
+        assert np.abs(bank.frequencies - expected[:n_modes]).max() < 1e-9
         assert bank.gram_defect <= 1e-8
         assert bank.residuals.max() <= 1e-6
 
