@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -179,15 +180,78 @@ CONFIG_SCHEMA = {
         },
     },
     "$defs": {
+        "positive": {"type": "number", "exclusiveMinimum": 0},
+        "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
+        # the kind selects one schema below; each names its required keys
+        # and lists "kind" itself, so that additionalProperties admits it
         "descriptor": {
             "type": "object",
             "required": ["kind"],
-            "properties": {"kind": {"type": "string"}},
-        }
+            "properties": {
+                "kind": {"enum": ["homogeneous", "slab-stack", "sphere", "empty-cavity"]}
+            },
+            "allOf": [
+                {
+                    "if": {"properties": {"kind": {"const": kind}}},
+                    "then": {"$ref": f"#/$defs/{kind}"},
+                }
+                for kind in ("homogeneous", "slab-stack", "sphere", "empty-cavity")
+            ],
+        },
+        "homogeneous": {
+            "required": ["eps"],
+            "additionalProperties": False,
+            "properties": {"kind": {}, "eps": {"$ref": "#/$defs/positive"}},
+        },
+        "slab-stack": {
+            "required": ["layers"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {},
+                "axis": {"type": "integer", "minimum": 0, "maximum": 2},
+                "layers": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {
+                        "type": "object",
+                        "required": ["thickness", "eps"],
+                        "additionalProperties": False,
+                        "properties": {
+                            "thickness": {"$ref": "#/$defs/positive"},
+                            "eps": {"$ref": "#/$defs/positive"},
+                        },
+                    },
+                },
+            },
+        },
+        "sphere": {
+            "required": ["center", "radius", "eps_in", "eps_out"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {},
+                "center": {"$ref": "#/$defs/point"},
+                "radius": {"$ref": "#/$defs/positive"},
+                "eps_in": {"$ref": "#/$defs/positive"},
+                "eps_out": {"$ref": "#/$defs/positive"},
+            },
+        },
+        "empty-cavity": {
+            "required": ["host", "centers", "radius"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {},
+                "host": {"$ref": "#/$defs/descriptor"},
+                "centers": {"type": "array", "items": {"$ref": "#/$defs/point"}},
+                "radius": {"$ref": "#/$defs/positive"},
+            },
+        },
     },
 }
 
 _SPEED_OF_LIGHT = 299792458.0
+
+#: Cells per side of the cavity-factor grid of a local-field rate.
+FACTOR_GRID_DEFAULT = 48
 
 
 def _atoms_from_config(entries):
@@ -281,7 +345,12 @@ class _Runner:
                 )
             from .bankfile import load_bank
 
-            bank = load_bank(Path(bank_in))
+            try:
+                bank = load_bank(Path(bank_in))
+            except OSError as exc:
+                raise ValueError(
+                    f"modes.bank_in {bank_in}: cannot read the bank: {exc.strerror or exc}"
+                ) from exc
             # a bank solved for another problem must not reach the tasks
             for name, got, want in (
                 ("grid.dims", bank.grid.dims, self.grid.dims),
@@ -330,7 +399,13 @@ class _Runner:
         if bank_out:
             from .bankfile import save_bank
 
-            save_bank(self.bank, self.out_dir / bank_out)
+            path = self.out_dir / bank_out
+            try:
+                save_bank(self.bank, path)
+            except OSError as exc:
+                raise ValueError(
+                    f"modes.bank_out {path}: cannot write the bank: {exc.strerror or exc}"
+                ) from exc
             payload["bank_file"] = bank_out
         _write_json(self.out_dir / "modes.json", payload)
         self.log(f"modes: {len(self.bank)} modes, gram defect {self.bank.gram_defect:.2e}")
@@ -475,7 +550,7 @@ class _Runner:
         transition = tuple(cfg.get("transition", (1, 0)))
         eta = cfg.get("eta")
         if cfg.get("local_field"):
-            n = cfg.get("factor_grid", 48)
+            n = cfg.get("factor_grid", FACTOR_GRID_DEFAULT)
             radius = atom.cavity_radius
             if radius is None:
                 raise ValueError("local_field rate requires atom.cavity_radius")
@@ -528,16 +603,52 @@ class _Runner:
         self.log(f"cavity-factor: {factor:.5f} (quasi-static {quasi_static:.5f})")
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def validate_config(config: dict):
     """Schema plus feasibility checks; raises ConfigError on violation."""
     import jsonschema
 
     from .errors import ConfigError
 
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    # CONFIG_SCHEMA is a constant whose own validity the tests check, so a
+    # run validates only the config (checking the schema took most of the time)
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+
+    spacing = config["grid"].get("spacing", 1.0)
+    # the lattice divides by spacing^2 and weighs sums by the cell volume
+    # spacing^3; both must be finite and nonzero in float64
+    scales = (1.0 / spacing / spacing, spacing * spacing * spacing)
+    if not all(0.0 < v < math.inf for v in scales):
+        raise ConfigError(
+            f"grid.spacing={spacing!r} leaves the float64 range: 1/spacing^2 = "
+            f"{scales[0]!r}, cell volume {scales[1]!r}"
+        )
+    memory = _physical_memory()
+    # every grid a task samples fields on, checked before any is allocated
+    grids = [("grid.dims", config["grid"]["dims"])]
+    if "grid" in config.get("cavity_factor", {}):
+        grids.append(("cavity_factor.grid", config["cavity_factor"]["grid"]))
+    if config.get("rate", {}).get("local_field"):
+        n = config["rate"].get("factor_grid", FACTOR_GRID_DEFAULT)
+        grids.append(("rate.factor_grid", [n, n, n]))
+    for name, dims in grids:
+        field_bytes = 3 * 8 * dims[0] * dims[1] * dims[2]
+        if memory is not None and field_bytes > memory:
+            raise ConfigError(
+                f"{name}={dims}: one three-component float64 field takes "
+                f"{field_bytes / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
+                "of physical memory"
+            )
 
     dims = config["grid"]["dims"]
     ncells = dims[0] * dims[1] * dims[2]

@@ -234,14 +234,14 @@ def cavity_field_factor(
     center = tuple(l / 2 for l in grid.lengths)
     m = build_profile(Sphere(center, radius, 1.0, float(eps_out)), grid)
 
-    applied = np.zeros((3,) + grid.dims)
-    applied[0] = 1.0
-    rhs = -div_raw(m.eps * applied, grid.spacing)
+    # only the x components enter: div(eps * xhat) = dminus_x(eps_x), and
+    # the total field's x component is 1 - dplus_x(chi)
+    rhs = -dminus(m.eps[0], 0, grid.spacing)
     chi, _, _ = solve_poisson_block(rhs, m, tol=tol)
-    total = applied - grad_raw(chi, grid.spacing)
+    total_x = 1.0 - dplus(chi, 0, grid.spacing)
 
     delta = _min_image(grid.component_positions(EDGE, 0) - np.asarray(center), grid.lengths)
     inside = np.linalg.norm(delta, axis=-1) <= radius - CAVITY_INTERIOR_MARGIN * grid.spacing
     if not inside.any():
         raise ProfileError("interior margin leaves no cavity samples")
-    return float(total[0][inside].mean())
+    return float(total_x[inside].mean())

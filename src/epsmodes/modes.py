@@ -23,6 +23,7 @@ convention ``h = sqrt(eps) g`` breaks all three identities at once.)
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,12 @@ ZERO_EIGENVALUE_CUTOFF = 1e-10
 #: Relative frequency separation below which modes form a degenerate cluster.
 DEGENERACY_RTOL = 1e-8
 
-#: Thin-QR diagonal, relative to its largest entry, below which
-#: :func:`_orthonormalize` drops a column.
-QR_DROP_RTOL = 1e-10
+#: Column norm or singular value, relative to the largest, below which
+#: :func:`_orthonormalize` drops a direction.  It must sit above the square
+#: root of machine epsilon: SVQB reads singular values off a Gram matrix,
+#: which squares them, so anything under about 1e-8 of the block's norm is
+#: rounding noise there.
+ORTHO_DROP_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -267,12 +271,22 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: float = 0.0):
-    """Two-pass Gram-Schmidt against fixed bases, then thin QR with drops.
+    """Two-pass Gram-Schmidt against fixed bases, then two SVQB passes.
 
-    ``drop_abs`` discards columns whose post-projection content fell
-    below an absolute size; callers feeding unit-norm columns use it to
-    reject directions that were numerically inside the span already
-    (keeping them would recycle their round-off as search directions).
+    SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23, 2165 (2002))
+    orthonormalizes with one Gram matrix ``block^T block`` and its small
+    eigendecomposition: ``block V S^-1`` over the singular values S kept.
+    Directions whose singular value falls below ``drop_abs`` (first pass
+    only) or below ``ORTHO_DROP_RTOL`` of the largest are dropped; the
+    second pass removes the rounding the first leaves behind.
+
+    ``drop_abs`` discards content that fell below an absolute size;
+    callers feeding unit-norm columns use it to reject directions that
+    were numerically inside the span already (keeping them would recycle
+    their round-off as search directions).  Columns are screened by their
+    norms before any Gram matrix is formed: the Gram matrix squares the
+    singular values, so a column of round-off mixed into a larger one
+    would no longer stand out and would be rescaled instead of dropped.
     """
     if block.shape[1] == 0:
         return block
@@ -280,10 +294,16 @@ def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: floa
         for basis in against:
             if basis.shape[1]:
                 block = block - basis @ (basis.T @ block)
-    q, r = np.linalg.qr(block)
-    dr = np.abs(np.diag(r))
-    keep = dr > max(drop_abs, QR_DROP_RTOL * (dr.max() if dr.size else 1.0))
-    return q[:, keep]
+    norms = np.linalg.norm(block, axis=0)
+    block = block[:, norms > max(drop_abs, ORTHO_DROP_RTOL * norms.max())]
+    for floor in (drop_abs, 0.0):
+        if block.shape[1] == 0:
+            break
+        evals, evecs = np.linalg.eigh(block.T @ block)
+        sv = np.sqrt(np.clip(evals, 0.0, None))
+        keep = sv > max(floor, ORTHO_DROP_RTOL * sv.max())
+        block = block @ (evecs[:, keep] / sv[keep])
+    return block
 
 
 def _range_projector(op: QOperator):
@@ -338,6 +358,12 @@ def solve_modes(
     projection after it removes that part.  Projecting before it alone
     breaks degenerate 12^3 solves.
 
+    The Rayleigh-Ritz step works on Gram blocks: the projected matrix is
+    assembled from the blocks ``b_i^T (A b_j)`` of the parts ``[x, p, w]``,
+    and the new Ritz block is ``x c_x + p c_p + w c_w``, so the basis is
+    never stacked into one array (Duersch, Shao, Yang & Gu, SIAM J. Sci.
+    Comput. 40, C655 (2018)).
+
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
     smaller.
@@ -375,6 +401,19 @@ def solve_modes(
             mat = project_cols(mat)
             mat = _orthonormalize(mat, against, drop_abs=drop_abs)
         return mat
+
+    def projected_matrix(parts, images):
+        # Gram blocks b_i^T a_j for i <= j, mirrored into the lower blocks
+        edges = np.cumsum([0] + [b.shape[1] for b in parts])
+        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        t = np.empty((edges[-1], edges[-1]))
+        for i, j in itertools.combinations_with_replacement(range(len(parts)), 2):
+            blk = parts[i].T @ images[j]
+            if i == j:
+                blk = (blk + blk.T) / 2
+            t[spans[i], spans[j]] = blk
+            t[spans[j], spans[i]] = blk.T
+        return t, spans
 
     rng = np.random.default_rng(seed)
     x = _orthonormalize(project_cols(rng.standard_normal((dof, block))), [])
@@ -419,8 +458,8 @@ def solve_modes(
         # fresh directions from the unconverged residuals, normalized so the
         # drop tolerances are scale-free
         active = rnorm > tol * np.maximum(theta, op_scale)
-        r_act = resid[:, active] / rnorm[active]
-        w = precondition(r_act, theta[active])
+        w = precondition(resid[:, active] / rnorm[active], theta[active])
+        del resid
         w /= np.linalg.norm(w, axis=0)
         w = clean(w, [x, p], 1e-9)
         if w.shape[1] == 0:
@@ -433,27 +472,25 @@ def solve_modes(
 
         # the basis [x, p, w] is orthonormal by construction, so a plain
         # Rayleigh-Ritz step is stable
-        basis = np.hstack([x, p, w])
-        abasis = np.hstack([ax, ap, aw])
-        t = basis.T @ abasis
-        evals, evecs = scipy.linalg.eigh((t + t.T) / 2)
+        t, spans = projected_matrix((x, p, w), (ax, ap, aw))
+        del ax, ap, aw
+        evals, evecs = scipy.linalg.eigh(t)
         c = evecs[:, :block]
-        x_new = basis @ c
         theta = evals[:block]
 
         # implicit previous-direction block: the p/w contribution to the
         # update, cleaned the same way as w (tiny columns are cancellation
-        # noise and would smuggle null-space content into the basis)
-        cp = c.copy()
-        cp[: x.shape[1], :] = 0.0
-        # p is rebound at each step: an earlier form of it alive while
-        # clean runs would add a block to the solver's peak memory
-        p = basis @ cp
+        # noise and would smuggle null-space content into the basis).  p is
+        # rebound at each step, and w and the operator images are released
+        # first: any of them alive while clean runs would add a block to the
+        # solver's peak memory
+        p = p @ c[spans[1]] + w @ c[spans[2]]
+        del w
+        x = x @ c[spans[0]] + p
         pnorm = np.linalg.norm(p, axis=0)
         strong = pnorm > 1e-6
         p = p[:, strong] / pnorm[strong]
-        p = clean(p, [x_new], 1e-6)
-        x = x_new
+        p = clean(p, [x], 1e-6)
         # exact operator images every iteration keep the Rayleigh-Ritz data
         # consistent over long runs
         ax = apply_cols(x)

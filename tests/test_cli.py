@@ -36,6 +36,14 @@ class TestValidation:
     def test_good_config_passes(self):
         validate_config(base_config())
 
+    def test_schema_is_valid(self):
+        # runs validate configs against the schema without checking it
+        import jsonschema
+
+        from epsmodes.cli import CONFIG_SCHEMA
+
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(base_config(tasks=["modes", "explode"]))
@@ -190,23 +198,51 @@ class TestRun:
             assert a == (tmp_path / "v2" / fname).read_bytes(), fname
 
     @pytest.mark.parametrize(
-        "overrides, code",
+        "overrides, code, names",
         [
-            ({"tasks": ["modes", "rate"], "rate": {"atom": 1}}, EXIT_CONFIG),
-            ({"tasks": ["modes"], "solver": {"max_iter": 1}}, EXIT_SOLVER),
+            ({"tasks": ["modes", "rate"], "rate": {"atom": 1}}, EXIT_CONFIG, "rate.atom"),
+            ({"tasks": ["modes"], "solver": {"max_iter": 1}}, EXIT_SOLVER, "did not converge"),
+            ({"medium": {"kind": "homogeneous"}}, EXIT_CONFIG, "'eps'"),
+            ({"medium": {"kind": "sphere", "center": [2, 2, 2], "eps_in": 1.0,
+                         "eps_out": 2.0}}, EXIT_CONFIG, "'radius'"),
+            ({"medium": {"kind": "empty-cavity", "centers": [[2, 2, 2]], "radius": 1.0}},
+             EXIT_CONFIG, "'host'"),
+            ({"medium": {"kind": "slab-stack", "axis": 5,
+                         "layers": [{"thickness": 4.0, "eps": 2.0}]}}, EXIT_CONFIG, "axis"),
+            ({"medium": {"kind": "homogeneous", "eps": "4"}}, EXIT_CONFIG, "eps"),
+            ({"medium": {"kind": "sphere", "center": [2, 2], "radius": 1.0, "eps_in": 1.0,
+                         "eps_out": 2.0}}, EXIT_CONFIG, "center"),
+            ({"tasks": ["verify"], "modes": {"bank_in": "no-such-dir/bank.qmb"}},
+             EXIT_CONFIG, "modes.bank_in no-such-dir/bank.qmb"),
+            ({"tasks": ["modes"], "modes": {"count": 4, "bank_out": "no-such-dir/bank.qmb"}},
+             EXIT_CONFIG, "modes.bank_out "),
+            ({"grid": {"dims": [4, 4, 4], "spacing": 1e-300}, "tasks": ["modes"]},
+             EXIT_CONFIG, "grid.spacing"),
+            ({"grid": {"dims": [10**5] * 3}}, EXIT_CONFIG, "grid.dims"),
+            ({"tasks": ["cavity-factor"],
+              "cavity_factor": {"eps_out": 4.0, "radius": 2.0, "grid": [10**5] * 3}},
+             EXIT_CONFIG, "cavity_factor.grid"),
+            ({"tasks": ["rate"], "rate": {"local_field": True, "factor_grid": 10**5}},
+             EXIT_CONFIG, "rate.factor_grid"),
         ],
-        ids=["rate-atom-out-of-range", "max-iter-reaches-solver"],
+        ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
+             "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
+             "string-eps", "two-coordinate-center", "missing-bank-in", "bank-out-missing-dir",
+             "spacing-1e-300", "grid-beyond-memory", "cavity-grid-beyond-memory",
+             "factor-grid-beyond-memory"],
     )
-    def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code):
+    def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
+        # names: a part of the message that says which input is at fault
         cfg = base_config(
             grid={"dims": [4, 4, 4]},
             modes={"count": 4},
             atoms=[{"position": [1, 1, 1], "levels": [0.0, 1.0],
                     "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}],
-            **overrides,
         )
+        cfg.update(overrides)
         assert run(write_config(tmp_path, cfg), tmp_path) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and names in err
 
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],

@@ -26,6 +26,7 @@ from epsmodes.modes import (
     ModeBank,
     QOperator,
     _canonicalize_clusters,
+    _orthonormalize,
     _range_projector,
     apply_q,
     dense_q_matrix,
@@ -263,13 +264,14 @@ def homogeneous_frequencies(grid, eps):
 class TestSolveModes:
     @pytest.mark.parametrize(
         "dims, spacing, eps, n_modes",
-        [((8, 8, 8), 1.0, 1.0, 12), ((16, 16, 16), 0.5, 4.0, 36)],
-        ids=["8^3-vacuum", "16^3-eps4"],
+        [((8, 8, 8), 1.0, 1.0, 12), ((16, 16, 16), 0.5, 4.0, 36),
+         ((32, 32, 32), 0.5, 4.0, 36)],
+        ids=["8^3-vacuum", "16^3-eps4", "32^3-eps4"],
     )
     def test_vacuum_lowest_band(self, dims, spacing, eps, n_modes):
         # homogeneous analytic oracle; 8^3 holds the first shell (3 axes x
-        # 2 polarizations x 2 real combinations), 16^3 is past the dense
-        # limit and holds two closed shells
+        # 2 polarizations x 2 real combinations), 16^3 and 32^3 are past the
+        # dense limit and hold two closed shells
         g = Grid(dims, spacing)
         expected = homogeneous_frequencies(g, eps)
         assert expected[n_modes] - expected[n_modes - 1] > 1e-3 * expected[n_modes]
@@ -353,6 +355,56 @@ class TestSolveModes:
         op = QOperator(smooth_medium(g, seed=8))
         with pytest.raises(SolverError):
             solve_modes(op, 10, tol=1e-12, maxiter=2)
+
+    def test_solver_peak_memory(self):
+        # the emission-bulk shape: one dof x block array is 5.3 MiB, and the
+        # solver should hold about a dozen of them at its peak
+        import tracemalloc
+
+        op = QOperator(build_profile(Homogeneous(4.0), Grid((12, 12, 12), 1.0)))
+        tracemalloc.start()
+        try:
+            solve_modes(op, 112, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * 2**20
+
+
+class TestOrthonormalize:
+    def test_graded_block_orthonormal_with_span(self):
+        # singular values spread over 1 ... 1e-6 on the emission-bulk shape
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((5184, 134)))
+        v, _ = np.linalg.qr(rng.standard_normal((134, 134)))
+        block = (u * np.logspace(0, -6, 134)) @ v.T
+        q = _orthonormalize(block, [])
+        assert q.shape == (5184, 134)
+        assert np.abs(q.T @ q - np.eye(134)).max() <= 1e-14
+        assert np.abs(u - q @ (q.T @ u)).max() <= 1e-9
+
+    def test_drops_column_inside_span_of_basis(self):
+        # a unit column inside span(against) up to 1e-12 noise is round-off
+        # after Gram-Schmidt and must be dropped, not rescaled
+        rng = np.random.default_rng(0)
+        against, _ = np.linalg.qr(rng.standard_normal((5184, 40)))
+        inside = against @ rng.standard_normal(40)
+        inside = inside / np.linalg.norm(inside) + 1e-12 * rng.standard_normal(5184)
+        fresh = rng.standard_normal((5184, 100))
+        block = np.column_stack([fresh / np.linalg.norm(fresh, axis=0), inside])
+        q = _orthonormalize(block, [against], drop_abs=1e-9)
+        assert q.shape[1] == 100
+        assert np.abs(against.T @ q).max() <= 1e-14
+        assert np.abs(q.T @ q - np.eye(100)).max() <= 1e-14
+
+    def test_duplicate_columns_reduce_to_rank(self):
+        rng = np.random.default_rng(6)
+        distinct = rng.standard_normal((3000, 4))
+        block = np.column_stack([distinct, distinct[:, :2], 2.0 * distinct[:, 3]])
+        q = _orthonormalize(block, [])
+        assert q.shape[1] == 4
+        assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-14
+        assert np.abs(distinct - q @ (q.T @ distinct)).max() <= 1e-12 * np.abs(distinct).max()
 
 
 class TestCompleteness:
