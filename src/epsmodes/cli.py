@@ -345,8 +345,9 @@ class _Runner:
                 )
             from .bankfile import load_bank
 
+            # relative paths name files in the output directory, as bank_out does
             try:
-                bank = load_bank(Path(bank_in))
+                bank = load_bank(self.out_dir / bank_in)
             except OSError as exc:
                 raise ValueError(
                     f"modes.bank_in {bank_in}: cannot read the bank: {exc.strerror or exc}"

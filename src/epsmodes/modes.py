@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .electrostatics import helmholtz_decompose
 from .errors import FeasibilityError, GridMismatchError, PlacementError, SolverError
@@ -58,6 +57,9 @@ DEGENERACY_RTOL = 1e-8
 #: which squares them, so anything under about 1e-8 of the block's norm is
 #: rounding noise there.
 ORTHO_DROP_RTOL = 1e-7
+
+#: Coordinate rows :func:`_canonicalize_clusters` orthogonalizes at once.
+CANONICALIZE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -248,19 +250,25 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
             coeff = np.zeros((size, size))
             picked = 0
             # rows of v are the coefficient vectors of the coordinate unit
-            # fields, visited in lexicographic order
-            for row in range(v.shape[0]):
-                c = v[row].copy()
+            # fields, visited in lexicographic order; a chunk is
+            # orthogonalized at once, its first row that keeps some norm is
+            # picked, and the scan resumes after that row
+            row = 0
+            while picked < size and row < v.shape[0]:
+                c = v[row:row + CANONICALIZE_CHUNK].copy()
                 for _ in range(2):
-                    c -= coeff[:picked].T @ (coeff[:picked] @ c)
-                nc = np.linalg.norm(c)
-                if nc > 1e-6:
-                    coeff[picked] = c / nc
-                    if (v[row] @ coeff[picked]) < 0:
-                        coeff[picked] = -coeff[picked]
-                    picked += 1
-                    if picked == size:
-                        break
+                    c -= (c @ coeff[:picked].T) @ coeff[:picked]
+                norms = np.linalg.norm(c, axis=1)
+                hits = np.flatnonzero(norms > 1e-6)
+                if hits.size == 0:
+                    row += len(c)
+                    continue
+                k = hits[0]
+                coeff[picked] = c[k] / norms[k]
+                if (v[row + k] @ coeff[picked]) < 0:
+                    coeff[picked] = -coeff[picked]
+                picked += 1
+                row += k + 1
             if picked < size:
                 raise SolverError("degenerate cluster canonicalization failed")
             vecs[:, i:j] = v @ coeff.T
@@ -435,7 +443,7 @@ def solve_modes(
 
     ax = apply_cols(x)
     t = x.T @ ax
-    theta, c = scipy.linalg.eigh((t + t.T) / 2)
+    theta, c = np.linalg.eigh((t + t.T) / 2)
     x, ax = x @ c, ax @ c
     p = np.zeros((dof, 0))
     ap = np.zeros((dof, 0))
@@ -474,7 +482,7 @@ def solve_modes(
         # Rayleigh-Ritz step is stable
         t, spans = projected_matrix((x, p, w), (ax, ap, aw))
         del ax, ap, aw
-        evals, evecs = scipy.linalg.eigh(t)
+        evals, evecs = np.linalg.eigh(t)
         c = evecs[:, :block]
         theta = evals[:block]
 
@@ -577,7 +585,7 @@ def dense_transverse_spectrum(
     basis = transverse_subspace_basis(m)
     qt = basis.T @ q @ basis
     qt = (qt + qt.T) / 2
-    evals, evecs = scipy.linalg.eigh(qt)
+    evals, evecs = np.linalg.eigh(qt)
     cols = basis @ evecs
     cutoff = ZERO_EIGENVALUE_CUTOFF * max(evals.max(), 1.0)
     if include_zero_modes:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epsmodes
 from epsmodes.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -159,6 +164,26 @@ class TestRun:
         assert (p1 / "ldos.csv").read_bytes() == (p2 / "ldos.csv").read_bytes()
         assert (p1 / "verify.json").read_bytes() == (p2 / "verify.json").read_bytes()
 
+    def test_relative_bank_in_reads_from_out_dir(self, tmp_path, monkeypatch):
+        # a rerun names the bank it wrote the way it wrote it, from any cwd
+        cfg = base_config(
+            grid={"dims": [6, 6, 6]},
+            medium={"kind": "homogeneous", "eps": 2.0},
+            tasks=["modes", "verify", "ldos"],
+            modes={"count": 12, "bank_out": "bank.qmb"},
+            ldos={"omega_min": 0.5, "omega_max": 0.9, "count": 25, "eta": 0.05,
+                  "position": [3.0, 3.0, 3.0], "orientation": [0, 0, 1]},
+        )
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), out) == EXIT_OK
+        first = (out / "ldos.csv").read_bytes()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        cfg.update(tasks=["verify", "ldos"], modes={"count": 12, "bank_in": "bank.qmb"})
+        assert run(write_config(tmp_path, cfg, "reuse.json"), out) == EXIT_OK
+        assert (out / "ldos.csv").read_bytes() == first
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = {
             "grid": {"dims": [6, 6, 6], "spacing": 1.0},
@@ -304,6 +329,36 @@ class TestRun:
 
         monkeypatch.setattr(cli_mod._Runner, "task_verify", failing)
         assert run(path, tmp_path) == EXIT_INVARIANT
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # every task runs on numpy alone; scipy is a test-only dependency
+    cfg = base_config(
+        grid={"dims": [6, 6, 6]},
+        medium={"kind": "sphere", "center": [3, 3, 3], "radius": 1.5,
+                "eps_in": 1.0, "eps_out": 2.25},
+        tasks=["decompose", "modes", "verify", "ldos", "rate", "cavity-factor"],
+        modes={"count": 6, "bank_out": "bank.qmb"},
+        atoms=[{"position": [2.4, 2.9, 3.2], "levels": [0.0, 0.673],
+                "dipoles": [{"levels": [0, 1], "moment": [0.4, 0.5, 0.3]}]}],
+        ldos={"omega_min": 0.4, "omega_max": 0.8, "count": 5},
+        # the transition sits inside the narrow band the six modes resolve
+        rate={"eta": 0.002},
+        cavity_factor={"eps_out": 4.0, "radius": 3.0, "grid": [16, 16, 16]},
+    )
+    path = write_config(tmp_path, cfg)
+    script = (
+        "import sys\n"
+        "from epsmodes.cli import main\n"
+        f"code = main(['--config', {str(path)!r}, '--out-dir', {str(tmp_path)!r},"
+        " '--verbosity', '0'])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(epsmodes.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "[]"], proc.stderr
 
 
 def test_main_argparse(tmp_path, capsys):

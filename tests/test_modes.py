@@ -22,6 +22,7 @@ from epsmodes.medium import (
     build_profile,
 )
 from epsmodes.modes import (
+    DEGENERACY_RTOL,
     MAGNETIC,
     ModeBank,
     QOperator,
@@ -516,22 +517,77 @@ def plane_wave_shells(n, eps, count):
     return np.array(cols[:count]).T, np.array(freqs[:count])
 
 
+def mixed_shells(v, w, seed):
+    """``v`` with each degenerate cluster turned by a random rotation."""
+    edges = np.flatnonzero(np.diff(w) > 1e-8 * w.max()) + 1
+    rng = np.random.default_rng(seed)
+    x = v.copy()
+    for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(w)]):
+        mix, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+        x[:, lo:hi] = np.linalg.qr(v[:, lo:hi])[0] @ mix
+    return x
+
+
+def canonicalize_rowwise(vecs, freqs):
+    """Reference cluster canonicalization: one coordinate row at a time."""
+    vecs = vecs.copy()
+    scale = max(freqs.max(), 1.0)
+    i, n = 0, len(freqs)
+    while i < n:
+        j = i + 1
+        while j < n and freqs[j] - freqs[j - 1] <= DEGENERACY_RTOL * scale:
+            j += 1
+        size = j - i
+        if size > 1:
+            v = vecs[:, i:j]
+            coeff = np.zeros((size, size))
+            picked = 0
+            for row in range(v.shape[0]):
+                c = v[row].copy()
+                for _ in range(2):
+                    c -= coeff[:picked].T @ (coeff[:picked] @ c)
+                nc = np.linalg.norm(c)
+                if nc > 1e-6:
+                    coeff[picked] = c / nc
+                    if (v[row] @ coeff[picked]) < 0:
+                        coeff[picked] = -coeff[picked]
+                    picked += 1
+                    if picked == size:
+                        break
+            assert picked == size
+            vecs[:, i:j] = v @ coeff.T
+        else:
+            k = int(np.argmax(np.abs(vecs[:, i])))
+            if vecs[k, i] < 0:
+                vecs[:, i] = -vecs[:, i]
+        i = j
+    return vecs
+
+
 class TestCanonicalizeClusters:
     def test_orthonormal_and_mixing_independent(self):
         # 12^3, eps = 4: the lowest 112 modes fill five shells of 12, 24,
         # 16, 12 and 48 plane waves; a single Gram-Schmidt pass over the
         # coordinate rows loses orthonormality here (defect ~1e-10)
         v, w = plane_wave_shells(12, 4.0, 112)
-        edges = np.flatnonzero(np.diff(w) > 1e-8 * w.max()) + 1
         outs = []
         for seed in range(2):
-            rng = np.random.default_rng(seed)
-            x = v.copy()
-            for lo, hi in zip(np.r_[0, edges], np.r_[edges, len(w)]):
-                mix, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
-                x[:, lo:hi] = np.linalg.qr(v[:, lo:hi])[0] @ mix
+            x = mixed_shells(v, w, seed)
             assert np.abs(x.T @ x - np.eye(len(w))).max() <= 1e-14
             outs.append(_canonicalize_clusters(x, w))
             assert np.abs(outs[-1].T @ outs[-1] - np.eye(len(w))).max() <= 1e-13
         assert np.abs(outs[0] - outs[1]).max() <= 1e-12
+
+    def test_matches_rowwise_reference(self):
+        # the chunked scan picks the same coordinate rows, with the same
+        # signs, as the row-by-row loop
+        v, w = plane_wave_shells(12, 4.0, 112)
+        x = mixed_shells(v, w, 5)
+        assert np.abs(_canonicalize_clusters(x, w) - canonicalize_rowwise(x, w)).max() <= 1e-13
+
+    def test_rank_deficient_cluster_raises(self):
+        v, w = plane_wave_shells(6, 1.0, 12)
+        v[:, 1] = v[:, 0]
+        with pytest.raises(SolverError, match="canonicalization failed"):
+            _canonicalize_clusters(v, w)
 
