@@ -152,7 +152,9 @@ CONFIG_SCHEMA = {
                 },
                 "eta": {"type": "number", "exclusiveMinimum": 0},
                 "local_field": {"type": "boolean"},
-                "factor_grid": {"type": "integer", "minimum": 8},
+                # emission.local_field_grid spans n radius / 4 for n < 40, and
+                # the cavity factor needs a box of four radii: n >= 16
+                "factor_grid": {"type": "integer", "minimum": 16},
             },
         },
         "cavity_factor": {
@@ -249,9 +251,6 @@ CONFIG_SCHEMA = {
 }
 
 _SPEED_OF_LIGHT = 299792458.0
-
-#: Cells per side of the cavity-factor grid of a local-field rate.
-FACTOR_GRID_DEFAULT = 48
 
 
 def _atoms_from_config(entries):
@@ -540,8 +539,12 @@ class _Runner:
         self.log(f"ldos: {len(om)} samples, eta={eta:.3e}")
 
     def task_rate(self):
-        from .emission import emission_rate, local_field_corrected_rate
-        from .lattice import Grid
+        from .emission import (
+            LOCAL_FIELD_CELLS,
+            emission_rate,
+            local_field_corrected_rate,
+            local_field_grid,
+        )
 
         bank = self._require_bank()
         cfg = self.config.get("rate", {})
@@ -551,11 +554,10 @@ class _Runner:
         transition = tuple(cfg.get("transition", (1, 0)))
         eta = cfg.get("eta")
         if cfg.get("local_field"):
-            n = cfg.get("factor_grid", FACTOR_GRID_DEFAULT)
             radius = atom.cavity_radius
             if radius is None:
                 raise ValueError("local_field rate requires atom.cavity_radius")
-            factor_grid = Grid((n, n, n), spacing=radius / max(4, n // 8))
+            factor_grid = local_field_grid(radius, cfg.get("factor_grid", LOCAL_FIELD_CELLS))
             report = local_field_corrected_rate(
                 bank, atom, transition, eta,
                 factor_grid=factor_grid, factor_tol=self.poisson_tol,
@@ -640,7 +642,9 @@ def validate_config(config: dict):
     if "grid" in config.get("cavity_factor", {}):
         grids.append(("cavity_factor.grid", config["cavity_factor"]["grid"]))
     if config.get("rate", {}).get("local_field"):
-        n = config["rate"].get("factor_grid", FACTOR_GRID_DEFAULT)
+        from .emission import LOCAL_FIELD_CELLS
+
+        n = config["rate"].get("factor_grid", LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
     for name, dims in grids:
         field_bytes = 3 * 8 * dims[0] * dims[1] * dims[2]
@@ -670,6 +674,13 @@ def validate_config(config: dict):
         atom = config.get("rate", {}).get("atom", 0)
         if atom >= n_atoms:
             raise ConfigError(f"rate.atom={atom} is out of range for {n_atoms} atoms")
+        nlev = len(config["atoms"][atom]["levels"])
+        transition = config.get("rate", {}).get("transition", [1, 0])
+        if max(transition) >= nlev:
+            raise ConfigError(
+                f"rate.transition={transition} names a level that atom {atom} "
+                f"({nlev} levels) lacks"
+            )
 
 
 def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:

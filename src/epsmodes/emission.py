@@ -62,13 +62,6 @@ def two_level_atom(position, omega0: float, dipole, cavity_radius=None) -> AtomS
     return AtomSpec(tuple(position), (0.0, float(omega0)), dip, cavity_radius)
 
 
-@dataclass(frozen=True)
-class CouplingElement:
-    mode_index: int
-    levels: tuple[int, int]
-    value: complex
-
-
 @dataclass
 class EmissionReport:
     rate: float
@@ -86,76 +79,58 @@ def _check_position(position, grid: Grid):
             )
 
 
-def _interp_weights(position, grid: Grid, offset: np.ndarray):
-    """Periodic trilinear corner indices and weights for one component."""
-    idx = []
-    wts = []
-    for a in range(3):
-        u = position[a] / grid.spacing - offset[a]
-        i0 = int(np.floor(u))
-        frac = u - i0
-        n = grid.dims[a]
-        idx.append((i0 % n, (i0 + 1) % n))
-        wts.append((1.0 - frac, frac))
-    corners = []
-    for di in range(2):
-        for dj in range(2):
-            for dk in range(2):
-                w = wts[0][di] * wts[1][dj] * wts[2][dk]
-                corners.append(((idx[0][di], idx[1][dj], idx[2][dk]), w))
-    return corners
+#: Corner offsets (di, dj, dk) of a trilinear stencil, C order.
+_CORNERS = np.array([(di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)])
+
+
+def edge_stencil(grid: Grid, position):
+    """Periodic trilinear stencil of the three edge components at a point.
+
+    Returns ``(index, weights)``, both (8, 3) with a row per corner and a
+    column per component: ``index`` is the (component, i, j, k) tuple of
+    integer arrays that picks an edge array's corner samples.  Each
+    staggered component is interpolated on its own sub-lattice;
+    nearest-sample lookup would bias against the offset directions.
+    """
+    _check_position(position, grid)
+    # (component, axis): the point in units of each component's sub-lattice
+    u = np.asarray(position, dtype=np.float64) / grid.spacing - grid.component_offsets(EDGE)
+    base = np.floor(u)
+    frac = u - base
+    upper = _CORNERS[:, None, :] == 1
+    f = np.where(upper, frac, 1.0 - frac)
+    ijk = (base.astype(np.int64) + upper) % np.asarray(grid.dims)
+    comp = np.broadcast_to(np.arange(3), (8, 3))
+    return (comp, ijk[..., 0], ijk[..., 1], ijk[..., 2]), f[..., 0] * f[..., 1] * f[..., 2]
 
 
 def sample_mode_fields(bank: ModeBank, position) -> np.ndarray:
     """Trilinear sample of every h mode at a position, shape (n, 3).
 
-    Each staggered component is interpolated on its own sub-lattice;
-    nearest-sample lookup would bias against the offset directions.  The
-    corner samples of h are those of g over the local sqrt(eps).
+    The corner samples of h are those of g over the local sqrt(eps);
+    only the (n, 8, 3) corner samples are gathered.
     """
-    grid = bank.grid
-    _check_position(position, grid)
-    offsets = grid.component_offsets(EDGE)
-    eps = bank.medium.eps
-    out = np.zeros((len(bank), 3))
-    for a in range(3):
-        for (i, j, k), w in _interp_weights(position, grid, offsets[a]):
-            if w:
-                out[:, a] += w * (bank.modes_g[:, a, i, j, k] / np.sqrt(eps[a, i, j, k]))
-    return out
+    index, weights = edge_stencil(bank.grid, position)
+    h = bank.modes_g[(slice(None),) + index] / np.sqrt(bank.medium.eps[index])
+    # the gather lays the mode axis innermost in memory, and the order in
+    # which BLAS sums a caller's ``h @ mu`` follows the layout: return C order
+    return np.ascontiguousarray((weights * h).sum(axis=1))
 
 
 def sample_permittivity(m: MediumProfile, position) -> float:
     """Scalar eps at a point: mean of the three component interpolations."""
-    grid = m.grid
-    _check_position(position, grid)
-    offsets = grid.component_offsets(EDGE)
-    vals = np.zeros(3)
-    for a in range(3):
-        for (i, j, k), w in _interp_weights(position, grid, offsets[a]):
-            vals[a] += w * m.eps[a, i, j, k]
-    return float(vals.mean())
-
-
-def dipole_coupling(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> list[CouplingElement]:
-    """Per-mode couplings g = -i sqrt(w/2) mu . h(R) in natural units.
-
-    The coupled field is the displacement field over the local
-    permittivity (in mode form the eps factor cancels), not the electric
-    or bare displacement field.
-    """
-    mu = atom.dipole(k, kp)
-    h_at = sample_mode_fields(bank, atom.position)
-    proj = h_at @ mu
-    values = -1j * np.sqrt(bank.frequencies / 2.0) * proj
-    return [
-        CouplingElement(mode_index=i, levels=(k, kp), value=complex(v))
-        for i, v in enumerate(values)
-    ]
+    index, weights = edge_stencil(m.grid, position)
+    return float((weights * m.eps[index]).sum(axis=0).mean())
 
 
 def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.ndarray:
-    """|g|^2 per mode; the quantity entering the golden rule."""
+    """|g_l|^2 per mode, g_l = -i sqrt(w_l/2) mu . h_l(R) in natural units.
+
+    This is the quantity entering the golden rule.  The coupled field is
+    the displacement field over the local permittivity (in mode form the
+    eps factor cancels, leaving the mode functions h at the atom), not
+    the electric or bare displacement field.
+    """
     mu = atom.dipole(k, kp)
     proj = sample_mode_fields(bank, atom.position) @ mu
     return 0.5 * bank.frequencies * proj**2
@@ -248,6 +223,19 @@ def emission_rate(
     )
 
 
+#: Cells per side of the default cavity-factor grid of a local-field rate.
+LOCAL_FIELD_CELLS = 48
+
+
+def local_field_grid(radius: float, n: int = LOCAL_FIELD_CELLS) -> Grid:
+    """The n^3 cavity-factor grid of a cavity: n // 8 cells per radius, at least 4.
+
+    Below n = 16 the box (n radius / 4) is under four radii, which
+    ``cavity_field_factor`` rejects.
+    """
+    return Grid((n, n, n), spacing=radius / max(4, n // 8))
+
+
 def local_field_corrected_rate(
     bank_or_bulk_eps,
     atom: AtomSpec,
@@ -287,7 +275,7 @@ def local_field_corrected_rate(
         eta_used = eta if eta is not None else 0.0
 
     if factor_grid is None:
-        factor_grid = Grid((48, 48, 48), spacing=atom.cavity_radius / 6)
+        factor_grid = local_field_grid(atom.cavity_radius)
     factor = cavity_field_factor(
         eps_bulk, factor_grid, atom.cavity_radius, tol=factor_tol
     )

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import GridMismatchError, IncompleteBankError, PlacementError
 from .lattice import EDGE, VectorField, curl_raw
-from .medium import MediumProfile
 from .modes import MAGNETIC, ModeBank
 
 
@@ -115,9 +114,7 @@ class EnergySplit:
     spectral_form: float
 
 
-def hamiltonian_energy(
-    bank: ModeBank, coeffs: ModeCoefficients, m: MediumProfile | None = None
-) -> EnergySplit:
+def hamiltonian_energy(bank: ModeBank, coeffs: ModeCoefficients) -> EnergySplit:
     """Field energy two ways: grid integral versus oscillator sum.
 
     Integral form: (1/2) integral of Pi^2/eps + (curl A)^2 / mu over the
@@ -125,7 +122,7 @@ def hamiltonian_energy(
     (1/2) sum of p^2 + w^2 q^2.  Equality up to mode residuals is the
     numerical content of the generalized orthonormality of the bank.
     """
-    m = bank.medium if m is None else m
+    m = bank.medium
     snap = synthesize_fields(bank, coeffs)
     vol = m.grid.cell_volume
     pi = snap.conjugate_momentum.values

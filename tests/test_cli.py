@@ -249,12 +249,16 @@ class TestRun:
              EXIT_CONFIG, "cavity_factor.grid"),
             ({"tasks": ["rate"], "rate": {"local_field": True, "factor_grid": 10**5}},
              EXIT_CONFIG, "rate.factor_grid"),
+            ({"tasks": ["modes", "rate"], "rate": {"transition": [5, 0]}},
+             EXIT_CONFIG, "rate.transition"),
+            ({"tasks": ["rate"], "rate": {"local_field": True, "factor_grid": 8}},
+             EXIT_CONFIG, "rate.factor_grid"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
              "string-eps", "two-coordinate-center", "missing-bank-in", "bank-out-missing-dir",
              "spacing-1e-300", "grid-beyond-memory", "cavity-grid-beyond-memory",
-             "factor-grid-beyond-memory"],
+             "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault

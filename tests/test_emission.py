@@ -3,18 +3,19 @@ import pytest
 
 from epsmodes.errors import BandCoverageError, ProfileError
 from epsmodes.lattice import Grid
-from epsmodes.medium import Homogeneous, build_profile
+from epsmodes.medium import Homogeneous, Sphere, build_profile
 from epsmodes.modes import QOperator, dense_transverse_spectrum, solve_modes
 from epsmodes.emission import (
     AtomSpec,
     coupling_strengths,
     default_broadening,
-    dipole_coupling,
+    edge_stencil,
     emission_rate,
     free_space_rate,
     ldos_spectrum,
     local_field_corrected_rate,
     sample_mode_fields,
+    sample_permittivity,
     two_level_atom,
 )
 
@@ -39,12 +40,41 @@ class TestAtomSpec:
         assert np.array_equal(atom.dipole(1, 0), atom.dipole(0, 1))
 
 
+def _corner_loop(values, grid, position):
+    """Reference trilinear edge sample of values[..., comp, i, j, k], corner by corner."""
+    out = np.zeros(values.shape[:-4] + (3,))
+    for a in range(3):
+        u = [position[b] / grid.spacing - (0.5 if b == a else 0.0) for b in range(3)]
+        lo = [int(np.floor(x)) for x in u]
+        frac = [x - i for x, i in zip(u, lo)]
+        for di in (0, 1):
+            for dj in (0, 1):
+                for dk in (0, 1):
+                    w = 1.0
+                    for b, d in enumerate((di, dj, dk)):
+                        w = w * (frac[b] if d else 1.0 - frac[b])
+                    i, j, k = ((lo[b] + d) % grid.dims[b] for b, d in enumerate((di, dj, dk)))
+                    out[..., a] += w * values[..., a, i, j, k]
+    return out
+
+
+class TestSampling:
+    @pytest.mark.parametrize("pos", [(3.7, 1.9, 6.2), (0.0, 7.99, 4.5), (2.0, 5.0, 3.0)])
+    def test_stencil_matches_corner_loop(self, vacuum8, pos):
+        # same products summed in the same order: equal to the last bit
+        assert np.array_equal(sample_mode_fields(vacuum8, pos),
+                              _corner_loop(vacuum8.modes_g, vacuum8.grid, pos))
+        medium = build_profile(Sphere((4.0, 4.0, 4.0), 2.5, 1.0, 3.0), vacuum8.grid)
+        expected = float(_corner_loop(medium.eps, medium.grid, pos).mean())
+        assert sample_permittivity(medium, pos) == expected
+
+
 class TestDipoleCoupling:
     def test_zero_dipole(self, vacuum8):
         atom = two_level_atom((3.3, 2.2, 4.4), 1.0, (0, 0, 0))
-        elements = dipole_coupling(vacuum8, atom, 1, 0)
-        assert all(e.value == 0 for e in elements)
-        assert len(elements) == len(vacuum8)
+        gsq = coupling_strengths(vacuum8, atom, 1, 0)
+        assert all(gsq == 0)
+        assert len(gsq) == len(vacuum8)
 
     def test_orthogonal_dipole_mode_pair(self, vacuum8):
         # pick a mode, place the atom on a lattice point and aim the dipole
@@ -57,21 +87,21 @@ class TestDipoleCoupling:
         if np.linalg.norm(mu) < 1e-12:
             mu = np.cross(v, (0.0, 1.0, 0.0))
         atom = two_level_atom(pos, 1.0, mu)
-        elements = dipole_coupling(vacuum8, atom, 1, 0)
+        gsq = coupling_strengths(vacuum8, atom, 1, 0)
         scale = np.sqrt(vacuum8.frequencies[mode] / 2) * np.linalg.norm(mu) * max(
             np.linalg.norm(v), 1e-30
         )
-        assert abs(elements[mode].value) <= 1e-12 * max(scale, 1e-30)
+        assert np.sqrt(gsq[mode]) <= 1e-12 * max(scale, 1e-30)
 
     def test_coupling_formula(self, vacuum8):
         pos = (3.7, 1.9, 6.2)
         mu = np.array([0.2, -0.4, 0.7])
         atom = two_level_atom(pos, 1.0, mu)
-        elements = dipole_coupling(vacuum8, atom, 1, 0)
+        gsq = coupling_strengths(vacuum8, atom, 1, 0)
         h_at = sample_mode_fields(vacuum8, pos)
         for i in (0, 17, 101):
-            expected = -1j * np.sqrt(vacuum8.frequencies[i] / 2) * (h_at[i] @ mu)
-            assert elements[i].value == pytest.approx(expected, abs=1e-14)
+            expected = abs(np.sqrt(vacuum8.frequencies[i] / 2) * (h_at[i] @ mu))
+            assert np.sqrt(gsq[i]) == pytest.approx(expected, abs=1e-14)
 
     def test_shell_sum_matches_plane_wave_analytics(self, vacuum8):
         # lowest degenerate shell: six axis wavevectors, polarization factor
@@ -90,7 +120,7 @@ class TestDipoleCoupling:
     def test_position_outside_grid(self, vacuum8):
         atom = two_level_atom((9.5, 1.0, 1.0), 1.0, (1, 0, 0))
         with pytest.raises(ProfileError):
-            dipole_coupling(vacuum8, atom, 1, 0)
+            coupling_strengths(vacuum8, atom, 1, 0)
 
 
 class TestEmissionRate:
@@ -133,14 +163,8 @@ class TestEmissionRate:
         h_cluster = np.stack([vacuum8.mode_h(i).values for i in cluster])
         q, _ = np.linalg.qr(rng.standard_normal((len(cluster), len(cluster))))
         mixed = np.tensordot(q.T, h_cluster, axes=(1, 0))
-        from epsmodes.emission import _interp_weights
-        from epsmodes.lattice import EDGE
-
-        mixed_at = np.zeros((len(cluster), 3))
-        offsets = vacuum8.grid.component_offsets(EDGE)
-        for a in range(3):
-            for (i, j, k), wt in _interp_weights(pos, vacuum8.grid, offsets[a]):
-                mixed_at[:, a] += wt * mixed[:, a, i, j, k]
+        index, weights = edge_stencil(vacuum8.grid, pos)
+        mixed_at = (weights * mixed[(slice(None),) + index]).sum(axis=1)
         mixed_gsq = 0.5 * w[cluster] * (mixed_at @ mu) ** 2
         assert mixed_gsq.sum() == pytest.approx(gsq[cluster].sum(), rel=1e-10)
 
@@ -203,8 +227,6 @@ class TestLdos:
         assert np.abs(up - down).max() <= 1e-13
 
     def test_integrates_to_projector_diagonal(self, vacuum8):
-        from epsmodes.emission import sample_permittivity
-
         pos = (3.37, 2.91, 3.22)
         u = np.array([0.3, -0.5, 0.81])
         u /= np.linalg.norm(u)
