@@ -52,6 +52,12 @@ _VARIANT_CODE = {NONMAGNETIC: 0, MAGNETIC: 1}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 
 
+def _body_dtype(grid: Grid) -> np.dtype:
+    """One mode record: the frequency, then g with each component x-fastest."""
+    nx, ny, nz = grid.dims
+    return np.dtype([("freq", "<f8"), ("g", "<f8", (3, nz, ny, nx))])
+
+
 def descriptor_to_dict(desc: Descriptor) -> dict:
     if isinstance(desc, Homogeneous):
         return {"kind": "homogeneous", "eps": desc.eps}
@@ -137,12 +143,10 @@ def save_bank(bank: ModeBank, path) -> None:
         len(bank),
         _VARIANT_CODE[bank.variant],
     )
-    chunks = [header]
-    for i in range(len(bank)):
-        chunks.append(struct.pack("<d", float(bank.frequencies[i])))
-        for a in range(3):
-            chunks.append(bank.modes_g[i, a].ravel(order="F").tobytes())
-    write_atomic(path, b"".join(chunks))
+    body = np.empty(len(bank), _body_dtype(grid))
+    body["freq"] = bank.frequencies
+    body["g"] = bank.modes_g.transpose(0, 1, 4, 3, 2)
+    write_atomic(path, header + body.tobytes())
 
     sidecar = {
         "format": "epsmodes-bank-sidecar",
@@ -178,8 +182,8 @@ def load_bank(path) -> ModeBank:
     if variant_code not in _VARIANT_NAME:
         raise BankFileError(f"unknown variant code {variant_code} at offset 32", offset=32)
     grid = Grid((nx, ny, nz), spacing)
-    ncells = grid.ncells
-    per_mode = 8 + 3 * ncells * 8
+    body_dtype = _body_dtype(grid)
+    per_mode = body_dtype.itemsize
     expect = _HEADER.size + n_modes * per_mode
     if len(raw) != expect:
         raise BankFileError(
@@ -208,21 +212,12 @@ def load_bank(path) -> ModeBank:
         )
     medium = build_profile(desc, grid, mu_desc)
 
-    freqs = np.empty(n_modes)
-    g = np.empty((n_modes, 3) + grid.dims)
-    off = _HEADER.size
-    for i in range(n_modes):
-        (freqs[i],) = struct.unpack_from("<d", raw, off)
-        off += 8
-        for a in range(3):
-            comp = np.frombuffer(raw, dtype="<f8", count=ncells, offset=off)
-            g[i, a] = comp.reshape(grid.dims, order="F")
-            off += ncells * 8
+    body = np.frombuffer(raw, body_dtype, count=n_modes, offset=_HEADER.size)
     return ModeBank(
         medium=medium,
         variant=_VARIANT_NAME[variant_code],
-        frequencies=freqs,
-        modes_g=g,
+        frequencies=np.array(body["freq"], dtype=np.float64),
+        modes_g=np.array(body["g"].transpose(0, 1, 4, 3, 2), dtype=np.float64, order="C"),
         residuals=residuals,
         gram_defect=gram_defect,
         complete=bool(sidecar.get("complete", False)),

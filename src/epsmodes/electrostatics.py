@@ -14,8 +14,8 @@ On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
 which also realizes the constrained functional derivative restricted to
 generalized-transverse variations.  The split is written once, in
-:func:`helmholtz_decompose`; the mode module's transversality projection
-goes through it.
+:func:`helmholtz_decompose`.  The mode solver does not use it: its space
+is cut out by one FFT, with no Poisson solve.
 """
 
 from __future__ import annotations

@@ -61,6 +61,10 @@ ORTHO_DROP_RTOL = 1e-7
 #: Coordinate rows :func:`_canonicalize_clusters` orthogonalizes at once.
 CANONICALIZE_CHUNK = 64
 
+#: Degrees of freedom above which dense matrices (the oracle spectrum and
+#: the projector kernel) are refused.
+DENSE_DOF_LIMIT = 4000
+
 
 @dataclass(frozen=True)
 class QOperator:
@@ -112,6 +116,7 @@ def apply_q(op: QOperator, g: VectorField) -> VectorField:
     return VectorField(op.grid, EDGE, op.apply_raw(g.values))
 
 
+# no caller in the package; kept because perfbench's tracer rebinds this name
 def _project_block_raw(g: np.ndarray, m: MediumProfile, tol: float) -> np.ndarray:
     """Remove the sqrt(eps)*grad(psi) component from one raw edge field.
 
@@ -122,20 +127,6 @@ def _project_block_raw(g: np.ndarray, m: MediumProfile, tol: float) -> np.ndarra
     sqrt_eps = np.sqrt(m.eps)
     x = VectorField(m.grid, EDGE, sqrt_eps * g)
     return helmholtz_decompose(x, m, tol).x1.values / sqrt_eps
-
-
-def project_transverse_g(g: VectorField, m: MediumProfile, tol: float = 1e-10) -> VectorField:
-    """Project an edge field onto ``div(sqrt(eps) g) = 0``.
-
-    Idempotent up to solver tolerance; fields already satisfying the
-    constraint pass through unchanged and pure ``sqrt(eps) grad(psi)``
-    inputs map to zero.
-    """
-    if g.placement != EDGE:
-        raise PlacementError("projection expects an edge field")
-    if g.grid != m.grid:
-        raise GridMismatchError("field and medium grids differ")
-    return VectorField(m.grid, EDGE, _project_block_raw(g.values, m, tol))
 
 
 @dataclass
@@ -370,7 +361,12 @@ def solve_modes(
     assembled from the blocks ``b_i^T (A b_j)`` of the parts ``[x, p, w]``,
     and the new Ritz block is ``x c_x + p c_p + w c_w``, so the basis is
     never stacked into one array (Duersch, Shao, Yang & Gu, SIAM J. Sci.
-    Comput. 40, C655 (2018)).
+    Comput. 40, C655 (2018)).  The previous-direction block is chosen in
+    the same coefficient space (Hetmaniuk & Lehoucq, J. Comput. Phys. 218,
+    324 (2006)): the Ritz coefficients with their ``x`` rows zeroed, made
+    orthonormal to the Ritz coefficients, combine ``[x, p, w]`` into a
+    ``p`` orthonormal to the new ``x`` and inside the range of B, so only
+    the new directions need a full-size orthonormalization and projection.
 
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
@@ -401,14 +397,6 @@ def solve_modes(
 
     def project_cols(mat):
         return project(to_block(mat)).reshape(dof, -1)
-
-    def clean(mat, against, drop_abs):
-        # orthonormalize -> project -> orthonormalize (see the docstring)
-        mat = _orthonormalize(mat, against, drop_abs=drop_abs)
-        if mat.shape[1]:
-            mat = project_cols(mat)
-            mat = _orthonormalize(mat, against, drop_abs=drop_abs)
-        return mat
 
     def projected_matrix(parts, images):
         # Gram blocks b_i^T a_j for i <= j, mirrored into the lower blocks
@@ -464,12 +452,18 @@ def solve_modes(
             break
 
         # fresh directions from the unconverged residuals, normalized so the
-        # drop tolerances are scale-free
+        # drop tolerances are scale-free; scaled in place, so one residual
+        # block is alive while the preconditioner runs (the solver's peak)
         active = rnorm > tol * np.maximum(theta, op_scale)
-        w = precondition(resid[:, active] / rnorm[active], theta[active])
+        resid = resid[:, active]
+        resid /= rnorm[active]
+        w = precondition(resid, theta[active])
         del resid
         w /= np.linalg.norm(w, axis=0)
-        w = clean(w, [x, p], 1e-9)
+        # orthonormalize -> project -> orthonormalize (see the docstring)
+        w = _orthonormalize(w, [x, p], drop_abs=1e-9)
+        if w.shape[1]:
+            w = _orthonormalize(project_cols(w), [x, p], drop_abs=1e-9)
         if w.shape[1] == 0:
             raise SolverError(
                 "eigensolver stagnated: no independent search directions left "
@@ -486,19 +480,16 @@ def solve_modes(
         c = evecs[:, :block]
         theta = evals[:block]
 
-        # implicit previous-direction block: the p/w contribution to the
-        # update, cleaned the same way as w (tiny columns are cancellation
-        # noise and would smuggle null-space content into the basis).  p is
-        # rebound at each step, and w and the operator images are released
-        # first: any of them alive while clean runs would add a block to the
-        # solver's peak memory
-        p = p @ c[spans[1]] + w @ c[spans[2]]
-        del w
-        x = x @ c[spans[0]] + p
-        pnorm = np.linalg.norm(p, axis=0)
-        strong = pnorm > 1e-6
-        p = p[:, strong] / pnorm[strong]
-        p = clean(p, [x], 1e-6)
+        # previous directions from the Ritz coefficients (see the docstring);
+        # the operator images are released first: alive here they would add
+        # to the solver's peak memory
+        cp = c.copy()
+        cp[spans[0]] = 0
+        cp = _orthonormalize(cp, [c])
+        parts = (x, p, w)
+        x = sum(b @ c[s] for b, s in zip(parts, spans))
+        p = sum(b @ cp[s] for b, s in zip(parts, spans))
+        del parts, w
         # exact operator images every iteration keep the Rayleigh-Ritz data
         # consistent over long runs
         ax = apply_cols(x)
@@ -545,7 +536,7 @@ def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:
 def dense_q_matrix(op: QOperator) -> np.ndarray:
     """Dense operator matrix, columns from unit basis fields (small grids)."""
     dof = 3 * op.grid.ncells
-    if dof > 4000:
+    if dof > DENSE_DOF_LIMIT:
         raise FeasibilityError(f"dense assembly refused for {dof} degrees of freedom")
     shape = (3,) + op.grid.dims
     basis = np.eye(dof).reshape(shape + (dof,))
@@ -557,7 +548,7 @@ def transverse_subspace_basis(m: MediumProfile) -> np.ndarray:
     """Orthonormal basis of ``div(sqrt(eps) g) = 0`` (small grids)."""
     grid = m.grid
     dof = 3 * grid.ncells
-    if dof > 4000:
+    if dof > DENSE_DOF_LIMIT:
         raise FeasibilityError(f"dense subspace basis refused for {dof} DOF")
     shape = (3,) + grid.dims
     ncells = grid.ncells

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, IncompleteBankError, PlacementError
+from .errors import FeasibilityError, GridMismatchError, IncompleteBankError, PlacementError
 from .lattice import EDGE, VectorField, curl_raw
-from .modes import MAGNETIC, ModeBank
+from .modes import DENSE_DOF_LIMIT, MAGNETIC, ModeBank
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,8 @@ def projector_matrix(bank: ModeBank) -> np.ndarray:
     """
     n = len(bank)
     dof = 3 * bank.grid.ncells
-    if dof > 4000:
-        raise ValueError(f"dense projector refused for {dof} degrees of freedom")
+    if dof > DENSE_DOF_LIMIT:
+        raise FeasibilityError(f"dense projector refused for {dof} degrees of freedom")
     sqrt_eps = np.sqrt(bank.medium.eps)
     h = (bank.modes_g / sqrt_eps).reshape(n, dof)
     eps_h = (bank.modes_g * sqrt_eps).reshape(n, dof)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -120,3 +121,29 @@ def test_slab_descriptor_round_trip(tmp_path):
     assert np.array_equal(loaded.medium.eps, bank.medium.eps)
     for i in range(len(bank)):
         assert np.array_equal(loaded.mode_h(i).values, bank.mode_h(i).values)
+
+
+def pack_body_per_mode(bank):
+    """The bank body written one mode and one component at a time."""
+    chunks = []
+    for i in range(len(bank)):
+        chunks.append(struct.pack("<d", float(bank.frequencies[i])))
+        for a in range(3):
+            chunks.append(bank.modes_g[i, a].ravel(order="F").tobytes())
+    return b"".join(chunks)
+
+
+def test_body_matches_per_mode_packing(tmp_path):
+    # three distinct axis lengths, so a transposed layout cannot pass
+    grid = Grid((5, 4, 3), 0.7)
+    bank = solve_modes(QOperator(build_profile(Homogeneous(2.0), grid)), 5, tol=1e-8, seed=1)
+    path = tmp_path / "bank.qmb"
+    save_bank(bank, path)
+    raw = path.read_bytes()
+    header_size = len(raw) - len(bank) * (8 + 3 * grid.ncells * 8)
+    assert header_size == 33
+    assert raw[header_size:] == pack_body_per_mode(bank)
+    loaded = load_bank(path)
+    assert loaded.modes_g.flags.c_contiguous and loaded.modes_g.flags.writeable
+    assert np.array_equal(loaded.modes_g, bank.modes_g)
+    assert np.array_equal(loaded.frequencies, bank.frequencies)
