@@ -667,6 +667,17 @@ def validate_config(config: dict):
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)
         if key and key not in config:
             raise ConfigError(f"task {task!r} needs a {key!r} config section")
+    # the LDOS faults ldos_spectrum would raise, caught before the mode solve
+    ldos = config.get("ldos")
+    if ldos is not None:
+        if ldos["omega_min"] >= ldos["omega_max"]:
+            raise ConfigError(
+                f"ldos.omega_min={ldos['omega_min']!r} must be below "
+                f"ldos.omega_max={ldos['omega_max']!r}"
+            )
+        orientation = ldos.get("orientation", [0.0, 0.0, 1.0])
+        if sum(v * v for v in orientation) == 0:
+            raise ConfigError(f"ldos.orientation={orientation} must be a nonzero vector")
     if "rate" in config["tasks"]:
         n_atoms = len(config.get("atoms", []))
         if not n_atoms:

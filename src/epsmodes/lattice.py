@@ -146,12 +146,31 @@ def _require_same_grid(a, b):
 # trailing axes are broadcast batches.  Used directly by the solvers.
 
 
+def _wrap_slices(ndim: int, axis: int):
+    """Index tuples for ``[:-1]``, ``[1:]``, ``[:1]`` and ``[-1:]`` along ``axis``."""
+    head = (slice(None),) * (axis % ndim)
+    return tuple(head + (s,) for s in (
+        slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
+
+
 def dplus(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis=axis) - arr) / spacing
+    """Periodic forward difference ``(f[i+1] - f[i]) / s``."""
+    lo, hi, first, last = _wrap_slices(arr.ndim, axis)
+    out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+    np.subtract(arr[hi], arr[lo], out=out[lo])
+    np.subtract(arr[first], arr[last], out=out[last])
+    out /= spacing
+    return out
 
 
 def dminus(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    return (arr - np.roll(arr, 1, axis=axis)) / spacing
+    """Periodic backward difference ``(f[i] - f[i-1]) / s``."""
+    lo, hi, first, last = _wrap_slices(arr.ndim, axis)
+    out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+    np.subtract(arr[hi], arr[lo], out=out[hi])
+    np.subtract(arr[first], arr[last], out=out[first])
+    out /= spacing
+    return out
 
 
 def grad_raw(phi: np.ndarray, spacing: float) -> np.ndarray:

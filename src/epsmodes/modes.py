@@ -23,7 +23,6 @@ convention ``h = sqrt(eps) g`` breaks all three identities at once.)
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,11 @@ DEGENERACY_RTOL = 1e-8
 #: which squares them, so anything under about 1e-8 of the block's norm is
 #: rounding noise there.
 ORTHO_DROP_RTOL = 1e-7
+
+#: Fraction of its norm a column must keep through one Gram-Schmidt sweep
+#: for :func:`_orthonormalize` to skip the second: "twice is enough"
+#: (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976)).
+REORTH_KEEP = 1 / np.sqrt(2)
 
 #: Coordinate rows :func:`_canonicalize_clusters` orthogonalizes at once.
 CANONICALIZE_CHUNK = 64
@@ -270,7 +274,13 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: float = 0.0):
-    """Two-pass Gram-Schmidt against fixed bases, then two SVQB passes.
+    """Gram-Schmidt against fixed bases, then two SVQB passes.
+
+    One block Gram-Schmidt sweep removes the ``against`` components; a
+    second sweep runs only on cancellation, when some column kept less
+    than ``REORTH_KEEP`` of its norm.  Relative to a column that kept more,
+    the sweep's rounding is at most sqrt(2) times what it is relative to
+    the input, so one sweep leaves it orthogonal to working precision.
 
     SVQB (Stathopoulos & Wu, SIAM J. Sci. Comput. 23, 2165 (2002))
     orthonormalizes with one Gram matrix ``block^T block`` and its small
@@ -289,11 +299,15 @@ def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: floa
     """
     if block.shape[1] == 0:
         return block
-    for _ in range(2):
-        for basis in against:
-            if basis.shape[1]:
-                block = block - basis @ (basis.T @ block)
+    bases = [basis for basis in against if basis.shape[1]]
     norms = np.linalg.norm(block, axis=0)
+    for _ in range(2 if bases else 0):
+        before = norms
+        for basis in bases:
+            block = block - basis @ (basis.T @ block)
+        norms = np.linalg.norm(block, axis=0)
+        if np.all(norms >= REORTH_KEEP * before):
+            break
     block = block[:, norms > max(drop_abs, ORTHO_DROP_RTOL * norms.max())]
     for floor in (drop_abs, 0.0):
         if block.shape[1] == 0:
@@ -350,18 +364,24 @@ def solve_modes(
     omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0`` by
     construction.  Deterministic for a fixed seed.
 
-    New directions are orthonormalized, projected, and orthonormalized
-    again.  Gram-Schmidt rescales directions that lie numerically inside
-    the current span to unit vectors of round-off, whose null-space part
-    Rayleigh-Ritz would return as zero-frequency Ritz vectors; only a
-    projection after it removes that part.  Projecting before it alone
-    breaks degenerate 12^3 solves.
+    New directions are projected onto the range first and then
+    orthonormalized once against ``[x, p]``.  The result stays in the
+    range exactly: ``x`` and ``p`` lie in it, and Gram-Schmidt and SVQB
+    only form combinations of range vectors, which holds for the oblique
+    projector of the inhomogeneous-mu variant as well.  Gram-Schmidt leaves
+    a direction that lay numerically inside the current span as round-off
+    that is not in the range; the column-norm pre-drop and the absolute
+    SVQB floor of :func:`_orthonormalize` discard such directions instead
+    of rescaling them, so Rayleigh-Ritz never sees the round-off's
+    null-space part as a zero-frequency Ritz vector.
 
     The Rayleigh-Ritz step works on Gram blocks: the projected matrix is
     assembled from the blocks ``b_i^T (A b_j)`` of the parts ``[x, p, w]``,
     and the new Ritz block is ``x c_x + p c_p + w c_w``, so the basis is
     never stacked into one array (Duersch, Shao, Yang & Gu, SIAM J. Sci.
-    Comput. 40, C655 (2018)).  The previous-direction block is chosen in
+    Comput. 40, C655 (2018)).  The blocks of ``[x, p]`` are formed right
+    after the residual, so their operator images are released before the
+    new directions are built.  The previous-direction block is chosen in
     the same coefficient space (Hetmaniuk & Lehoucq, J. Comput. Phys. 218,
     324 (2006)): the Ritz coefficients with their ``x`` rows zeroed, made
     orthonormal to the Ritz coefficients, combine ``[x, p, w]`` into a
@@ -398,13 +418,13 @@ def solve_modes(
     def project_cols(mat):
         return project(to_block(mat)).reshape(dof, -1)
 
-    def projected_matrix(parts, images):
-        # Gram blocks b_i^T a_j for i <= j, mirrored into the lower blocks
-        edges = np.cumsum([0] + [b.shape[1] for b in parts])
+    def projected_matrix(gram, widths):
+        # Gram blocks gram[i, j] = b_i^T (A b_j) for i <= j, mirrored into
+        # the lower blocks
+        edges = np.cumsum([0] + widths)
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         t = np.empty((edges[-1], edges[-1]))
-        for i, j in itertools.combinations_with_replacement(range(len(parts)), 2):
-            blk = parts[i].T @ images[j]
+        for (i, j), blk in gram.items():
             if i == j:
                 blk = (blk + blk.T) / 2
             t[spans[i], spans[j]] = blk
@@ -450,20 +470,24 @@ def solve_modes(
         if np.all(rnorm[:n_modes] <= anchor):
             converged = True
             break
+        # the Rayleigh-Ritz blocks of [x, p]; ax and ap are not needed past
+        # them, and alive they would add to the solver's peak memory
+        gram = {(0, 0): x.T @ ax, (0, 1): x.T @ ap, (1, 1): p.T @ ap}
+        del ax, ap
 
         # fresh directions from the unconverged residuals, normalized so the
         # drop tolerances are scale-free; scaled in place, so one residual
-        # block is alive while the preconditioner runs (the solver's peak)
+        # block is alive while the preconditioner runs
         active = rnorm > tol * np.maximum(theta, op_scale)
         resid = resid[:, active]
         resid /= rnorm[active]
         w = precondition(resid, theta[active])
         del resid
         w /= np.linalg.norm(w, axis=0)
-        # orthonormalize -> project -> orthonormalize (see the docstring)
+        # project, then orthonormalize once (see the docstring); two
+        # statements, so the unprojected block is freed before Gram-Schmidt
+        w = project_cols(w)
         w = _orthonormalize(w, [x, p], drop_abs=1e-9)
-        if w.shape[1]:
-            w = _orthonormalize(project_cols(w), [x, p], drop_abs=1e-9)
         if w.shape[1] == 0:
             raise SolverError(
                 "eigensolver stagnated: no independent search directions left "
@@ -471,22 +495,21 @@ def solve_modes(
                 residual=float(rnorm[:n_modes].max()),
             )
         aw = apply_cols(w)
+        gram.update({(0, 2): x.T @ aw, (1, 2): p.T @ aw, (2, 2): w.T @ aw})
+        del aw
 
         # the basis [x, p, w] is orthonormal by construction, so a plain
         # Rayleigh-Ritz step is stable
-        t, spans = projected_matrix((x, p, w), (ax, ap, aw))
-        del ax, ap, aw
+        parts = (x, p, w)
+        t, spans = projected_matrix(gram, [b.shape[1] for b in parts])
         evals, evecs = np.linalg.eigh(t)
         c = evecs[:, :block]
         theta = evals[:block]
 
-        # previous directions from the Ritz coefficients (see the docstring);
-        # the operator images are released first: alive here they would add
-        # to the solver's peak memory
+        # previous directions from the Ritz coefficients (see the docstring)
         cp = c.copy()
         cp[spans[0]] = 0
         cp = _orthonormalize(cp, [c])
-        parts = (x, p, w)
         x = sum(b @ c[s] for b, s in zip(parts, spans))
         p = sum(b @ cp[s] for b, s in zip(parts, spans))
         del parts, w

@@ -253,12 +253,20 @@ class TestRun:
              EXIT_CONFIG, "rate.transition"),
             ({"tasks": ["rate"], "rate": {"local_field": True, "factor_grid": 8}},
              EXIT_CONFIG, "rate.factor_grid"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.9, "omega_max": 0.5, "count": 5, "eta": 0.05}},
+             EXIT_CONFIG, "ldos.omega_min"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5, "eta": 0.05,
+                       "orientation": [0, 0, 0]}},
+             EXIT_CONFIG, "ldos.orientation"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
              "string-eps", "two-coordinate-center", "missing-bank-in", "bank-out-missing-dir",
              "spacing-1e-300", "grid-beyond-memory", "cavity-grid-beyond-memory",
-             "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16"],
+             "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16",
+             "ldos-reversed-range", "ldos-zero-orientation"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -272,6 +280,8 @@ class TestRun:
         assert run(write_config(tmp_path, cfg), tmp_path) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and names in err
+        # every fault is caught before a mode solve completes
+        assert not (tmp_path / "modes.json").exists()
 
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],

@@ -14,6 +14,8 @@ from epsmodes.lattice import (
     curl,
     curl_t,
     div,
+    dminus,
+    dplus,
     grad,
     inner,
 )
@@ -194,3 +196,16 @@ def test_identities_hold_with_unit_dims(rng):
     w = random_vector(g, rng, FACE)
     assert np.abs(curl(grad(phi)).values).max() < 1e-13
     assert np.abs(div(curl_t(w)).values).max() < 1e-13
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (6, 1, 1)], ids=["5x4x3", "6x1x1"])
+@pytest.mark.parametrize("spacing", [1.0, 0.37])
+def test_stencils_match_roll_formulas(dims, spacing, rng):
+    # the slice-based stencils give the np.roll formulas bit for bit on a
+    # batched array, along every axis, including the trailing batch axis
+    arr = rng.standard_normal(dims + (7,))
+    for axis in range(arr.ndim):
+        forward = (np.roll(arr, -1, axis=axis) - arr) / spacing
+        backward = (arr - np.roll(arr, 1, axis=axis)) / spacing
+        assert np.array_equal(dplus(arr, axis, spacing), forward)
+        assert np.array_equal(dminus(arr, axis, spacing), backward)

@@ -14,6 +14,7 @@ from epsmodes.lattice import (
     grad_raw,
     inner,
 )
+from epsmodes import modes
 from epsmodes.medium import (
     Homogeneous,
     Layer,
@@ -393,7 +394,39 @@ class TestSolveModes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 80 * 2**20
+        assert peak <= 48 * 2**20
+
+    def test_one_full_orthonormalization_per_iteration(self, monkeypatch):
+        # on the emission-bulk shape, one dof-row _orthonormalize call builds
+        # the start block and one cleans each iteration's new directions
+        op = QOperator(build_profile(Homogeneous(4.0), Grid((12, 12, 12), 1.0)))
+        dof = 3 * op.grid.ncells
+        calls = []
+
+        def counted(block, against, drop_abs=0.0):
+            if block.shape[0] == dof:
+                calls.append(block.shape[1])
+            return _orthonormalize(block, against, drop_abs)
+
+        monkeypatch.setattr(modes, "_orthonormalize", counted)
+        iterations = []
+        solve_modes(op, 112, tol=1e-6, seed=0,
+                    on_iteration=lambda i, theta, rnorm: iterations.append(i))
+        # the last iteration converges and adds no directions
+        assert len(iterations) > 1
+        assert len(calls) == 1 + (len(iterations) - 1)
+
+    def test_identities_past_dense_limit(self):
+        # 12^3 (5184 dof) with inhomogeneous mu: the oblique range projector
+        # runs before the one orthonormalization of each iteration
+        g = Grid((12, 12, 12), 1.0)
+        assert 3 * g.ncells > DENSE_DOF_LIMIT
+        bank = solve_modes(QOperator(magnetic_sphere_medium(g), MAGNETIC), 12, tol=1e-8)
+        report = mode_residual_report(bank)
+        assert report.gram_defect <= 1e-10
+        assert report.residuals.max() <= 1e-6
+        assert report.max_weighted_divergence <= 1e-8
+        assert report.matches_stored
 
 
 class TestOrthonormalize:
@@ -421,6 +454,23 @@ class TestOrthonormalize:
         assert q.shape[1] == 100
         assert np.abs(against.T @ q).max() <= 1e-14
         assert np.abs(q.T @ q - np.eye(100)).max() <= 1e-14
+
+    def test_cancellation_takes_second_sweep(self):
+        # unit columns that are a combination of the basis plus 1e-6 fresh
+        # content keep 1e-6 of their norm through the first sweep, whose
+        # rounding is then 1e-10 of what is left; only a second sweep
+        # makes the result orthogonal to the basis
+        rng = np.random.default_rng(9)
+        against, _ = np.linalg.qr(rng.standard_normal((5184, 40)))
+        fresh = rng.standard_normal((5184, 20))
+        block = against @ rng.standard_normal((40, 20)) + 1e-6 * fresh
+        block /= np.linalg.norm(block, axis=0)
+        q = _orthonormalize(block, [against], drop_abs=1e-9)
+        assert q.shape[1] == 20
+        assert np.abs(against.T @ q).max() <= 1e-14
+        assert np.abs(q.T @ q - np.eye(20)).max() <= 1e-14
+        fresh -= against @ (against.T @ fresh)
+        assert np.abs(fresh - q @ (q.T @ fresh)).max() <= 1e-8 * np.abs(fresh).max()
 
     def test_duplicate_columns_reduce_to_rank(self):
         rng = np.random.default_rng(6)
