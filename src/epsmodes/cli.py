@@ -264,8 +264,6 @@ def _atoms_from_config(entries):
         dip = np.zeros((nlev, nlev, 3))
         for d in entry["dipoles"]:
             k, kp = d["levels"]
-            if k >= nlev or kp >= nlev:
-                raise ValueError(f"dipole levels {k},{kp} out of range for {nlev} levels")
             dip[k, kp] = d["moment"]
             dip[kp, k] = d["moment"]
         atoms.append(
@@ -297,8 +295,6 @@ def _write_csv(path: Path, rows, params: dict, columns=("omega", "value")):
 
 class _Runner:
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
-        import numpy as np  # noqa: F401  (ensures numeric stack is up)
-
         from .bankfile import descriptor_from_dict
         from .lattice import Grid
         from .medium import build_profile
@@ -554,10 +550,9 @@ class _Runner:
         transition = tuple(cfg.get("transition", (1, 0)))
         eta = cfg.get("eta")
         if cfg.get("local_field"):
-            radius = atom.cavity_radius
-            if radius is None:
-                raise ValueError("local_field rate requires atom.cavity_radius")
-            factor_grid = local_field_grid(radius, cfg.get("factor_grid", LOCAL_FIELD_CELLS))
+            factor_grid = local_field_grid(
+                atom.cavity_radius, cfg.get("factor_grid", LOCAL_FIELD_CELLS)
+            )
             report = local_field_corrected_rate(
                 bank, atom, transition, eta,
                 factor_grid=factor_grid, factor_tol=self.poisson_tol,
@@ -667,6 +662,25 @@ def validate_config(config: dict):
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)
         if key and key not in config:
             raise ConfigError(f"task {task!r} needs a {key!r} config section")
+    atoms = config.get("atoms", [])
+    for i, entry in enumerate(atoms):
+        nlev = len(entry["levels"])
+        for j, dipole in enumerate(entry["dipoles"]):
+            if max(dipole["levels"]) >= nlev:
+                raise ConfigError(
+                    f"atoms[{i}].dipoles[{j}].levels={dipole['levels']} names a level "
+                    f"that atom {i} ({nlev} levels) lacks"
+                )
+    # the ldos and rate tasks sample fields at points in the periodic box,
+    # whose side lengths are computed as Grid.lengths computes them
+    lengths = [n * spacing for n in dims]
+
+    def check_position(name, position):
+        if not all(0.0 <= x < length for x, length in zip(position, lengths)):
+            raise ConfigError(
+                f"{name}={position} lies outside the periodic box [0, L) with L = {lengths}"
+            )
+
     # the LDOS faults ldos_spectrum would raise, caught before the mode solve
     ldos = config.get("ldos")
     if ldos is not None:
@@ -678,20 +692,34 @@ def validate_config(config: dict):
         orientation = ldos.get("orientation", [0.0, 0.0, 1.0])
         if sum(v * v for v in orientation) == 0:
             raise ConfigError(f"ldos.orientation={orientation} must be a nonzero vector")
+        if "position" in ldos:
+            check_position("ldos.position", ldos["position"])
+        elif "ldos" in config["tasks"] and atoms:
+            check_position("atoms[0].position", atoms[0]["position"])
     if "rate" in config["tasks"]:
-        n_atoms = len(config.get("atoms", []))
-        if not n_atoms:
+        if not atoms:
             raise ConfigError("task 'rate' needs a nonempty 'atoms' list")
-        atom = config.get("rate", {}).get("atom", 0)
-        if atom >= n_atoms:
-            raise ConfigError(f"rate.atom={atom} is out of range for {n_atoms} atoms")
-        nlev = len(config["atoms"][atom]["levels"])
-        transition = config.get("rate", {}).get("transition", [1, 0])
+        rate = config.get("rate", {})
+        atom = rate.get("atom", 0)
+        if atom >= len(atoms):
+            raise ConfigError(f"rate.atom={atom} is out of range for {len(atoms)} atoms")
+        check_position(f"atoms[{atom}].position", atoms[atom]["position"])
+        nlev = len(atoms[atom]["levels"])
+        transition = rate.get("transition", [1, 0])
         if max(transition) >= nlev:
             raise ConfigError(
                 f"rate.transition={transition} names a level that atom {atom} "
                 f"({nlev} levels) lacks"
             )
+        # the empty-cavity correction of emission.local_field_corrected_rate
+        if rate.get("local_field"):
+            if "cavity_radius" not in atoms[atom]:
+                raise ConfigError(f"rate.local_field needs atoms[{atom}].cavity_radius")
+            kind = config["medium"]["kind"]
+            if kind != "homogeneous":
+                raise ConfigError(
+                    f"rate.local_field needs a homogeneous host, but medium.kind is {kind!r}"
+                )
 
 
 def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:

@@ -10,8 +10,10 @@ iterates on face fields with ``B B^T``, as MPB does (Johnson &
 Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
 same, and its space, the range of B, is cut out by a constraint free of
 eps that one FFT imposes exactly, so no Poisson solve or zero-mode
-deflation is needed.  The three zero-frequency modes of Q belong only to
-complete dense spectra.
+deflation is needed.  The same FFT pair carries the preconditioner, so
+each LOBPCG iteration runs one Fourier map, one Rayleigh-Ritz step and
+two operator applications (the Ritz block and the new directions).  The
+three zero-frequency modes of Q belong only to complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -323,9 +325,15 @@ def _range_projector(op: QOperator):
     """Projector onto the range of ``B`` for raw (3, nx, ny, nz, batch) faces.
 
     The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
-    ``w^(1/2) P(y / w^(1/2))`` projects onto it, with one FFT applying the
-    orthogonal projector P.  Also returns ``|d|^2``, the Fourier symbol of
-    the vacuum curl-curl on the rfftn half grid (:func:`fourier_symbol`).
+    ``project(y)`` is ``w^(1/2) P(y / w^(1/2))``, one FFT applying the
+    orthogonal projector P.  ``project(y, shifts)`` fuses the solver's
+    preconditioner into that FFT: ``S F^-1 P D^-1 F S^-1`` with
+    ``S = w^(1/2)`` and, per column, ``D = |coeff |d|^2 - shift|`` floored
+    at a tenth of the shift, ``coeff = mean(1/eps) mean(w)``.  For
+    nonmagnetic media ``S = 1`` and P commutes with the scalar D, so this is
+    preconditioning followed by projection.  Also returns ``|d|^2``, the
+    Fourier symbol of the vacuum curl-curl on the rfftn half grid
+    (:func:`fourier_symbol`).
     """
     grid = op.grid
     axes = (1, 2, 3)
@@ -333,10 +341,16 @@ def _range_projector(op: QOperator):
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
     d_conj = d.conj()[..., None]
     sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]
+    w = 1.0 if op.sqrt_w is None else op.sqrt_w**2
+    coeff = float(np.mean(1.0 / op.medium.eps) * np.mean(w))
 
-    def project(y):
+    def project(y, shifts=None):
         v = y if sqrt_w is None else y / sqrt_w
         vk = np.fft.rfftn(v, axes=axes)
+        if shifts is not None:
+            denom = np.abs(sym[..., None] * coeff - shifts)
+            np.maximum(denom, 0.1 * np.abs(shifts), out=denom)
+            vk /= denom
         # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
         vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
         vk[:, 0, 0, 0] = 0.0
@@ -344,6 +358,22 @@ def _range_projector(op: QOperator):
         return v if sqrt_w is None else sqrt_w * v
 
     return project, sym
+
+
+def _projected_matrix(gram, widths):
+    """Rayleigh-Ritz matrix from Gram blocks ``gram[i, j] = b_i^T (A b_j)``, i <= j.
+
+    Returns it, lower blocks mirrored, with the row slice of each part.
+    """
+    edges = np.cumsum([0] + widths)
+    spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    t = np.empty((edges[-1], edges[-1]))
+    for (i, j), blk in gram.items():
+        if i == j:
+            blk = (blk + blk.T) / 2
+        t[spans[i], spans[j]] = blk
+        t[spans[j], spans[i]] = blk.T
+    return t, spans
 
 
 def solve_modes(
@@ -359,34 +389,32 @@ def solve_modes(
     LOBPCG-style iteration on face fields ``y`` with ``B B^T``, which has
     Q's nonzero spectrum and is positive definite on the range of B: the
     search subspace is spanned by the current Ritz block, preconditioned
-    residuals and the previous update directions, and new directions are
-    projected exactly onto that range.  Modes map back as ``g = B^T y /
-    omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0`` by
-    construction.  Deterministic for a fixed seed.
+    residuals and the previous update directions.  Modes map back as
+    ``g = B^T y / omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0``
+    by construction.  Deterministic for a fixed seed.
 
-    New directions are projected onto the range first and then
-    orthonormalized once against ``[x, p]``.  The result stays in the
-    range exactly: ``x`` and ``p`` lie in it, and Gram-Schmidt and SVQB
-    only form combinations of range vectors, which holds for the oblique
-    projector of the inhomogeneous-mu variant as well.  Gram-Schmidt leaves
-    a direction that lay numerically inside the current span as round-off
-    that is not in the range; the column-norm pre-drop and the absolute
-    SVQB floor of :func:`_orthonormalize` discard such directions instead
-    of rescaling them, so Rayleigh-Ritz never sees the round-off's
-    null-space part as a zero-frequency Ritz vector.
+    The residuals are preconditioned and projected onto the range in one
+    FFT pair (:func:`_range_projector`), then orthonormalized once against
+    ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
+    and Gram-Schmidt and SVQB only form combinations of range vectors, which
+    holds for the oblique projector of the inhomogeneous-mu variant as well.
+    Gram-Schmidt leaves a direction that lay numerically inside the current
+    span as round-off that is not in the range; the column-norm pre-drop and
+    the absolute SVQB floor of :func:`_orthonormalize` discard such
+    directions instead of rescaling them, so Rayleigh-Ritz never sees the
+    round-off's null-space part as a zero-frequency Ritz vector.
 
-    The Rayleigh-Ritz step works on Gram blocks: the projected matrix is
-    assembled from the blocks ``b_i^T (A b_j)`` of the parts ``[x, p, w]``,
-    and the new Ritz block is ``x c_x + p c_p + w c_w``, so the basis is
-    never stacked into one array (Duersch, Shao, Yang & Gu, SIAM J. Sci.
-    Comput. 40, C655 (2018)).  The blocks of ``[x, p]`` are formed right
-    after the residual, so their operator images are released before the
-    new directions are built.  The previous-direction block is chosen in
-    the same coefficient space (Hetmaniuk & Lehoucq, J. Comput. Phys. 218,
-    324 (2006)): the Ritz coefficients with their ``x`` rows zeroed, made
-    orthonormal to the Ritz coefficients, combine ``[x, p, w]`` into a
-    ``p`` orthonormal to the new ``x`` and inside the range of B, so only
-    the new directions need a full-size orthonormalization and projection.
+    Each iteration starts with the one Rayleigh-Ritz step, over the start
+    block alone and then over ``[x, p, w]``.  It works on Gram blocks: the
+    projected matrix ``t`` is assembled from ``b_i^T (A b_j)`` and the Ritz
+    block is ``x c_x + p c_p + w c_w``, so the basis is never stacked
+    (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput. 40, C655 (2018)).  The
+    previous directions come from the same coefficients (Hetmaniuk &
+    Lehoucq, J. Comput. Phys. 218, 324 (2006)): ``c`` with its ``x`` rows
+    zeroed, made orthonormal to ``c``, gives ``c_p`` and a ``p`` orthonormal
+    to the new ``x`` inside the range of B, and ``x^T A p = c^T t c_p``,
+    ``p^T A p = c_p^T t c_p`` need no image of ``p``.  The operator is
+    applied to ``x``, whose image the residual needs, and to ``w``.
 
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
@@ -406,7 +434,6 @@ def solve_modes(
 
     block = min(n_modes + max(6, n_modes // 5), n_nonzero)
     shape = (3,) + grid.dims
-    axes = (1, 2, 3)
     project, sym = _range_projector(op)
 
     def to_block(mat):
@@ -415,93 +442,27 @@ def solve_modes(
     def apply_cols(mat):
         return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
-    def project_cols(mat):
-        return project(to_block(mat)).reshape(dof, -1)
-
-    def projected_matrix(gram, widths):
-        # Gram blocks gram[i, j] = b_i^T (A b_j) for i <= j, mirrored into
-        # the lower blocks
-        edges = np.cumsum([0] + widths)
-        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        t = np.empty((edges[-1], edges[-1]))
-        for (i, j), blk in gram.items():
-            if i == j:
-                blk = (blk + blk.T) / 2
-            t[spans[i], spans[j]] = blk
-            t[spans[j], spans[i]] = blk.T
-        return t, spans
+    def project_cols(mat, shifts=None):
+        return project(to_block(mat), shifts).reshape(dof, -1)
 
     rng = np.random.default_rng(seed)
     x = _orthonormalize(project_cols(rng.standard_normal((dof, block))), [])
     if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")
 
-    # FFT preconditioner: Davidson-style inverse of the vacuum curl-curl
-    # symbol (scaled by the mean coefficients) shifted per column
-    inv_mu = 1.0 if op.sqrt_w is None else op.sqrt_w**2
-    coeff = float(np.mean(1.0 / m.eps) * np.mean(inv_mu))
-
-    def precondition(resid, shifts):
-        rk = np.fft.rfftn(to_block(resid), axes=axes)
-        denom = sym[None, ..., None] * coeff - shifts[None, None, None, None, :]
-        np.abs(denom, out=denom)
-        np.maximum(denom, 0.1 * np.abs(shifts)[None, None, None, None, :], out=denom)
-        rk /= denom
-        return np.fft.irfftn(rk, s=grid.dims, axes=axes).reshape(dof, -1)
-
-    ax = apply_cols(x)
-    t = x.T @ ax
-    theta, c = np.linalg.eigh((t + t.T) / 2)
-    x, ax = x @ c, ax @ c
-    p = np.zeros((dof, 0))
-    ap = np.zeros((dof, 0))
-    converged = False
-    rnorm = np.full(n_modes, np.inf)
     # residuals are judged against the operator scale as well as the Ritz
     # value: rounding sets an absolute accuracy floor, so demanding
     # tol * theta for theta far below ||Q|| can never be met
+    inv_mu = 1.0 if op.sqrt_w is None else op.sqrt_w**2
     op_scale = 0.1 * float(sym.max() * np.max(1.0 / m.eps) * np.max(inv_mu))
+    parts = (x,)
+    gram = {(0, 0): x.T @ apply_cols(x)}
+    converged = False
+    rnorm = np.full(n_modes, np.inf)
     for _iteration in range(maxiter):
-        resid = ax - x * theta
-        rnorm = np.linalg.norm(resid, axis=0)
-        if on_iteration is not None:
-            on_iteration(_iteration, theta, rnorm)
-        anchor = tol * np.maximum(theta[:n_modes], op_scale)
-        if np.all(rnorm[:n_modes] <= anchor):
-            converged = True
-            break
-        # the Rayleigh-Ritz blocks of [x, p]; ax and ap are not needed past
-        # them, and alive they would add to the solver's peak memory
-        gram = {(0, 0): x.T @ ax, (0, 1): x.T @ ap, (1, 1): p.T @ ap}
-        del ax, ap
-
-        # fresh directions from the unconverged residuals, normalized so the
-        # drop tolerances are scale-free; scaled in place, so one residual
-        # block is alive while the preconditioner runs
-        active = rnorm > tol * np.maximum(theta, op_scale)
-        resid = resid[:, active]
-        resid /= rnorm[active]
-        w = precondition(resid, theta[active])
-        del resid
-        w /= np.linalg.norm(w, axis=0)
-        # project, then orthonormalize once (see the docstring); two
-        # statements, so the unprojected block is freed before Gram-Schmidt
-        w = project_cols(w)
-        w = _orthonormalize(w, [x, p], drop_abs=1e-9)
-        if w.shape[1] == 0:
-            raise SolverError(
-                "eigensolver stagnated: no independent search directions left "
-                f"(worst residual {float(rnorm[:n_modes].max()):.3e})",
-                residual=float(rnorm[:n_modes].max()),
-            )
-        aw = apply_cols(w)
-        gram.update({(0, 2): x.T @ aw, (1, 2): p.T @ aw, (2, 2): w.T @ aw})
-        del aw
-
-        # the basis [x, p, w] is orthonormal by construction, so a plain
+        # the basis parts are orthonormal by construction, so a plain
         # Rayleigh-Ritz step is stable
-        parts = (x, p, w)
-        t, spans = projected_matrix(gram, [b.shape[1] for b in parts])
+        t, spans = _projected_matrix(gram, [b.shape[1] for b in parts])
         evals, evecs = np.linalg.eigh(t)
         c = evecs[:, :block]
         theta = evals[:block]
@@ -512,11 +473,41 @@ def solve_modes(
         cp = _orthonormalize(cp, [c])
         x = sum(b @ c[s] for b, s in zip(parts, spans))
         p = sum(b @ cp[s] for b, s in zip(parts, spans))
-        del parts, w
-        # exact operator images every iteration keep the Rayleigh-Ritz data
-        # consistent over long runs
+        # the old basis goes before the operator is applied, so that it does
+        # not add to the solver's peak memory
+        del parts
+
         ax = apply_cols(x)
-        ap = apply_cols(p)
+        resid = ax - x * theta
+        rnorm = np.linalg.norm(resid, axis=0)
+        if on_iteration is not None:
+            on_iteration(_iteration, theta, rnorm)
+        anchor = tol * np.maximum(theta[:n_modes], op_scale)
+        if np.all(rnorm[:n_modes] <= anchor):
+            converged = True
+            break
+        tcp = t @ cp
+        gram = {(0, 0): x.T @ ax, (0, 1): c.T @ tcp, (1, 1): cp.T @ tcp}
+        del ax
+
+        # fresh directions from the unconverged residuals, normalized after
+        # the map so the drop tolerances are scale-free
+        active = rnorm > tol * np.maximum(theta, op_scale)
+        resid = resid[:, active]
+        w = project_cols(resid, theta[active])
+        del resid
+        w /= np.linalg.norm(w, axis=0)
+        w = _orthonormalize(w, [x, p], drop_abs=1e-9)
+        if w.shape[1] == 0:
+            raise SolverError(
+                "eigensolver stagnated: no independent search directions left "
+                f"(worst residual {float(rnorm[:n_modes].max()):.3e})",
+                residual=float(rnorm[:n_modes].max()),
+            )
+        aw = apply_cols(w)
+        gram.update({(0, 2): x.T @ aw, (1, 2): p.T @ aw, (2, 2): w.T @ aw})
+        parts = (x, p, w)
+        del aw, w
 
     if not converged:
         raise SolverError(

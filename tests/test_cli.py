@@ -260,13 +260,34 @@ class TestRun:
               "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5, "eta": 0.05,
                        "orientation": [0, 0, 0]}},
              EXIT_CONFIG, "ldos.orientation"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5, "eta": 0.05,
+                       "position": [1.0, 1.0, 4.0]}},
+             EXIT_CONFIG, "ldos.position"),
+            ({"tasks": ["modes", "rate"],
+              "atoms": [{"position": [1, -0.5, 1], "levels": [0.0, 1.0],
+                         "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
+             EXIT_CONFIG, "atoms[0].position"),
+            ({"tasks": ["modes", "rate"], "rate": {"local_field": True}},
+             EXIT_CONFIG, "cavity_radius"),
+            ({"tasks": ["modes", "rate"], "rate": {"local_field": True},
+              "medium": {"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
+                         "eps_in": 1.0, "eps_out": 2.0},
+              "atoms": [{"position": [1, 1, 1], "levels": [0.0, 1.0], "cavity_radius": 0.5,
+                         "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
+             EXIT_CONFIG, "medium.kind"),
+            ({"atoms": [{"position": [1, 1, 1], "levels": [0.0, 1.0],
+                         "dipoles": [{"levels": [0, 2], "moment": [0, 0, 1]}]}]},
+             EXIT_CONFIG, "atoms[0].dipoles[0].levels"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
              "string-eps", "two-coordinate-center", "missing-bank-in", "bank-out-missing-dir",
              "spacing-1e-300", "grid-beyond-memory", "cavity-grid-beyond-memory",
              "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16",
-             "ldos-reversed-range", "ldos-zero-orientation"],
+             "ldos-reversed-range", "ldos-zero-orientation", "ldos-position-outside-box",
+             "atom-position-outside-box", "local-field-without-cavity-radius",
+             "local-field-sphere-host", "dipole-level-missing"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault

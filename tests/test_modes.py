@@ -263,6 +263,26 @@ class TestRangeProjector:
         div_face = sum(dplus(out[a], a, s) for a in range(3))
         assert np.abs(div_face).max() <= 1e-13 * np.abs(out).max()
 
+    def test_shifted_map_is_preconditioner_then_projection(self, rng):
+        # nonmagnetic: P_k commutes with the scalar shifted symbol, so the
+        # fused map equals the Davidson FFT preconditioner followed by project
+        op = QOperator(magnetic_sphere_medium(Grid((6, 6, 6))))
+        project, sym = _range_projector(op)
+        y = rng.standard_normal((3,) + op.grid.dims + (3,))
+        shifts = np.array([0.05, 0.8, 3.0])
+        coeff = np.mean(1.0 / op.medium.eps)
+        denom = np.maximum(np.abs(sym[..., None] * coeff - shifts), 0.1 * shifts)
+        axes = (1, 2, 3)
+        pre = np.fft.irfftn(np.fft.rfftn(y, axes=axes) / denom, s=op.grid.dims, axes=axes)
+        ref = project(pre)
+        assert np.abs(project(y, shifts) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_shifted_map_lands_in_range(self, op, rng):
+        project, _ = _range_projector(op)
+        y = rng.standard_normal((3,) + op.grid.dims + (3,))
+        out = project(y, np.array([0.05, 0.8, 3.0]))
+        assert np.abs(project(out) - out).max() <= 1e-13 * np.abs(out).max()
+
 
 def homogeneous_frequencies(grid, eps):
     """Sorted nonzero frequencies of a homogeneous lattice, with multiplicity.
@@ -415,6 +435,38 @@ class TestSolveModes:
         # the last iteration converges and adds no directions
         assert len(iterations) > 1
         assert len(calls) == 1 + (len(iterations) - 1)
+
+    def test_implicit_gram_blocks_do_not_drift(self, monkeypatch):
+        # the bandgap-1d shape (34 iterations): the [x, p] Gram blocks the
+        # solver takes from the Ritz coefficients match explicit x^T (A p)
+        # and p^T (A p) at every iteration, the last included
+        op = QOperator(build_profile(
+            SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1), 1.0)))
+        shape = (3,) + op.grid.dims
+        bases, grams, thetas = [], [], []
+        projected_matrix = modes._projected_matrix
+
+        def spy_orthonormalize(block, against, drop_abs=0.0):
+            if len(against) == 2:
+                bases.append([b.copy() for b in against])
+            return _orthonormalize(block, against, drop_abs)
+
+        def spy_projected_matrix(gram, widths):
+            if len(widths) == 3:
+                grams.append({key: blk.copy() for key, blk in gram.items()})
+            return projected_matrix(gram, widths)
+
+        monkeypatch.setattr(modes, "_orthonormalize", spy_orthonormalize)
+        monkeypatch.setattr(modes, "_projected_matrix", spy_projected_matrix)
+        solve_modes(op, 16, tol=3e-7, seed=0,
+                    on_iteration=lambda i, theta, rnorm: thetas.append(theta.max()))
+        assert len(thetas) >= 30 and len(bases) == len(grams) == len(thetas) - 1
+        scale = max(thetas)
+        for (x, p), gram in zip(bases, grams):
+            # the solver iterates on face fields with B B^T
+            ap = op.b_raw(op.bt_raw(p.reshape(shape + (p.shape[1],)))).reshape(p.shape)
+            assert np.abs(gram[0, 1] - x.T @ ap).max(initial=0.0) <= 1e-10 * scale
+            assert np.abs(gram[1, 1] - p.T @ ap).max(initial=0.0) <= 1e-10 * scale
 
     def test_identities_past_dense_limit(self):
         # 12^3 (5184 dof) with inhomogeneous mu: the oblique range projector
