@@ -10,16 +10,17 @@ offset   content
 8        u32 dims[3]
 20       f64 spacing
 28       u32 mode count
-32       u8 variant (0 nonmagnetic, 1 magnetic)
+32       u8 magnetic flag: 1 when the medium has mu, else 0
 33       per mode: f64 frequency, then 3 * ncells f64 g-field
          components, each component raveled x-fastest
 =======  ======================================================
 
-A JSON sidecar (same path plus ``.json``) stores the medium descriptor,
-Gram/residual metadata and the solver seed.  Round trips are bit-exact:
-the g fields, the only form a bank holds, are read back bitwise into the
-same C-ordered layout the solver produces, and the permittivity is
-rebuilt from the descriptor.
+A JSON sidecar (same path plus ``.json``) stores the medium and mu
+descriptors, Gram/residual metadata and the solver seed.  A bank whose
+magnetic flag disagrees with its sidecar's mu is refused.  Round trips are
+bit-exact: the g fields, the only form a bank holds, are read back bitwise
+into the same C-ordered layout the solver produces, and eps and mu are
+rebuilt from the descriptors.
 """
 
 from __future__ import annotations
@@ -43,13 +44,11 @@ from .medium import (
     Sphere,
     build_profile,
 )
-from .modes import MAGNETIC, NONMAGNETIC, ModeBank
+from .modes import ModeBank
 
 MAGIC = b"QMB1"
 VERSION = 1
 _HEADER = struct.Struct("<4sI3IdIB")
-_VARIANT_CODE = {NONMAGNETIC: 0, MAGNETIC: 1}
-_VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 
 
 def _body_dtype(grid: Grid) -> np.dtype:
@@ -129,11 +128,11 @@ def write_atomic(path: Path, data: bytes):
 
 
 def save_bank(bank: ModeBank, path) -> None:
-    """Serialize a bank; requires a descriptor-backed medium."""
+    """Serialize a bank; requires a descriptor-backed medium (and mu)."""
     path = Path(path)
-    desc = bank.medium.descriptor
-    if desc is None:
-        raise ProfileError("bank medium carries no descriptor; cannot persist")
+    m = bank.medium
+    if m.descriptor is None or (m.mu is not None and m.mu_descriptor is None):
+        raise ProfileError("bank medium carries no eps or mu descriptor; cannot persist")
     grid = bank.grid
     header = _HEADER.pack(
         MAGIC,
@@ -141,7 +140,7 @@ def save_bank(bank: ModeBank, path) -> None:
         *grid.dims,
         grid.spacing,
         len(bank),
-        _VARIANT_CODE[bank.variant],
+        int(m.mu is not None),
     )
     body = np.empty(len(bank), _body_dtype(grid))
     body["freq"] = bank.frequencies
@@ -151,10 +150,8 @@ def save_bank(bank: ModeBank, path) -> None:
     sidecar = {
         "format": "epsmodes-bank-sidecar",
         "version": VERSION,
-        "medium": descriptor_to_dict(desc),
-        "mu": descriptor_to_dict(bank.medium.mu_descriptor)
-        if bank.medium.mu_descriptor is not None
-        else None,
+        "medium": descriptor_to_dict(m.descriptor),
+        "mu": None if m.mu is None else descriptor_to_dict(m.mu_descriptor),
         "gram_defect": bank.gram_defect,
         "residuals": [float(r) for r in bank.residuals],
         "complete": bank.complete,
@@ -174,13 +171,11 @@ def load_bank(path) -> ModeBank:
         raise BankFileError(
             f"truncated header: {len(raw)} bytes, need {_HEADER.size}", offset=len(raw)
         )
-    magic, version, nx, ny, nz, spacing, n_modes, variant_code = _HEADER.unpack_from(raw)
+    magic, version, nx, ny, nz, spacing, n_modes, magnetic = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise BankFileError(f"bad magic {magic!r} at offset 0", offset=0)
     if version != VERSION:
         raise BankFileError(f"unsupported version {version} at offset 4", offset=4)
-    if variant_code not in _VARIANT_NAME:
-        raise BankFileError(f"unknown variant code {variant_code} at offset 32", offset=32)
     grid = Grid((nx, ny, nz), spacing)
     body_dtype = _body_dtype(grid)
     per_mode = body_dtype.itemsize
@@ -210,12 +205,17 @@ def load_bank(path) -> ModeBank:
             f"sidecar {sidecar_file} holds {residuals.size} residuals for "
             f"{n_modes} modes"
         )
+    if magnetic != int(mu_desc is not None):
+        raise BankFileError(
+            f"magnetic flag {magnetic} at offset 32 disagrees with sidecar mu "
+            f"{sidecar.get('mu')!r}",
+            offset=32,
+        )
     medium = build_profile(desc, grid, mu_desc)
 
     body = np.frombuffer(raw, body_dtype, count=n_modes, offset=_HEADER.size)
     return ModeBank(
         medium=medium,
-        variant=_VARIANT_NAME[variant_code],
         frequencies=np.array(body["freq"], dtype=np.float64),
         modes_g=np.array(body["g"].transpose(0, 1, 4, 3, 2), dtype=np.float64, order="C"),
         residuals=residuals,

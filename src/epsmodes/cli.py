@@ -41,7 +41,7 @@ CONFIG_SCHEMA = {
                     "minItems": 3,
                     "maxItems": 3,
                 },
-                "spacing": {"type": "number", "exclusiveMinimum": 0},
+                "spacing": {"$ref": "#/$defs/positive"},
             },
         },
         "medium": {"$ref": "#/$defs/descriptor"},
@@ -57,8 +57,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "poisson_tol": {"type": "number", "exclusiveMinimum": 0},
-                "eig_tol": {"type": "number", "exclusiveMinimum": 0},
+                "poisson_tol": {"$ref": "#/$defs/positive"},
+                "eig_tol": {"$ref": "#/$defs/positive"},
                 "max_iter": {"type": "integer", "minimum": 1},
             },
         },
@@ -67,7 +67,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "count": {"type": "integer", "minimum": 1},
-                "variant": {"enum": ["nonmagnetic", "magnetic"]},
                 "bank_out": {"type": "string"},
                 "bank_in": {"type": "string"},
             },
@@ -79,12 +78,7 @@ CONFIG_SCHEMA = {
                 "required": ["position", "levels", "dipoles"],
                 "additionalProperties": False,
                 "properties": {
-                    "position": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
+                    "position": {"$ref": "#/$defs/point"},
                     "levels": {
                         "type": "array",
                         "items": {"type": "number"},
@@ -103,16 +97,11 @@ CONFIG_SCHEMA = {
                                     "minItems": 2,
                                     "maxItems": 2,
                                 },
-                                "moment": {
-                                    "type": "array",
-                                    "items": {"type": "number"},
-                                    "minItems": 3,
-                                    "maxItems": 3,
-                                },
+                                "moment": {"$ref": "#/$defs/point"},
                             },
                         },
                     },
-                    "cavity_radius": {"type": "number", "exclusiveMinimum": 0},
+                    "cavity_radius": {"$ref": "#/$defs/positive"},
                 },
             },
         },
@@ -122,21 +111,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "omega_min": {"type": "number", "minimum": 0},
-                "omega_max": {"type": "number", "exclusiveMinimum": 0},
+                "omega_max": {"$ref": "#/$defs/positive"},
                 "count": {"type": "integer", "minimum": 2},
-                "position": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "orientation": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "eta": {"type": "number", "exclusiveMinimum": 0},
+                "position": {"$ref": "#/$defs/point"},
+                "orientation": {"$ref": "#/$defs/point"},
+                "eta": {"$ref": "#/$defs/positive"},
             },
         },
         "rate": {
@@ -150,7 +129,7 @@ CONFIG_SCHEMA = {
                     "minItems": 2,
                     "maxItems": 2,
                 },
-                "eta": {"type": "number", "exclusiveMinimum": 0},
+                "eta": {"$ref": "#/$defs/positive"},
                 "local_field": {"type": "boolean"},
                 # emission.local_field_grid spans n radius / 4 for n < 40, and
                 # the cavity factor needs a box of four radii: n >= 16
@@ -162,8 +141,8 @@ CONFIG_SCHEMA = {
             "required": ["eps_out", "radius"],
             "additionalProperties": False,
             "properties": {
-                "eps_out": {"type": "number", "exclusiveMinimum": 0},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
+                "eps_out": {"$ref": "#/$defs/positive"},
+                "radius": {"$ref": "#/$defs/positive"},
                 "grid": {
                     "type": "array",
                     "items": {"type": "integer", "minimum": 2},
@@ -176,9 +155,7 @@ CONFIG_SCHEMA = {
         "si": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "length_unit_m": {"type": "number", "exclusiveMinimum": 0}
-            },
+            "properties": {"length_unit_m": {"$ref": "#/$defs/positive"}},
         },
     },
     "$defs": {
@@ -283,11 +260,11 @@ def _write_json(path: Path, payload: dict):
     write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _write_csv(path: Path, rows, params: dict, columns=("omega", "value")):
+def _write_csv(path: Path, rows, params: dict):
     from .bankfile import write_atomic
 
     lines = [f"# {k}={params[k]}" for k in sorted(params)]
-    lines.append(",".join(columns))
+    lines.append("omega,value")
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
     write_atomic(path, ("\n".join(lines) + "\n").encode())
@@ -298,7 +275,6 @@ class _Runner:
         from .bankfile import descriptor_from_dict
         from .lattice import Grid
         from .medium import build_profile
-        from .modes import NONMAGNETIC
 
         self.config = config
         self.out_dir = out_dir
@@ -309,7 +285,6 @@ class _Runner:
         desc = descriptor_from_dict(config["medium"])
         mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
         self.medium = build_profile(desc, self.grid, mu_desc)
-        self.variant = config.get("modes", {}).get("variant", NONMAGNETIC)
         self.atoms = _atoms_from_config(config.get("atoms", []))
         solver = config.get("solver", {})
         self.poisson_tol = solver.get("poisson_tol", 1e-10)
@@ -353,7 +328,6 @@ class _Runner:
                 ("grid.spacing", bank.grid.spacing, self.grid.spacing),
                 ("medium", bank.medium.descriptor, self.medium.descriptor),
                 ("mu", bank.medium.mu_descriptor, self.medium.mu_descriptor),
-                ("modes.variant", bank.variant, self.variant),
             ):
                 if got != want:
                     raise ValueError(
@@ -368,7 +342,7 @@ class _Runner:
 
         cfg = self.config.get("modes", {})
         count = cfg.get("count", 12)
-        op = QOperator(self.medium, self.variant)
+        op = QOperator(self.medium)
 
         def stream(iteration, theta, rnorm):
             worst = float(rnorm[:count].max())
@@ -384,7 +358,7 @@ class _Runner:
             "frequencies": [float(w) for w in self.bank.frequencies],
             "gram_defect": self.bank.gram_defect,
             "max_residual": float(self.bank.residuals.max()),
-            "params": self._params(variant=self.variant),
+            "params": self._params(),
         }
         if self.si_length:
             scale = _SPEED_OF_LIGHT / self.si_length
@@ -544,8 +518,6 @@ class _Runner:
 
         bank = self._require_bank()
         cfg = self.config.get("rate", {})
-        if not self.atoms:
-            raise ValueError("rate task requires at least one atom")
         atom = self.atoms[cfg.get("atom", 0)]
         transition = tuple(cfg.get("transition", (1, 0)))
         eta = cfg.get("eta")

@@ -20,7 +20,7 @@ from .electrostatics import cavity_field_factor
 from .errors import BandCoverageError, FeasibilityError, ProfileError
 from .lattice import EDGE, Grid
 from .medium import Homogeneous, MediumProfile
-from .modes import ModeBank
+from .modes import DEGENERACY_RTOL, ModeBank
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class AtomSpec:
 
     def transition_frequency(self, k: int, kp: int) -> float:
         return self.levels[k] - self.levels[kp]
-
-    def dipole(self, k: int, kp: int) -> np.ndarray:
-        return self.dipoles[k, kp]
 
 
 def two_level_atom(position, omega0: float, dipole, cavity_radius=None) -> AtomSpec:
@@ -131,7 +128,7 @@ def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.nd
     eps factor cancels, leaving the mode functions h at the atom), not
     the electric or bare displacement field.
     """
-    mu = atom.dipole(k, kp)
+    mu = atom.dipoles[k, kp]
     proj = sample_mode_fields(bank, atom.position) @ mu
     return 0.5 * bank.frequencies * proj**2
 
@@ -141,21 +138,26 @@ def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
     return (eta / np.pi) / (x * x + eta * eta)
 
 
-def distinct_levels(frequencies: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+#: Distinct resonances nearest the transition whose mean spacing sets the
+#: default broadening.
+BROADENING_LEVELS = 6
+
+
+def distinct_levels(frequencies: np.ndarray) -> np.ndarray:
     """Resonance frequencies with degenerate clusters merged."""
     om = np.sort(np.asarray(frequencies))
     om = om[om > 0]
     if len(om) == 0:
         return om
     out = [om[0]]
-    tol = rtol * om[-1]
+    tol = DEGENERACY_RTOL * om[-1]
     for w in om[1:]:
         if w - out[-1] > tol:
             out.append(w)
     return np.asarray(out)
 
 
-def default_broadening(bank: ModeBank, omega0: float, levels: int = 6) -> float:
+def default_broadening(bank: ModeBank, omega0: float) -> float:
     """Three times the local mean spacing of distinct resonances.
 
     Degenerate clusters count as one resonance (their members carry no
@@ -166,7 +168,7 @@ def default_broadening(bank: ModeBank, omega0: float, levels: int = 6) -> float:
     lv = distinct_levels(bank.frequencies)
     if len(lv) < 2:
         raise FeasibilityError("bank too small to estimate a mode spacing")
-    nearest = np.sort(lv[np.argsort(np.abs(lv - omega0))[: min(levels, len(lv))]])
+    nearest = np.sort(lv[np.argsort(np.abs(lv - omega0))[:BROADENING_LEVELS]])
     spacing = float(np.mean(np.diff(nearest)))
     eta = 3.0 * spacing
     margin = min(omega0 - lv[0], lv[-1] - omega0)
@@ -214,7 +216,7 @@ def emission_rate(
         )
     weights = coupling_strengths(bank, atom, k, kp)
     rate = float(2 * np.pi * np.sum(weights * lorentzian(omega0 - om, eta)))
-    gamma0 = free_space_rate(omega0, atom.dipole(k, kp))
+    gamma0 = free_space_rate(omega0, atom.dipoles[k, kp])
     return EmissionReport(
         rate=rate,
         rate_free_space=gamma0,
@@ -256,7 +258,7 @@ def local_field_corrected_rate(
         raise ValueError("atom carries no cavity radius")
     k, kp = transition
     omega0 = atom.transition_frequency(k, kp)
-    gamma0 = free_space_rate(omega0, atom.dipole(k, kp))
+    gamma0 = free_space_rate(omega0, atom.dipoles[k, kp])
 
     if isinstance(bank_or_bulk_eps, ModeBank):
         bank = bank_or_bulk_eps

@@ -127,10 +127,6 @@ class VectorField:
             self, "values", _check_values(self.values, (3,) + self.grid.dims, "vector")
         )
 
-    @classmethod
-    def zeros(cls, grid: Grid, placement: str) -> "VectorField":
-        return cls(grid, placement, np.zeros((3,) + grid.dims))
-
 
 def _require_placement(field, placement: str, op: str):
     if field.placement != placement:

@@ -1,8 +1,8 @@
 """Hermitian mode eigenproblem for periodic inhomogeneous media.
 
 The operator applied here is ``Q g = S curl_t(w curl(S g))`` with
-``S = 1/sqrt(eps)`` on edges and ``w = 1`` (nonmagnetic) or ``w = 1/mu``
-on faces (magnetic variant).  Q is symmetric positive semidefinite under
+``S = 1/sqrt(eps)`` on edges and, on faces, ``w = 1/mu`` when the medium
+has a permeability, else 1.  Q is symmetric positive semidefinite under
 the plain volume-weighted inner product and its eigenvalues are squared
 mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
 const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
@@ -43,9 +43,6 @@ from .lattice import (
 )
 from .medium import MediumProfile
 
-NONMAGNETIC = "nonmagnetic"
-MAGNETIC = "magnetic"
-
 #: Relative eigenvalue below which a mode counts as zero-frequency.
 ZERO_EIGENVALUE_CUTOFF = 1e-10
 
@@ -74,18 +71,19 @@ DENSE_DOF_LIMIT = 4000
 
 @dataclass(frozen=True)
 class QOperator:
-    """Curl-curl operator ``Q = B^T B``; ``B = w^(1/2) curl S`` maps edges to faces."""
+    """Curl-curl operator ``Q = B^T B``; ``B = w^(1/2) curl S`` maps edges to faces.
+
+    ``w = 1/mu`` when the medium has a permeability, so the medium alone
+    decides whether the operator is magnetic.
+    """
 
     medium: MediumProfile
-    variant: str = NONMAGNETIC
     inv_sqrt_eps: np.ndarray = field(init=False, repr=False)
     sqrt_w: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.variant not in (NONMAGNETIC, MAGNETIC):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        mu = self.medium.mu
         object.__setattr__(self, "inv_sqrt_eps", 1.0 / np.sqrt(self.medium.eps))
-        mu = self.medium.mu if self.variant == MAGNETIC else None
         object.__setattr__(self, "sqrt_w", None if mu is None else 1.0 / np.sqrt(mu))
 
     @property
@@ -147,7 +145,6 @@ class ModeBank:
     """
 
     medium: MediumProfile
-    variant: str
     frequencies: np.ndarray          # (n,) ascending, >= 0
     modes_g: np.ndarray              # (n, 3, nx, ny, nz)
     residuals: np.ndarray            # per-mode wave-equation residuals
@@ -208,7 +205,7 @@ def mode_residual_report(bank: ModeBank) -> ResidualReport:
     if len(bank) == 0:
         raise ValueError("empty mode bank")
     gram_defect, residuals, div_defect = _bank_invariants(
-        QOperator(bank.medium, bank.variant), bank.frequencies, bank.modes_g,
+        QOperator(bank.medium), bank.frequencies, bank.modes_g,
         divergence=True,
     )
     matches = (
@@ -397,7 +394,7 @@ def solve_modes(
     FFT pair (:func:`_range_projector`), then orthonormalized once against
     ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
     and Gram-Schmidt and SVQB only form combinations of range vectors, which
-    holds for the oblique projector of the inhomogeneous-mu variant as well.
+    holds for the oblique projector of an inhomogeneous mu as well.
     Gram-Schmidt leaves a direction that lay numerically inside the current
     span as round-off that is not in the range; the column-norm pre-drop and
     the absolute SVQB floor of :func:`_orthonormalize` discard such
@@ -537,7 +534,6 @@ def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:
     gram_defect, residuals, _ = _bank_invariants(op, freqs, g)
     return ModeBank(
         medium=m,
-        variant=op.variant,
         frequencies=freqs,
         modes_g=g,
         residuals=residuals,

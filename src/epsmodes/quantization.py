@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FeasibilityError, GridMismatchError, IncompleteBankError, PlacementError
 from .lattice import EDGE, VectorField, curl_raw
-from .modes import DENSE_DOF_LIMIT, MAGNETIC, ModeBank
+from .modes import DENSE_DOF_LIMIT, ModeBank
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,7 @@ def hamiltonian_energy(bank: ModeBank, coeffs: ModeCoefficients) -> EnergySplit:
     pi = snap.conjugate_momentum.values
     electric = float(np.sum(pi * pi / m.eps)) * vol
     b = curl_raw(snap.vector_potential.values, m.grid.spacing)
-    if bank.variant == MAGNETIC and m.mu is not None:
-        magnetic = float(np.sum(b * b / m.mu)) * vol
-    else:
-        magnetic = float(np.sum(b * b)) * vol
+    magnetic = float(np.sum(b * b if m.mu is None else b * b / m.mu)) * vol
     integral = 0.5 * (electric + magnetic)
     spectral = 0.5 * float(np.sum(coeffs.p**2 + bank.frequencies**2 * coeffs.q**2))
     return EnergySplit(integral_form=integral, spectral_form=spectral)

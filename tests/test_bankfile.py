@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -27,7 +28,6 @@ def test_round_trip_bit_exact(bank, tmp_path):
     for i in range(len(bank)):
         assert np.array_equal(loaded.mode_h(i).values, bank.mode_h(i).values)
     assert loaded.grid == bank.grid
-    assert loaded.variant == bank.variant
     assert loaded.gram_defect == bank.gram_defect
     assert np.array_equal(loaded.residuals, bank.residuals)
 
@@ -73,6 +73,39 @@ def test_truncated_file_rejected(bank, tmp_path):
     path.write_bytes(raw[: len(raw) - 17])
     with pytest.raises(BankFileError):
         load_bank(path)
+
+
+@pytest.mark.parametrize("flag, mu", [(1, None), (0, {"kind": "homogeneous", "eps": 4.0})],
+                         ids=["flag-without-mu", "mu-without-flag"])
+def test_magnetic_flag_must_match_sidecar_mu(bank, tmp_path, flag, mu):
+    # a bank solved while mu was ignored carries flag 0 next to a sidecar mu
+    path = tmp_path / "bank.qmb"
+    save_bank(bank, path)
+    raw = bytearray(path.read_bytes())
+    raw[32] = flag
+    path.write_bytes(raw)
+    sidecar = path.with_name("bank.qmb.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "mu": mu}))
+    with pytest.raises(BankFileError) as err:
+        load_bank(path)
+    assert err.value.offset == 32
+    assert "offset 32" in str(err.value)
+
+
+def test_magnetic_bank_round_trip(tmp_path):
+    grid = Grid((4, 4, 4))
+    medium = build_profile(Homogeneous(1.0), grid, mu_desc=Homogeneous(4.0))
+    bank = solve_modes(QOperator(medium), 4, tol=1e-9)
+    path = tmp_path / "bank.qmb"
+    save_bank(bank, path)
+    assert path.read_bytes()[32] == 1
+    loaded = load_bank(path)
+    assert np.array_equal(loaded.medium.mu, medium.mu)
+    assert np.array_equal(loaded.frequencies, bank.frequencies)
+    # a mu array without a descriptor cannot be written back
+    bare = MediumProfile(grid, medium.eps, medium.mu, descriptor=medium.descriptor)
+    with pytest.raises(ProfileError):
+        save_bank(dataclasses.replace(bank, medium=bare), tmp_path / "bare.qmb")
 
 
 def test_missing_sidecar_rejected(bank, tmp_path):

@@ -279,6 +279,8 @@ class TestRun:
             ({"atoms": [{"position": [1, 1, 1], "levels": [0.0, 1.0],
                          "dipoles": [{"levels": [0, 2], "moment": [0, 0, 1]}]}]},
              EXIT_CONFIG, "atoms[0].dipoles[0].levels"),
+            ({"tasks": ["modes"], "modes": {"count": 4, "variant": "magnetic"}},
+             EXIT_CONFIG, "variant"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -287,7 +289,7 @@ class TestRun:
              "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16",
              "ldos-reversed-range", "ldos-zero-orientation", "ldos-position-outside-box",
              "atom-position-outside-box", "local-field-without-cavity-radius",
-             "local-field-sphere-host", "dipole-level-missing"],
+             "local-field-sphere-host", "dipole-level-missing", "modes-variant-removed"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -324,9 +326,8 @@ class TestRun:
             ({"grid": {"dims": [4, 4, 4], "spacing": 0.5}}, "grid.spacing"),
             ({"medium": {"kind": "homogeneous", "eps": 2.0}}, "medium"),
             ({"mu": {"kind": "homogeneous", "eps": 3.0}}, "mu"),
-            ({"modes": {"variant": "magnetic"}}, "modes.variant"),
         ],
-        ids=["grid-dims", "grid-spacing", "medium", "mu", "variant"],
+        ids=["grid-dims", "grid-spacing", "medium", "mu"],
     )
     def test_bank_in_must_match_config(self, tmp_path, capsys, overrides, field):
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
@@ -342,6 +343,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"bank's {field} " in err and "Traceback" not in err
         assert not (out / "verify.json").exists() and not (out / "ldos.csv").exists()
+
+    def test_mu_alone_makes_the_operator_magnetic(self, tmp_path):
+        # a homogeneous mu = 4 halves every frequency, like eps = 4
+        freqs = {}
+        for name, extra in (("plain", {}), ("mu", {"mu": {"kind": "homogeneous", "eps": 4.0}})):
+            cfg = base_config(grid={"dims": [6, 6, 6]}, tasks=["modes"], modes={"count": 6},
+                              solver={"eig_tol": 1e-10}, **extra)
+            out = tmp_path / name
+            assert run(write_config(tmp_path, cfg, f"{name}.json"), out) == EXIT_OK
+            freqs[name] = np.array(json.loads((out / "modes.json").read_text())["frequencies"])
+        assert np.abs(2 * freqs["mu"] - freqs["plain"]).max() <= 1e-9
 
     def test_stale_temp_path_does_not_block_writes(self, tmp_path):
         (tmp_path / "modes.json.tmp").mkdir()

@@ -37,7 +37,7 @@ class TestAtomSpec:
     def test_two_level_helper(self):
         atom = two_level_atom((1, 2, 3), 0.9, (0, 0, 0.5), cavity_radius=2.0)
         assert atom.transition_frequency(1, 0) == pytest.approx(0.9)
-        assert np.array_equal(atom.dipole(1, 0), atom.dipole(0, 1))
+        assert np.array_equal(atom.dipoles[1, 0], atom.dipoles[0, 1])
 
 
 def _corner_loop(values, grid, position):

@@ -26,7 +26,6 @@ from epsmodes.medium import (
 from epsmodes.modes import (
     DEGENERACY_RTOL,
     DENSE_DOF_LIMIT,
-    MAGNETIC,
     ModeBank,
     QOperator,
     _canonicalize_clusters,
@@ -175,7 +174,7 @@ class TestApplyQ:
         g = Grid((4, 5, 3))
         m = random_medium(g, rng)
         mu = 1.0 + rng.random((3,) + g.dims)
-        op = QOperator(MediumProfile(g, m.eps, mu), MAGNETIC)
+        op = QOperator(MediumProfile(g, m.eps, mu))
         v = rng.standard_normal((3,) + g.dims + (2,))
         y = rng.standard_normal((3,) + g.dims + (2,))
         assert np.array_equal(op.apply_raw(v), op.bt_raw(op.b_raw(v)))
@@ -215,11 +214,10 @@ class TestProjectTransverse:
         assert np.linalg.norm(d) <= 1e-9 * np.linalg.norm(once)
 
 
-def magnetic_sphere_medium(g):
-    return build_profile(
-        Sphere((3.0, 3.0, 3.0), 1.8, 5.0, 2.0), g,
-        mu_desc=Sphere((2.0, 3.0, 3.5), 2.0, 3.0, 1.0),
-    )
+def sphere_medium(g, magnetic=True):
+    """An eps sphere, with an offset mu sphere unless ``magnetic`` is false."""
+    mu_desc = Sphere((2.0, 3.0, 3.5), 2.0, 3.0, 1.0) if magnetic else None
+    return build_profile(Sphere((3.0, 3.0, 3.0), 1.8, 5.0, 2.0), g, mu_desc=mu_desc)
 
 
 class TestRangeProjector:
@@ -227,9 +225,10 @@ class TestRangeProjector:
 
     @pytest.fixture(params=["nonmagnetic", "magnetic"])
     def op(self, request):
-        m = magnetic_sphere_medium(Grid((6, 6, 6)))
-        assert m.mu.min() < m.mu.max()
-        return QOperator(m, request.param)
+        magnetic = request.param == "magnetic"
+        m = sphere_medium(Grid((6, 6, 6)), magnetic)
+        assert not magnetic or m.mu.min() < m.mu.max()
+        return QOperator(m)
 
     def sqrt_w(self, op):
         return 1.0 if op.sqrt_w is None else op.sqrt_w[..., None]
@@ -266,7 +265,7 @@ class TestRangeProjector:
     def test_shifted_map_is_preconditioner_then_projection(self, rng):
         # nonmagnetic: P_k commutes with the scalar shifted symbol, so the
         # fused map equals the Davidson FFT preconditioner followed by project
-        op = QOperator(magnetic_sphere_medium(Grid((6, 6, 6))))
+        op = QOperator(sphere_medium(Grid((6, 6, 6)), magnetic=False))
         project, sym = _range_projector(op)
         y = rng.standard_normal((3,) + op.grid.dims + (3,))
         shifts = np.array([0.05, 0.8, 3.0])
@@ -348,7 +347,7 @@ class TestSolveModes:
             (lambda: QOperator(build_profile(
                 SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1), 1.0))),
              16, 3e-7),
-            (lambda: QOperator(magnetic_sphere_medium(Grid((6, 6, 6), 1.0)), MAGNETIC),
+            (lambda: QOperator(sphere_medium(Grid((6, 6, 6), 1.0))),
              30, 1e-10),
         ],
         ids=["slab-64", "magnetic-sphere-6^3"],
@@ -364,7 +363,7 @@ class TestSolveModes:
 
     def test_inhomogeneous_mu_matches_dense_oracle(self):
         g = Grid((6, 6, 6), 1.0)
-        op = QOperator(magnetic_sphere_medium(g), MAGNETIC)
+        op = QOperator(sphere_medium(g))
         dense = dense_transverse_spectrum(op)
         bank = solve_modes(op, 30, tol=1e-10)
         ref = dense.frequencies[3:33]  # skip the three zero modes
@@ -473,7 +472,7 @@ class TestSolveModes:
         # runs before the one orthonormalization of each iteration
         g = Grid((12, 12, 12), 1.0)
         assert 3 * g.ncells > DENSE_DOF_LIMIT
-        bank = solve_modes(QOperator(magnetic_sphere_medium(g), MAGNETIC), 12, tol=1e-8)
+        bank = solve_modes(QOperator(sphere_medium(g)), 12, tol=1e-8)
         report = mode_residual_report(bank)
         assert report.gram_defect <= 1e-10
         assert report.residuals.max() <= 1e-6
@@ -552,12 +551,10 @@ class TestCompleteness:
 
     def test_magnetic_variant_with_unit_mu_matches(self, rng):
         g = Grid((4, 4, 4))
-        m = MediumProfile(
-            g, 1.0 + rng.random((3,) + g.dims), np.ones((3,) + g.dims)
-        )
+        eps = 1.0 + rng.random((3,) + g.dims)
         v = random_vector(g, rng)
-        plain = apply_q(QOperator(m, "nonmagnetic"), v)
-        magnetic = apply_q(QOperator(m, MAGNETIC), v)
+        plain = apply_q(QOperator(MediumProfile(g, eps, None)), v)
+        magnetic = apply_q(QOperator(MediumProfile(g, eps, np.ones((3,) + g.dims))), v)
         assert np.abs(plain.values - magnetic.values).max() <= 1e-13
 
     def test_magnetic_scaling(self):
@@ -566,7 +563,7 @@ class TestCompleteness:
         m_plain = build_profile(Homogeneous(1.0), g)
         m_mu = build_profile(Homogeneous(1.0), g, mu_desc=Homogeneous(4.0))
         b_plain = solve_modes(QOperator(m_plain), 12, tol=1e-10)
-        b_mu = solve_modes(QOperator(m_mu, MAGNETIC), 12, tol=1e-10)
+        b_mu = solve_modes(QOperator(m_mu), 12, tol=1e-10)
         assert np.abs(2 * b_mu.frequencies - b_plain.frequencies).max() <= 1e-9
 
 
@@ -576,7 +573,7 @@ class TestCompleteness:
         lambda m: dense_q_matrix(QOperator(m)),
         transverse_subspace_basis,
         lambda m: projector_matrix(ModeBank(
-            m, "nonmagnetic", np.zeros(1), np.zeros((1, 3) + m.grid.dims), np.zeros(1), 0.0)),
+            m, np.zeros(1), np.zeros((1, 3) + m.grid.dims), np.zeros(1), 0.0)),
     ],
     ids=["dense_q_matrix", "transverse_subspace_basis", "projector_matrix"],
 )
@@ -602,7 +599,6 @@ class TestResidualReport:
         bank = solve_modes(QOperator(build_profile(Homogeneous(1.0), g)), 6, tol=1e-10)
         bad = ModeBank(
             medium=bank.medium,
-            variant=bank.variant,
             frequencies=bank.frequencies,
             modes_g=bank.modes_g * np.where(np.arange(6) == 2, 2.0, 1.0)[:, None, None, None, None],
             residuals=bank.residuals,
@@ -619,7 +615,6 @@ class TestResidualReport:
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
         rotated = ModeBank(
             medium=bank.medium,
-            variant=bank.variant,
             frequencies=bank.frequencies,
             modes_g=np.tensordot(q.T, bank.modes_g, axes=(1, 0)),
             residuals=bank.residuals,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from epsmodes.electrostatics import helmholtz_decompose
 from epsmodes.lattice import EDGE, Grid, VectorField, div_raw
 from epsmodes.medium import Layer, SlabStack, Sphere, build_profile
-from epsmodes.modes import MAGNETIC, NONMAGNETIC, QOperator, _range_projector, solve_modes
+from epsmodes.modes import QOperator, _range_projector, solve_modes
 from epsmodes.quantization import TransverseProjector
 
 GRID = Grid((6, 6, 6))
@@ -31,7 +31,7 @@ def descriptors(draw):
 @given(desc=descriptors(), mu_desc=st.none() | descriptors(), seed=SEEDS)
 def test_range_projector_idempotent_property(desc, mu_desc, seed):
     m = build_profile(desc, GRID, mu_desc)
-    project, _ = _range_projector(QOperator(m, NONMAGNETIC if mu_desc is None else MAGNETIC))
+    project, _ = _range_projector(QOperator(m))
     y = np.random.default_rng(seed).standard_normal((3,) + GRID.dims + (2,))
     once = project(y)
     assert np.abs(project(once) - once).max() <= 1e-12 * np.abs(y).max()
