@@ -227,6 +227,96 @@ CONFIG_SCHEMA = {
     },
 }
 
+# the JSON Schema (draft 2020-12) keywords CONFIG_SCHEMA uses, all that
+# schema_error implements; "then" is read by "if", "$defs" by "$ref"
+SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum",
+    "minItems", "maxItems", "items", "required", "properties",
+    "additionalProperties", "$ref", "$defs", "allOf", "if", "then",
+})
+
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # a JSON integer literal: unlike draft 2020-12, 4.0 is not an integer,
+    # since the tasks index and size arrays with these values
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+# numeric bounds: the comparison that violates each, and its message
+_BOUNDS = {
+    "minimum": (lambda x, b: x < b, "is less than the minimum of"),
+    "maximum": (lambda x, b: x > b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda x, b: x <= b, "is less than or equal to the minimum of"),
+}
+
+
+def schema_error(instance, schema=CONFIG_SCHEMA, path="$"):
+    """The first violation of ``schema`` as ``(json_path, message)``, or None.
+
+    Paths and messages read as jsonschema's do (``$.atoms[0].position``,
+    ``'eps' is a required property``).  Keywords apply in the schema's
+    order, each only to the JSON types it constrains.
+    """
+    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
+    for key, value in schema.items():
+        message = None
+        children = ()  # the (instance, schema, path) triples the keyword descends into
+        if key == "type":
+            if not _JSON_TYPES[value](instance):
+                message = f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            if instance not in value:
+                message = f"{instance!r} is not one of {value!r}"
+        elif key == "const":
+            if instance != value:
+                message = f"{value!r} was expected"
+        elif key in _BOUNDS:
+            violates, text = _BOUNDS[key]
+            if _JSON_TYPES["number"](instance) and violates(instance, value):
+                message = f"{instance!r} {text} {value!r}"
+        elif key == "minItems":
+            if is_array and len(instance) < value:
+                short = "should be non-empty" if value == 1 else "is too short"
+                message = f"{instance!r} {short}"
+        elif key == "maxItems":
+            if is_array and len(instance) > value:
+                message = f"{instance!r} is too long"
+        elif key == "required":
+            missing = [name for name in value if name not in instance] if is_object else []
+            if missing:
+                message = f"{missing[0]!r} is a required property"
+        elif key == "additionalProperties":
+            # CONFIG_SCHEMA uses only additionalProperties: false
+            known = schema.get("properties", {})
+            extras = sorted((k for k in instance if k not in known), key=str) if is_object else []
+            if extras:
+                names = ", ".join(repr(name) for name in extras)
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "properties" and is_object:
+            children = [(instance[name], sub, f"{path}.{name}")
+                        for name, sub in value.items() if name in instance]
+        elif key == "items" and is_array:
+            children = [(item, value, f"{path}[{i}]") for i, item in enumerate(instance)]
+        elif key == "allOf":
+            children = [(instance, sub, path) for sub in value]
+        elif key == "if" and "then" in schema and schema_error(instance, value) is None:
+            children = [(instance, schema["then"], path)]
+        elif key == "$ref":
+            children = [(instance, CONFIG_SCHEMA["$defs"][value.removeprefix("#/$defs/")], path)]
+        if message is not None:
+            return path, message
+        for child in children:
+            error = schema_error(*child)
+            if error is not None:
+                return error
+    return None
+
+
 _SPEED_OF_LIGHT = 299792458.0
 
 
@@ -583,16 +673,11 @@ def _physical_memory() -> int | None:
 
 def validate_config(config: dict):
     """Schema plus feasibility checks; raises ConfigError on violation."""
-    import jsonschema
-
     from .errors import ConfigError
 
-    # CONFIG_SCHEMA is a constant whose own validity the tests check, so a
-    # run validates only the config (checking the schema took most of the time)
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    error = schema_error(config)
     if error is not None:
-        raise ConfigError(f"config schema violation at {error.json_path}: {error.message}")
+        raise ConfigError(f"config schema violation at {error[0]}: {error[1]}")
 
     spacing = config["grid"].get("spacing", 1.0)
     # the lattice divides by spacing^2 and weighs sums by the cell volume
@@ -613,13 +698,18 @@ def validate_config(config: dict):
 
         n = config["rate"].get("factor_grid", LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
-    for name, dims in grids:
-        field_bytes = 3 * 8 * dims[0] * dims[1] * dims[2]
-        if memory is not None and field_bytes > memory:
+    arrays = [(name, dims, 3 * 8 * dims[0] * dims[1] * dims[2],
+               "one three-component float64 field") for name, dims in grids]
+    if "ldos" in config:
+        # emission.ldos_spectrum's (count, modes) Lorentzian matrix
+        count, modes = config["ldos"]["count"], config.get("modes", {}).get("count", 12)
+        arrays.append(("ldos.count", count, 8 * count * modes,
+                       f"the ({count}, {modes}) float64 Lorentzian matrix of the spectrum"))
+    for name, value, nbytes, what in arrays:
+        if memory is not None and nbytes > memory:
             raise ConfigError(
-                f"{name}={dims}: one three-component float64 field takes "
-                f"{field_bytes / 2**30:.3g} GiB, more than the {memory / 2**30:.3g} GiB "
-                "of physical memory"
+                f"{name}={value}: {what} takes {nbytes / 2**30:.3g} GiB, "
+                f"more than the {memory / 2**30:.3g} GiB of physical memory"
             )
 
     dims = config["grid"]["dims"]

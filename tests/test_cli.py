@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,15 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import epsmodes
 from epsmodes.cli import (
+    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SOLVER,
+    SCHEMA_KEYWORDS,
     main,
     run,
+    schema_error,
     validate_config,
 )
 from epsmodes.errors import ConfigError
@@ -37,6 +43,118 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
+def _reference_validator():
+    """jsonschema's draft 2020-12 validator with the walker's integer: no 4.0."""
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    return jsonschema.validators.extend(base, type_checker=checker)(CONFIG_SCHEMA)
+
+
+KINDS = ["homogeneous", "slab-stack", "sphere", "empty-cavity"]
+POSITIVE = st.floats(0.1, 10.0)
+POINT = st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3)
+
+
+def descriptors(kinds=KINDS):
+    return st.sampled_from(kinds).flatmap(lambda kind: st.fixed_dictionaries({
+        "homogeneous": {"eps": POSITIVE},
+        "slab-stack": {"layers": st.lists(st.fixed_dictionaries(
+            {"thickness": POSITIVE, "eps": POSITIVE}), min_size=1, max_size=2)},
+        "sphere": {"center": POINT, "radius": POSITIVE, "eps_in": POSITIVE,
+                   "eps_out": POSITIVE},
+        "empty-cavity": {"host": descriptors(KINDS[:3]),
+                         "centers": st.lists(POINT, max_size=2), "radius": POSITIVE},
+    }[kind], optional={"axis": st.integers(0, 2)} if kind == "slab-stack" else None
+    ).map(lambda d: {"kind": kind, **d}))
+
+
+def valid_configs():
+    count = st.integers(1, 20)
+    atom = st.fixed_dictionaries(
+        {"position": POINT, "levels": st.lists(st.floats(0.0, 2.0), min_size=2, max_size=3),
+         "dipoles": st.lists(st.fixed_dictionaries(
+             {"levels": st.lists(st.integers(0, 1), min_size=2, max_size=2),
+              "moment": POINT}), max_size=2)},
+        optional={"cavity_radius": POSITIVE})
+    return st.fixed_dictionaries(
+        {"grid": st.fixed_dictionaries(
+            {"dims": st.lists(st.integers(1, 8), min_size=3, max_size=3)},
+            optional={"spacing": POSITIVE}),
+         "medium": descriptors(),
+         "tasks": st.lists(st.sampled_from(
+             ["decompose", "modes", "verify", "ldos", "rate", "cavity-factor"]),
+             min_size=1, max_size=3)},
+        optional={
+            "mu": descriptors(),
+            "solver": st.fixed_dictionaries({}, optional={
+                "poisson_tol": POSITIVE, "eig_tol": POSITIVE, "max_iter": count}),
+            "modes": st.fixed_dictionaries({}, optional={
+                "count": count, "bank_out": st.just("bank.qmb"), "bank_in": st.just("b.qmb")}),
+            "atoms": st.lists(atom, max_size=2),
+            "ldos": st.fixed_dictionaries(
+                {"omega_min": st.floats(0.0, 1.0), "omega_max": POSITIVE,
+                 "count": st.integers(2, 50)},
+                optional={"position": POINT, "orientation": POINT, "eta": POSITIVE}),
+            "rate": st.fixed_dictionaries({}, optional={
+                "atom": st.integers(0, 1),
+                "transition": st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                "eta": POSITIVE, "local_field": st.booleans(),
+                "factor_grid": st.integers(16, 64)}),
+            "cavity_factor": st.fixed_dictionaries(
+                {"eps_out": POSITIVE, "radius": POSITIVE},
+                optional={"grid": st.lists(st.integers(2, 16), min_size=3, max_size=3)}),
+            "seed": st.integers(0, 100),
+            "si": st.fixed_dictionaries({"length_unit_m": POSITIVE}),
+        })
+
+
+def _nodes(node):
+    """Every (container, key, value) below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key, value
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config and mutants of it: a wrong type, a missing key, an
+    extra key, three numbers at or just outside a bound, a wrong medium
+    kind and a float where an integer goes."""
+    valid = draw(valid_configs())
+    configs = [valid]
+    for mutation in ("type", "missing", "extra", "range", "range", "range", "kind", "float"):
+        config = copy.deepcopy(valid)
+        nodes = list(_nodes(config))
+        numbers = [n for n in nodes if type(n[2]) in (int, float)]
+        integers = [n for n in nodes if type(n[2]) is int]
+        if mutation == "type":
+            parent, key, _ = draw(st.sampled_from(nodes))
+            parent[key] = draw(st.sampled_from(["4", 1.5, None, [], {}, True]))
+        elif mutation == "missing":
+            parent, key, _ = draw(st.sampled_from(nodes))
+            del parent[key]
+        elif mutation == "extra":
+            dicts = [config] + [n[2] for n in nodes if isinstance(n[2], dict)]
+            draw(st.sampled_from(dicts))["extra"] = 1
+        elif mutation == "range" and numbers:
+            # just past or at each bound of the schema: minimum 0, 1, 2 or 16,
+            # exclusiveMinimum 0, maximum 2
+            parent, key, _ = draw(st.sampled_from(numbers))
+            parent[key] = draw(st.sampled_from([-1, -0.5, 0, 1, 3, 15]))
+        elif mutation == "kind":
+            config["medium"]["kind"] = draw(st.sampled_from(KINDS + ["cube"]))
+        elif mutation == "float" and integers:
+            parent, key, value = draw(st.sampled_from(integers))
+            parent[key] = float(value)
+        configs.append(config)
+    return configs
+
+
 class TestValidation:
     def test_good_config_passes(self):
         validate_config(base_config())
@@ -45,9 +163,42 @@ class TestValidation:
         # runs validate configs against the schema without checking it
         import jsonschema
 
-        from epsmodes.cli import CONFIG_SCHEMA
-
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    def test_schema_uses_only_walked_keywords(self):
+        # a keyword schema_error does not implement would be ignored silently
+        def walk(schema, where):
+            for key, value in schema.items():
+                assert key in SCHEMA_KEYWORDS, f"{where}: schema_error ignores {key!r}"
+                if key in ("properties", "$defs"):
+                    for name, sub in value.items():
+                        walk(sub, f"{where}.{key}.{name}")
+                elif key == "allOf":
+                    for i, sub in enumerate(value):
+                        walk(sub, f"{where}.allOf[{i}]")
+                elif key in ("items", "if", "then"):
+                    walk(value, f"{where}.{key}")
+                elif key == "type":
+                    assert value in ("object", "array", "string", "boolean", "integer",
+                                     "number"), f"{where}: type {value!r}"
+                elif key == "additionalProperties":
+                    assert value is False, f"{where}: only additionalProperties false is walked"
+                elif key == "$ref":
+                    assert value.startswith("#/$defs/"), f"{where}: $ref {value!r}"
+                    assert value.removeprefix("#/$defs/") in CONFIG_SCHEMA["$defs"]
+
+        walk(CONFIG_SCHEMA, "$")
+
+    @settings(max_examples=20, deadline=None)
+    @given(configs=mutated_configs())
+    def test_walker_agrees_with_jsonschema(self, configs):
+        validator = _reference_validator()
+        for config in configs:
+            errors = {(e.json_path, e.message) for e in validator.iter_errors(config)}
+            found = schema_error(config)
+            assert (found is None) == (not errors), (config, found, errors)
+            # the walker reports one of the violations, where and as jsonschema does
+            assert found is None or found in errors, (config, found, errors)
 
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError):
@@ -281,6 +432,17 @@ class TestRun:
              EXIT_CONFIG, "atoms[0].dipoles[0].levels"),
             ({"tasks": ["modes"], "modes": {"count": 4, "variant": "magnetic"}},
              EXIT_CONFIG, "variant"),
+            ({"tasks": ["modes"], "modes": {"count": 4.0}}, EXIT_CONFIG, "$.modes.count"),
+            ({"tasks": ["modes", "rate"], "rate": {"atom": 0.0}}, EXIT_CONFIG, "$.rate.atom"),
+            ({"tasks": ["modes", "rate"], "rate": {"transition": [1.0, 0]}},
+             EXIT_CONFIG, "$.rate.transition[0]"),
+            ({"tasks": ["modes"], "solver": {"max_iter": 50.0}}, EXIT_CONFIG, "$.solver.max_iter"),
+            ({"atoms": [{"position": [1, 1, 1], "levels": [0.0, 1.0],
+                         "dipoles": [{"levels": [0.0, 1], "moment": [0, 0, 1]}]}]},
+             EXIT_CONFIG, "$.atoms[0].dipoles[0].levels[0]"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 10**12, "eta": 0.05}},
+             EXIT_CONFIG, "ldos.count"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -289,7 +451,9 @@ class TestRun:
              "factor-grid-beyond-memory", "transition-level-missing", "factor-grid-below-16",
              "ldos-reversed-range", "ldos-zero-orientation", "ldos-position-outside-box",
              "atom-position-outside-box", "local-field-without-cavity-radius",
-             "local-field-sphere-host", "dipole-level-missing", "modes-variant-removed"],
+             "local-field-sphere-host", "dipole-level-missing", "modes-variant-removed",
+             "float-modes-count", "float-rate-atom", "float-rate-transition",
+             "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -379,7 +543,7 @@ class TestRun:
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # every task runs on numpy alone; scipy is a test-only dependency
+    # every task runs on numpy alone; scipy and jsonschema are test-only dependencies
     cfg = base_config(
         grid={"dims": [6, 6, 6]},
         medium={"kind": "sphere", "center": [3, 3, 3], "radius": 1.5,
@@ -400,12 +564,14 @@ def test_runtime_does_not_import_scipy(tmp_path):
         f"code = main(['--config', {str(path)!r}, '--out-dir', {str(tmp_path)!r},"
         " '--verbosity', '0'])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))\n"
     )
     src = str(Path(epsmodes.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_OK), "[]"], proc.stderr
+    # nor is jsonschema: cli.schema_error validates the config
+    assert proc.stdout.split() == [str(EXIT_OK), "[]", "[]"], proc.stderr
 
 
 def test_main_argparse(tmp_path, capsys):
