@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration/schema error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -141,7 +142,7 @@ CONFIG_SCHEMA = {
             "required": ["eps_out", "radius"],
             "additionalProperties": False,
             "properties": {
-                "eps_out": {"$ref": "#/$defs/positive"},
+                "eps_out": {"$ref": "#/$defs/permittivity"},
                 "radius": {"$ref": "#/$defs/positive"},
                 "grid": {
                     "type": "array",
@@ -160,6 +161,9 @@ CONFIG_SCHEMA = {
     },
     "$defs": {
         "positive": {"type": "number", "exclusiveMinimum": 0},
+        # a relative permittivity or permeability: from 1e8 on, a correct bank's
+        # weighted divergence fails verify's 1e-8, and far above the frequencies err
+        "permittivity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e6},
         "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
         # the kind selects one schema below; each names its required keys
         # and lists "kind" itself, so that additionalProperties admits it
@@ -180,7 +184,7 @@ CONFIG_SCHEMA = {
         "homogeneous": {
             "required": ["eps"],
             "additionalProperties": False,
-            "properties": {"kind": {}, "eps": {"$ref": "#/$defs/positive"}},
+            "properties": {"kind": {}, "eps": {"$ref": "#/$defs/permittivity"}},
         },
         "slab-stack": {
             "required": ["layers"],
@@ -197,7 +201,7 @@ CONFIG_SCHEMA = {
                         "additionalProperties": False,
                         "properties": {
                             "thickness": {"$ref": "#/$defs/positive"},
-                            "eps": {"$ref": "#/$defs/positive"},
+                            "eps": {"$ref": "#/$defs/permittivity"},
                         },
                     },
                 },
@@ -210,8 +214,8 @@ CONFIG_SCHEMA = {
                 "kind": {},
                 "center": {"$ref": "#/$defs/point"},
                 "radius": {"$ref": "#/$defs/positive"},
-                "eps_in": {"$ref": "#/$defs/positive"},
-                "eps_out": {"$ref": "#/$defs/positive"},
+                "eps_in": {"$ref": "#/$defs/permittivity"},
+                "eps_out": {"$ref": "#/$defs/permittivity"},
             },
         },
         "empty-cavity": {
@@ -320,30 +324,6 @@ def schema_error(instance, schema=CONFIG_SCHEMA, path="$"):
 _SPEED_OF_LIGHT = 299792458.0
 
 
-def _atoms_from_config(entries):
-    import numpy as np
-
-    from .emission import AtomSpec
-
-    atoms = []
-    for entry in entries:
-        nlev = len(entry["levels"])
-        dip = np.zeros((nlev, nlev, 3))
-        for d in entry["dipoles"]:
-            k, kp = d["levels"]
-            dip[k, kp] = d["moment"]
-            dip[kp, k] = d["moment"]
-        atoms.append(
-            AtomSpec(
-                position=tuple(entry["position"]),
-                levels=tuple(entry["levels"]),
-                dipoles=dip,
-                cavity_radius=entry.get("cavity_radius"),
-            )
-        )
-    return atoms
-
-
 def _write_json(path: Path, payload: dict):
     from .bankfile import write_atomic
 
@@ -361,27 +341,42 @@ def _write_csv(path: Path, rows, params: dict):
 
 
 class _Runner:
+    """Runs the tasks of ``config``, the resolved run ``validate_config`` returns."""
+
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
+        import numpy as np
+
         from .bankfile import descriptor_from_dict
+        from .emission import AtomSpec
         from .lattice import Grid
         from .medium import build_profile
 
         self.config = config
         self.out_dir = out_dir
         self.verbosity = verbosity
-        self.seed = int(config.get("seed", 0))
-        grid_cfg = config["grid"]
-        self.grid = Grid(tuple(grid_cfg["dims"]), grid_cfg.get("spacing", 1.0))
+        self.seed = config["seed"]
+        self.grid = Grid(tuple(config["grid"]["dims"]), config["grid"]["spacing"])
         desc = descriptor_from_dict(config["medium"])
         mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
         self.medium = build_profile(desc, self.grid, mu_desc)
-        self.atoms = _atoms_from_config(config.get("atoms", []))
-        solver = config.get("solver", {})
-        self.poisson_tol = solver.get("poisson_tol", 1e-10)
-        self.eig_tol = solver.get("eig_tol", 1e-8)
-        self.max_iter = solver.get("max_iter", 1000)
+        self.atoms = []
+        for entry in config["atoms"]:
+            nlev = len(entry["levels"])
+            dip = np.zeros((nlev, nlev, 3))
+            for d in entry["dipoles"]:
+                k, kp = d["levels"]
+                dip[k, kp] = dip[kp, k] = d["moment"]
+            self.atoms.append(
+                AtomSpec(entry["position"], entry["levels"], dip, entry["cavity_radius"])
+            )
+        solver = config["solver"]
+        self.poisson_tol = solver["poisson_tol"]
+        self.eig_tol = solver["eig_tol"]
+        self.max_iter = solver["max_iter"]
+        length = config["si"]["length_unit_m"]
+        # natural-unit frequencies and rates times this give rad/s and 1/s
+        self.si_scale = _SPEED_OF_LIGHT / length if length else None
         self.bank = None
-        self.si_length = config.get("si", {}).get("length_unit_m")
 
     def log(self, msg: str, level: int = 1):
         if self.verbosity >= level:
@@ -398,7 +393,7 @@ class _Runner:
 
     def _require_bank(self):
         if self.bank is None:
-            bank_in = self.config.get("modes", {}).get("bank_in")
+            bank_in = self.config["modes"]["bank_in"]
             if not bank_in:
                 raise ValueError(
                     "task needs a mode bank: run the 'modes' task first or set modes.bank_in"
@@ -430,8 +425,8 @@ class _Runner:
     def task_modes(self):
         from .modes import QOperator, solve_modes
 
-        cfg = self.config.get("modes", {})
-        count = cfg.get("count", 12)
+        cfg = self.config["modes"]
+        count = cfg["count"]
         op = QOperator(self.medium)
 
         def stream(iteration, theta, rnorm):
@@ -450,12 +445,11 @@ class _Runner:
             "max_residual": float(self.bank.residuals.max()),
             "params": self._params(),
         }
-        if self.si_length:
-            scale = _SPEED_OF_LIGHT / self.si_length
+        if self.si_scale:
             payload["frequencies_si_rad_per_s"] = [
-                float(w) * scale for w in self.bank.frequencies
+                float(w) * self.si_scale for w in self.bank.frequencies
             ]
-        bank_out = cfg.get("bank_out")
+        bank_out = cfg["bank_out"]
         if bank_out:
             from .bankfile import save_bank
 
@@ -500,20 +494,10 @@ class _Runner:
         import numpy as np
 
         from .electrostatics import helmholtz_decompose
-        from .lattice import (
-            EDGE,
-            FACE,
-            ScalarField,
-            VectorField,
-            curl,
-            curl_t,
-            div,
-            grad,
-            inner,
-        )
-        from .modes import mode_residual_report
+        from .lattice import EDGE, FACE, ScalarField, VectorField, curl, curl_t, div, grad, inner
+        from .modes import STORED_MATCH_TOL, mode_residual_report
 
-        if self.bank is None and self.config.get("modes", {}).get("bank_in"):
+        if self.bank is None and self.config["modes"]["bank_in"]:
             self._require_bank()
 
         rng = np.random.default_rng(self.seed)
@@ -551,6 +535,8 @@ class _Runner:
             checks["bank_gram_defect"] = (report.gram_defect, 1e-8)
             checks["bank_max_residual"] = (float(report.residuals.max()), 1e-6)
             checks["bank_weighted_divergence"] = (report.max_weighted_divergence, 1e-8)
+            # the Gram defect and residuals the bank (or its sidecar) claims
+            checks["bank_stored_metadata"] = (report.stored_mismatch, STORED_MATCH_TOL)
 
         results = {
             name: {"value": value, "tolerance": tol, "pass": bool(value <= tol)}
@@ -579,14 +565,7 @@ class _Runner:
         bank = self._require_bank()
         cfg = self.config["ldos"]
         omegas = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
-        position = cfg.get("position")
-        if position is None:
-            if self.atoms:
-                position = self.atoms[0].position
-            else:
-                position = tuple(l / 2 for l in self.grid.lengths)
-        orientation = cfg.get("orientation", [0.0, 0.0, 1.0])
-        eta = cfg.get("eta")
+        position, orientation, eta = cfg["position"], cfg["orientation"], cfg["eta"]
         if eta is None:
             eta = default_broadening(bank, float(np.median(omegas)))
         om, values = ldos_spectrum(bank, position, orientation, omegas, eta)
@@ -599,22 +578,15 @@ class _Runner:
         self.log(f"ldos: {len(om)} samples, eta={eta:.3e}")
 
     def task_rate(self):
-        from .emission import (
-            LOCAL_FIELD_CELLS,
-            emission_rate,
-            local_field_corrected_rate,
-            local_field_grid,
-        )
+        from .emission import emission_rate, local_field_corrected_rate, local_field_grid
 
         bank = self._require_bank()
-        cfg = self.config.get("rate", {})
-        atom = self.atoms[cfg.get("atom", 0)]
-        transition = tuple(cfg.get("transition", (1, 0)))
-        eta = cfg.get("eta")
-        if cfg.get("local_field"):
-            factor_grid = local_field_grid(
-                atom.cavity_radius, cfg.get("factor_grid", LOCAL_FIELD_CELLS)
-            )
+        cfg = self.config["rate"]
+        atom = self.atoms[cfg["atom"]]
+        transition = tuple(cfg["transition"])
+        eta = cfg["eta"]
+        if cfg["local_field"]:
+            factor_grid = local_field_grid(atom.cavity_radius, cfg["factor_grid"])
             report = local_field_corrected_rate(
                 bank, atom, transition, eta,
                 factor_grid=factor_grid, factor_tol=self.poisson_tol,
@@ -630,12 +602,11 @@ class _Runner:
             "params": self._params(
                 eta=report.eta,
                 transition=list(transition),
-                atom=cfg.get("atom", 0),
+                atom=cfg["atom"],
             ),
         }
-        if self.si_length:
-            scale = _SPEED_OF_LIGHT / self.si_length
-            payload["rate_si_per_s"] = report.rate * scale
+        if self.si_scale:
+            payload["rate_si_per_s"] = report.rate * self.si_scale
         _write_json(self.out_dir / "rate.json", payload)
         self.log(f"rate: ratio {report.ratio:.4f} (eta={report.eta:.3e})")
 
@@ -644,7 +615,7 @@ class _Runner:
         from .lattice import Grid
 
         cfg = self.config["cavity_factor"]
-        dims = cfg.get("grid", list(self.grid.dims))
+        dims = cfg["grid"]
         grid = Grid(tuple(dims), self.grid.spacing)
         factor = cavity_field_factor(
             cfg["eps_out"], grid, cfg["radius"], tol=self.poisson_tol
@@ -671,15 +642,37 @@ def _physical_memory() -> int | None:
         return None
 
 
-def validate_config(config: dict):
-    """Schema plus feasibility checks; raises ConfigError on violation."""
+def validate_config(config: dict) -> dict:
+    """The run ``config`` describes, or ConfigError on a fault.
+
+    The run is a deep copy of ``config`` with every optional key's default
+    filled in; ``config`` itself is left as it is.  The schema is checked
+    first, then each feasibility check on the resolved value its task uses.
+    """
     from .errors import ConfigError
 
     error = schema_error(config)
     if error is not None:
         raise ConfigError(f"config schema violation at {error[0]}: {error[1]}")
 
-    spacing = config["grid"].get("spacing", 1.0)
+    resolved = copy.deepcopy(config)
+    # the default of each optional key; None where the key's absence means
+    # "none": no bank file, the default broadening, no cavity, no SI fields
+    resolved.setdefault("seed", 0)
+    for section, defaults in (
+        ("grid", {"spacing": 1.0}),
+        ("solver", {"poisson_tol": 1e-10, "eig_tol": 1e-8, "max_iter": 1000}),
+        ("modes", {"count": 12, "bank_in": None, "bank_out": None}),
+        ("rate", {"atom": 0, "transition": [1, 0], "eta": None, "local_field": False}),
+        ("si", {"length_unit_m": None}),
+    ):
+        resolved[section] = {**defaults, **resolved.get(section, {})}
+    atoms = resolved.setdefault("atoms", [])
+    for entry in atoms:
+        entry.setdefault("cavity_radius", None)
+    dims, spacing = resolved["grid"]["dims"], resolved["grid"]["spacing"]
+    rate, tasks = resolved["rate"], resolved["tasks"]
+
     # the lattice divides by spacing^2 and weighs sums by the cell volume
     # spacing^3; both must be finite and nonzero in float64
     scales = (1.0 / spacing / spacing, spacing * spacing * spacing)
@@ -690,21 +683,23 @@ def validate_config(config: dict):
         )
     memory = _physical_memory()
     # every grid a task samples fields on, checked before any is allocated
-    grids = [("grid.dims", config["grid"]["dims"])]
-    if "grid" in config.get("cavity_factor", {}):
-        grids.append(("cavity_factor.grid", config["cavity_factor"]["grid"]))
-    if config.get("rate", {}).get("local_field"):
+    grids = [("grid.dims", dims)]
+    if "cavity_factor" in resolved:
+        cavity_grid = resolved["cavity_factor"].setdefault("grid", list(dims))
+        grids.append(("cavity_factor.grid", cavity_grid))
+    if rate["local_field"]:
         from .emission import LOCAL_FIELD_CELLS
 
-        n = config["rate"].get("factor_grid", LOCAL_FIELD_CELLS)
+        n = rate.setdefault("factor_grid", LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
-    arrays = [(name, dims, 3 * 8 * dims[0] * dims[1] * dims[2],
-               "one three-component float64 field") for name, dims in grids]
-    if "ldos" in config:
+    arrays = [(name, g, 3 * 8 * g[0] * g[1] * g[2],
+               "one three-component float64 field") for name, g in grids]
+    count = resolved["modes"]["count"]
+    if "ldos" in resolved:
         # emission.ldos_spectrum's (count, modes) Lorentzian matrix
-        count, modes = config["ldos"]["count"], config.get("modes", {}).get("count", 12)
-        arrays.append(("ldos.count", count, 8 * count * modes,
-                       f"the ({count}, {modes}) float64 Lorentzian matrix of the spectrum"))
+        n = resolved["ldos"]["count"]
+        arrays.append(("ldos.count", n, 8 * n * count,
+                       f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum"))
     for name, value, nbytes, what in arrays:
         if memory is not None and nbytes > memory:
             raise ConfigError(
@@ -712,19 +707,16 @@ def validate_config(config: dict):
                 f"more than the {memory / 2**30:.3g} GiB of physical memory"
             )
 
-    dims = config["grid"]["dims"]
     ncells = dims[0] * dims[1] * dims[2]
-    count = config.get("modes", {}).get("count", 12)
-    if "modes" in config.get("tasks", []) and count > 2 * ncells - 2:
+    if "modes" in tasks and count > 2 * ncells - 2:
         raise ConfigError(
             f"modes.count={count} exceeds the transverse subspace "
             f"({2 * ncells - 2} nonzero modes on a {dims} grid)"
         )
-    for task in config["tasks"]:
+    for task in tasks:
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)
-        if key and key not in config:
+        if key and key not in resolved:
             raise ConfigError(f"task {task!r} needs a {key!r} config section")
-    atoms = config.get("atoms", [])
     for i, entry in enumerate(atoms):
         nlev = len(entry["levels"])
         for j, dipole in enumerate(entry["dipoles"]):
@@ -733,9 +725,10 @@ def validate_config(config: dict):
                     f"atoms[{i}].dipoles[{j}].levels={dipole['levels']} names a level "
                     f"that atom {i} ({nlev} levels) lacks"
                 )
-    # the ldos and rate tasks sample fields at points in the periodic box,
-    # whose side lengths are computed as Grid.lengths computes them
-    lengths = [n * spacing for n in dims]
+    # the ldos and rate tasks sample fields at points in the periodic box
+    from .lattice import Grid
+
+    lengths = list(Grid(tuple(dims), spacing).lengths)
 
     def check_position(name, position):
         if not all(0.0 <= x < length for x, length in zip(position, lengths)):
@@ -744,44 +737,58 @@ def validate_config(config: dict):
             )
 
     # the LDOS faults ldos_spectrum would raise, caught before the mode solve
-    ldos = config.get("ldos")
+    ldos = resolved.get("ldos")
     if ldos is not None:
         if ldos["omega_min"] >= ldos["omega_max"]:
             raise ConfigError(
                 f"ldos.omega_min={ldos['omega_min']!r} must be below "
                 f"ldos.omega_max={ldos['omega_max']!r}"
             )
-        orientation = ldos.get("orientation", [0.0, 0.0, 1.0])
+        ldos.setdefault("eta", None)
+        orientation = ldos.setdefault("orientation", [0.0, 0.0, 1.0])
         if sum(v * v for v in orientation) == 0:
             raise ConfigError(f"ldos.orientation={orientation} must be a nonzero vector")
+        # the probe defaults to the first atom, in floats as AtomSpec holds
+        # its position, or else to the center of the box
         if "position" in ldos:
             check_position("ldos.position", ldos["position"])
-        elif "ldos" in config["tasks"] and atoms:
-            check_position("atoms[0].position", atoms[0]["position"])
-    if "rate" in config["tasks"]:
+        elif atoms:
+            if "ldos" in tasks:
+                check_position("atoms[0].position", atoms[0]["position"])
+            ldos["position"] = [float(x) for x in atoms[0]["position"]]
+        else:
+            ldos["position"] = [length / 2 for length in lengths]
+    if "rate" in tasks:
         if not atoms:
             raise ConfigError("task 'rate' needs a nonempty 'atoms' list")
-        rate = config.get("rate", {})
-        atom = rate.get("atom", 0)
+        atom = rate["atom"]
         if atom >= len(atoms):
             raise ConfigError(f"rate.atom={atom} is out of range for {len(atoms)} atoms")
         check_position(f"atoms[{atom}].position", atoms[atom]["position"])
-        nlev = len(atoms[atom]["levels"])
-        transition = rate.get("transition", [1, 0])
-        if max(transition) >= nlev:
+        levels, transition = atoms[atom]["levels"], rate["transition"]
+        if max(transition) >= len(levels):
             raise ConfigError(
                 f"rate.transition={transition} names a level that atom {atom} "
-                f"({nlev} levels) lacks"
+                f"({len(levels)} levels) lacks"
+            )
+        # the emitted frequency, as AtomSpec.transition_frequency gives it
+        k, kp = transition
+        omega = float(levels[k]) - float(levels[kp])
+        if omega <= 0:
+            raise ConfigError(
+                f"rate.transition={transition}: atoms[{atom}].levels[{k}] - levels[{kp}] "
+                f"= {omega!r} is not a positive transition frequency"
             )
         # the empty-cavity correction of emission.local_field_corrected_rate
-        if rate.get("local_field"):
-            if "cavity_radius" not in atoms[atom]:
+        if rate["local_field"]:
+            if atoms[atom]["cavity_radius"] is None:
                 raise ConfigError(f"rate.local_field needs atoms[{atom}].cavity_radius")
-            kind = config["medium"]["kind"]
+            kind = resolved["medium"]["kind"]
             if kind != "homogeneous":
                 raise ConfigError(
                     f"rate.local_field needs a homogeneous host, but medium.kind is {kind!r}"
                 )
+    return resolved
 
 
 def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:
@@ -806,24 +813,16 @@ def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:
         return EXIT_CONFIG
 
     try:
-        validate_config(config)
+        resolved = validate_config(config)
         out_dir.mkdir(parents=True, exist_ok=True)
-        runner = _Runner(config, out_dir, verbosity)
+        runner = _Runner(resolved, out_dir, verbosity)
     except (ConfigError, ValueError, EpsmodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    handlers = {
-        "decompose": runner.task_decompose,
-        "modes": runner.task_modes,
-        "verify": runner.task_verify,
-        "ldos": runner.task_ldos,
-        "rate": runner.task_rate,
-        "cavity-factor": runner.task_cavity_factor,
-    }
-    for task in config["tasks"]:
+    for task in resolved["tasks"]:
         try:
-            result = handlers[task]()
+            result = getattr(runner, "task_" + task.replace("-", "_"))()
         except SolverError as exc:
             print(f"error in task {task!r}: {exc}", file=sys.stderr)
             return EXIT_SOLVER

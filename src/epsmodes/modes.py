@@ -64,6 +64,11 @@ REORTH_KEEP = 1 / np.sqrt(2)
 #: Coordinate rows :func:`_canonicalize_clusters` orthogonalizes at once.
 CANONICALIZE_CHUNK = 64
 
+#: Largest gap between a bank's stored Gram defect and residuals and their
+#: recomputed values (a residual's gap taken relative to 1 + residual) that
+#: :func:`mode_residual_report` counts as a match.
+STORED_MATCH_TOL = 1e-12
+
 #: Degrees of freedom above which dense matrices (the oracle spectrum and
 #: the projector kernel) are refused.
 DENSE_DOF_LIMIT = 4000
@@ -169,7 +174,11 @@ class ResidualReport:
     residuals: np.ndarray
     gram_defect: float
     max_weighted_divergence: float
-    matches_stored: bool
+    stored_mismatch: float       # worst gap to the bank's stored metadata
+
+    @property
+    def matches_stored(self) -> bool:
+        return self.stored_mismatch <= STORED_MATCH_TOL
 
 
 def _bank_invariants(op: QOperator, freqs: np.ndarray, g: np.ndarray,
@@ -208,11 +217,10 @@ def mode_residual_report(bank: ModeBank) -> ResidualReport:
         QOperator(bank.medium), bank.frequencies, bank.modes_g,
         divergence=True,
     )
-    matches = (
-        abs(gram_defect - bank.gram_defect) <= 1e-12
-        and np.all(np.abs(residuals - bank.residuals) <= 1e-12 * (1 + residuals))
-    )
-    return ResidualReport(residuals, gram_defect, div_defect, bool(matches))
+    # NaN metadata propagates through max() and so fails the match
+    gaps = np.append(np.abs(residuals - bank.residuals) / (1 + residuals),
+                     abs(gram_defect - bank.gram_defect))
+    return ResidualReport(residuals, gram_defect, div_defect, float(gaps.max()))
 
 
 def _canonical_sign(vec: np.ndarray) -> np.ndarray:

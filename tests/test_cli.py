@@ -200,6 +200,16 @@ class TestValidation:
             # the walker reports one of the violations, where and as jsonschema does
             assert found is None or found in errors, (config, found, errors)
 
+    def test_resolves_defaults_on_a_copy(self):
+        config = base_config(tasks=["ldos"], grid={"dims": [4, 4, 2]},
+                             ldos={"omega_min": 0.1, "omega_max": 0.5, "count": 3})
+        before = copy.deepcopy(config)
+        resolved = validate_config(config)
+        assert config == before
+        assert resolved["grid"]["spacing"] == 1.0 and resolved["modes"]["count"] == 12
+        assert resolved["ldos"]["position"] == [2.0, 2.0, 1.0]
+        assert resolved["ldos"]["orientation"] == [0.0, 0.0, 1.0]
+
     def test_unknown_task_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(base_config(tasks=["modes", "explode"]))
@@ -356,6 +366,61 @@ class TestRun:
             b = (outs[1] / fname).read_bytes()
             assert a == b, f"{fname} differs between identical runs"
 
+    # optional keys with the defaults the README's "Command line" section lists
+    README_DEFAULTS = {
+        "grid": {"spacing": 1.0},
+        "seed": 0,
+        "solver": {"poisson_tol": 1e-10, "eig_tol": 1e-8, "max_iter": 1000},
+        "modes": {"count": 12},
+        "rate": {"atom": 0, "transition": [1, 0], "local_field": False},
+    }
+    ATOM = {"position": [2.4, 2.9, 3.2], "levels": [0.0, 0.69],
+            "dipoles": [{"levels": [0, 1], "moment": [0.4, 0.5, 0.3]}]}
+    SPHERE = {"kind": "sphere", "center": [3, 3, 3], "radius": 1.5,
+              "eps_in": 1.0, "eps_out": 2.25}
+
+    @pytest.mark.parametrize(
+        "omitted, defaults",
+        [
+            # ldos.position falls back to atoms[0].position
+            ({"grid": {"dims": [6, 6, 6]}, "medium": SPHERE, "atoms": [ATOM],
+              "tasks": ["decompose", "modes", "verify", "ldos", "rate"],
+              "modes": {"bank_out": "bank.qmb"},
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5}},
+             {"ldos": {"orientation": [0.0, 0.0, 1.0], "position": ATOM["position"]}}),
+            # without atoms, to the center of the box; cavity_factor.grid to grid.dims
+            ({"grid": {"dims": [8, 8, 8]}, "medium": dict(SPHERE, center=[4, 4, 4], radius=2.0),
+              "tasks": ["modes", "ldos", "cavity-factor"],
+              "ldos": {"omega_min": 0.3, "omega_max": 0.6, "count": 5},
+              "cavity_factor": {"eps_out": 4.0, "radius": 2.0}},
+             {"ldos": {"orientation": [0.0, 0.0, 1.0], "position": [4.0, 4.0, 4.0]},
+              "cavity_factor": {"grid": [8, 8, 8]}}),
+            # a local-field rate samples its cavity factor on 48^3 cells
+            ({"grid": {"dims": [6, 6, 6]}, "medium": {"kind": "homogeneous", "eps": 2.0},
+              "tasks": ["modes", "rate"], "modes": {"count": 30},
+              "atoms": [dict(ATOM, levels=[0.0, 0.85], cavity_radius=1.0)],
+              "rate": {"local_field": True, "eta": 0.05}},
+             {"rate": {"factor_grid": 48}}),
+        ],
+        ids=["atom-probe", "box-center-probe", "local-field"],
+    )
+    def test_omitted_keys_take_readme_defaults(self, tmp_path, omitted, defaults):
+        written = copy.deepcopy(omitted)
+        for part in (self.README_DEFAULTS, defaults):
+            for key, value in part.items():
+                if isinstance(value, dict):
+                    written[key] = {**value, **written.get(key, {})}
+                else:
+                    written.setdefault(key, value)
+        outs = []
+        for name, cfg in (("omitted", omitted), ("written", written)):
+            outs.append(tmp_path / name)
+            assert run(write_config(tmp_path, cfg, f"{name}.json"), outs[-1]) == EXIT_OK
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for fname in files:
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
     def test_verbosity_2_streams_convergence(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
                           modes={"count": 4, "bank_out": "bank.qmb"})
@@ -443,6 +508,20 @@ class TestRun:
             ({"tasks": ["modes", "ldos"],
               "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 10**12, "eta": 0.05}},
              EXIT_CONFIG, "ldos.count"),
+            ({"tasks": ["modes", "rate"], "rate": {"transition": [0, 0]}},
+             EXIT_CONFIG, "rate.transition=[0, 0]"),
+            ({"tasks": ["modes", "rate"],
+              "atoms": [{"position": [1, 1, 1], "levels": [1.0, 1.0],
+                         "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
+             EXIT_CONFIG, "atoms[0].levels"),
+            ({"tasks": ["modes", "verify"], "medium": {"kind": "homogeneous", "eps": 1e8}},
+             EXIT_CONFIG, "$.medium.eps"),
+            ({"tasks": ["modes", "verify"],
+              "medium": {"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
+                         "eps_in": 1e8, "eps_out": 1.0}},
+             EXIT_CONFIG, "$.medium.eps_in"),
+            ({"tasks": ["modes", "verify"], "mu": {"kind": "homogeneous", "eps": 1e200}},
+             EXIT_CONFIG, "$.mu.eps"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -453,7 +532,9 @@ class TestRun:
              "atom-position-outside-box", "local-field-without-cavity-radius",
              "local-field-sphere-host", "dipole-level-missing", "modes-variant-removed",
              "float-modes-count", "float-rate-atom", "float-rate-transition",
-             "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory"],
+             "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory",
+             "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
+             "medium.eps_in", "mu.eps"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -469,6 +550,34 @@ class TestRun:
         assert "Traceback" not in err and names in err
         # every fault is caught before a mode solve completes
         assert not (tmp_path / "modes.json").exists()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [{"residuals": 0.5}, {"gram_defect": 0.25}, {"residuals": 0.5, "gram_defect": 0.25}],
+        ids=["residuals", "gram-defect", "both"],
+    )
+    def test_verify_checks_stored_bank_metadata(self, tmp_path, tamper):
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes", "verify"],
+                          modes={"count": 4, "bank_out": "bank.qmb"})
+        assert run(write_config(tmp_path, cfg), tmp_path / "write") == EXIT_OK
+        written = (tmp_path / "write" / "verify.json").read_bytes()
+        assert json.loads(written)["checks"]["bank_stored_metadata"]["pass"]
+        # a rerun from the bank file checks the same invariants to the byte
+        cfg.update(tasks=["verify"], modes={"bank_in": str(tmp_path / "write" / "bank.qmb")})
+        path = write_config(tmp_path, cfg, "reuse.json")
+        assert run(path, tmp_path / "reuse") == EXIT_OK
+        assert (tmp_path / "reuse" / "verify.json").read_bytes() == written
+        # a sidecar claiming other residuals or Gram defect fails that check alone
+        sidecar = tmp_path / "write" / "bank.qmb.json"
+        data = json.loads(sidecar.read_text())
+        if "residuals" in tamper:
+            data["residuals"] = [tamper["residuals"]] * len(data["residuals"])
+        if "gram_defect" in tamper:
+            data["gram_defect"] = tamper["gram_defect"]
+        sidecar.write_text(json.dumps(data))
+        assert run(path, tmp_path / "tampered") == EXIT_INVARIANT
+        checks = json.loads((tmp_path / "tampered" / "verify.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == ["bank_stored_metadata"]
 
     def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
