@@ -16,8 +16,9 @@ offset   content
 =======  ======================================================
 
 A JSON sidecar (same path plus ``.json``) stores the medium and mu
-descriptors, Gram/residual metadata and the solver seed.  A bank whose
-magnetic flag disagrees with its sidecar's mu is refused.  Round trips are
+descriptors, Gram/residual metadata and the solver seed.  A sidecar of
+another format or version, or one that lacks a key, is refused, and so is
+a bank whose magnetic flag disagrees with its sidecar's mu.  Round trips are
 bit-exact: the g fields, the only form a bank holds, are read back bitwise
 into the same C-ordered layout the solver produces, and eps and mu are
 rebuilt from the descriptors.
@@ -48,6 +49,7 @@ from .modes import ModeBank
 
 MAGIC = b"QMB1"
 VERSION = 1
+SIDECAR_FORMAT = "epsmodes-bank-sidecar"
 _HEADER = struct.Struct("<4sI3IdIB")
 
 
@@ -148,7 +150,7 @@ def save_bank(bank: ModeBank, path) -> None:
     write_atomic(path, header + body.tobytes())
 
     sidecar = {
-        "format": "epsmodes-bank-sidecar",
+        "format": SIDECAR_FORMAT,
         "version": VERSION,
         "medium": descriptor_to_dict(m.descriptor),
         "mu": None if m.mu is None else descriptor_to_dict(m.mu_descriptor),
@@ -192,12 +194,22 @@ def load_bank(path) -> ModeBank:
         raise BankFileError(f"missing sidecar {sidecar_file}")
     try:
         sidecar = json.loads(sidecar_file.read_text())
+        if (sidecar["format"], sidecar["version"]) != (SIDECAR_FORMAT, VERSION):
+            raise BankFileError(
+                f"sidecar {sidecar_file} has format {sidecar['format']!r} version "
+                f"{sidecar['version']!r}, not {SIDECAR_FORMAT!r} version {VERSION}"
+            )
         desc = descriptor_from_dict(sidecar["medium"])
-        mu_desc = (
-            descriptor_from_dict(sidecar["mu"]) if sidecar.get("mu") is not None else None
-        )
+        mu = sidecar["mu"]
+        mu_desc = None if mu is None else descriptor_from_dict(mu)
         residuals = np.asarray(sidecar["residuals"], dtype=np.float64)
         gram_defect = float(sidecar["gram_defect"])
+        complete, seed = sidecar["complete"], sidecar["seed"]
+        if not isinstance(complete, bool) or not (seed is None or type(seed) is int):
+            raise BankFileError(
+                f"sidecar {sidecar_file} has complete={complete!r} and seed={seed!r}, "
+                "not a boolean and an integer or null"
+            )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise BankFileError(f"malformed sidecar {sidecar_file}: {exc!r}") from exc
     if residuals.shape != (n_modes,):
@@ -207,8 +219,7 @@ def load_bank(path) -> ModeBank:
         )
     if magnetic != int(mu_desc is not None):
         raise BankFileError(
-            f"magnetic flag {magnetic} at offset 32 disagrees with sidecar mu "
-            f"{sidecar.get('mu')!r}",
+            f"magnetic flag {magnetic} at offset 32 disagrees with sidecar mu {mu!r}",
             offset=32,
         )
     medium = build_profile(desc, grid, mu_desc)
@@ -220,6 +231,6 @@ def load_bank(path) -> ModeBank:
         modes_g=np.array(body["g"].transpose(0, 1, 4, 3, 2), dtype=np.float64, order="C"),
         residuals=residuals,
         gram_defect=gram_defect,
-        complete=bool(sidecar.get("complete", False)),
-        seed=sidecar.get("seed"),
+        complete=complete,
+        seed=seed,
     )

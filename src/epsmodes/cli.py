@@ -133,7 +133,7 @@ CONFIG_SCHEMA = {
                 "eta": {"$ref": "#/$defs/positive"},
                 "local_field": {"type": "boolean"},
                 # emission.local_field_grid spans n radius / 4 for n < 40, and
-                # the cavity factor needs a box of four radii: n >= 16
+                # electrostatics.cavity_radius_fault needs four radii: n >= 16
                 "factor_grid": {"type": "integer", "minimum": 16},
             },
         },
@@ -464,25 +464,33 @@ class _Runner:
         _write_json(self.out_dir / "modes.json", payload)
         self.log(f"modes: {len(self.bank)} modes, gram defect {self.bank.gram_defect:.2e}")
 
+    def _decompose(self, x):
+        """``helmholtz_decompose(x)`` with its reconstruction error and
+        ``|div(x1)|``, each relative to ``|x|``."""
+        import numpy as np
+
+        # looked up at each call, so that a rebound name takes effect
+        from .electrostatics import helmholtz_decompose
+        from .lattice import div_raw
+
+        result = helmholtz_decompose(x, self.medium, tol=self.poisson_tol)
+        xnorm = np.linalg.norm(x.values)
+        recon = np.linalg.norm(x.values - (result.x1.values + result.x2.values)) / xnorm
+        div_rel = np.linalg.norm(div_raw(result.x1.values, self.grid.spacing)) / xnorm
+        return result, float(recon), float(div_rel)
+
     def task_decompose(self):
         import numpy as np
 
-        from .electrostatics import helmholtz_decompose
-        from .lattice import EDGE, VectorField, div_raw
+        from .lattice import EDGE, VectorField
 
         rng = np.random.default_rng(self.seed)
         x = VectorField(self.grid, EDGE, rng.standard_normal((3,) + self.grid.dims))
-        result = helmholtz_decompose(x, self.medium, tol=self.poisson_tol)
-        recon = np.linalg.norm(
-            x.values - (result.x1.values + result.x2.values)
-        ) / np.linalg.norm(x.values)
-        div_rel = np.linalg.norm(
-            div_raw(result.x1.values, self.grid.spacing)
-        ) / np.linalg.norm(x.values)
+        result, recon, div_rel = self._decompose(x)
         payload = {
             "task": "decompose",
-            "reconstruction_error": float(recon),
-            "x1_divergence": float(div_rel),
+            "reconstruction_error": recon,
+            "x1_divergence": div_rel,
             "poisson_residual": result.residual_norm,
             "poisson_iterations": result.iterations,
             "params": self._params(),
@@ -493,7 +501,6 @@ class _Runner:
     def task_verify(self) -> bool:
         import numpy as np
 
-        from .electrostatics import helmholtz_decompose
         from .lattice import EDGE, FACE, ScalarField, VectorField, curl, curl_t, div, grad, inner
         from .modes import STORED_MATCH_TOL, mode_residual_report
 
@@ -520,15 +527,9 @@ class _Runner:
         scale = max(abs(lhs), abs(rhs), 1e-300)
         checks["curl_adjoint"] = (abs(lhs - rhs) / scale, 1e-12)
 
-        result = helmholtz_decompose(v, self.medium, tol=self.poisson_tol)
-        recon = np.linalg.norm(
-            v.values - result.x1.values - result.x2.values
-        ) / np.linalg.norm(v.values)
-        checks["decomposition_reconstruction"] = (float(recon), 1e-12)
-        div_rel = np.linalg.norm(
-            div(result.x1).values
-        ) / np.linalg.norm(v.values)
-        checks["decomposition_transversality"] = (float(div_rel), 1e-8)
+        _, recon, div_rel = self._decompose(v)
+        checks["decomposition_reconstruction"] = (recon, 1e-12)
+        checks["decomposition_transversality"] = (div_rel, 1e-8)
 
         if self.bank is not None:
             report = mode_residual_report(self.bank)
@@ -681,12 +682,20 @@ def validate_config(config: dict) -> dict:
             f"grid.spacing={spacing!r} leaves the float64 range: 1/spacing^2 = "
             f"{scales[0]!r}, cell volume {scales[1]!r}"
         )
+    from .lattice import Grid
+
     memory = _physical_memory()
     # every grid a task samples fields on, checked before any is allocated
     grids = [("grid.dims", dims)]
-    if "cavity_factor" in resolved:
-        cavity_grid = resolved["cavity_factor"].setdefault("grid", list(dims))
+    cavity = resolved.get("cavity_factor")
+    if cavity is not None:
+        from .electrostatics import cavity_radius_fault
+
+        cavity_grid = cavity.setdefault("grid", list(dims))
         grids.append(("cavity_factor.grid", cavity_grid))
+        fault = cavity_radius_fault(Grid(tuple(cavity_grid), spacing), cavity["radius"])
+        if fault is not None:
+            raise ConfigError(f"cavity_factor.radius: {fault} on cavity_factor.grid={cavity_grid}")
     if rate["local_field"]:
         from .emission import LOCAL_FIELD_CELLS
 
@@ -726,8 +735,6 @@ def validate_config(config: dict) -> dict:
                     f"that atom {i} ({nlev} levels) lacks"
                 )
     # the ldos and rate tasks sample fields at points in the periodic box
-    from .lattice import Grid
-
     lengths = list(Grid(tuple(dims), spacing).lengths)
 
     def check_position(name, position):

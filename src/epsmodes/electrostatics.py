@@ -1,7 +1,8 @@
 """Generalized Poisson solver and the eps-weighted field decomposition.
 
 The central linear problem is ``div(eps * grad(chi)) = -sigma`` on the
-periodic lattice, solved for one right-hand side at a time.  The
+periodic lattice, solved for one right-hand side at a time by
+:func:`solve_poisson_block`, the one solver entry point.  The
 operator ``L = -div(eps grad .)`` is symmetric positive semidefinite
 with the constants as null space; the gauge is fixed by keeping chi
 zero-mean, the periodic analogue of a potential vanishing at infinity.
@@ -24,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    PlacementError,
-    ProfileError,
-    SolverError,
-    SourceCompatibilityError,
-)
+from .errors import PlacementError, ProfileError, SolverError
 from .lattice import (
     EDGE,
     Grid,
@@ -47,13 +43,6 @@ DEFAULT_TOL = 1e-10
 
 #: Cells between the cavity surface and the samples the cavity factor averages.
 CAVITY_INTERIOR_MARGIN = 1.5
-
-
-@dataclass
-class PoissonSolution:
-    chi: ScalarField
-    residual_norm: float
-    iterations: int
 
 
 @dataclass
@@ -81,8 +70,9 @@ def solve_poisson_block(
 ) -> tuple[np.ndarray, float, int]:
     """Preconditioned CG on ``L chi = rhs`` for one right-hand side.
 
-    ``rhs`` has the grid's shape (nx, ny, nz); it is demeaned (periodic
-    compatibility) and solved to relative residual ``tol``, judged on the
+    ``rhs`` has the grid's shape (nx, ny, nz).  Its mean is removed, since
+    a periodic source must be neutral, so ``rhs`` and ``rhs + c`` give the
+    same chi; it is solved to relative residual ``tol``, judged on the
     true residual.  The preconditioner inverts ``mean(eps) * (-div grad)``
     in Fourier space with the k = 0 term set to zero, so its output is
     zero-mean.  Returns (chi, relative residual, iterations); raises
@@ -144,42 +134,6 @@ def solve_poisson_block(
     return x, res, total_iters
 
 
-def _check_compatible(sigma: np.ndarray, neutralize: bool) -> np.ndarray:
-    mean = sigma.mean()
-    rms = float(np.sqrt(np.mean(sigma * sigma)))
-    if rms == 0.0:
-        return sigma
-    if abs(mean) > 1e-12 * rms:
-        if not neutralize:
-            raise SourceCompatibilityError(
-                f"source mean {mean:.3e} is incompatible with periodic boundaries "
-                f"(|mean| > 1e-12 * rms = {1e-12 * rms:.3e})"
-            )
-    return sigma - mean
-
-
-def solve_poisson(
-    sigma: ScalarField,
-    m: MediumProfile,
-    tol: float = DEFAULT_TOL,
-    maxiter: int | None = None,
-    neutralize: bool = False,
-) -> PoissonSolution:
-    """Solve ``div(eps grad chi) = -sigma`` with zero-mean gauge.
-
-    The source must be neutral up to rounding (mean below 1e-12 of its
-    rms) unless ``neutralize`` is set, in which case the mean is
-    subtracted regardless.
-    """
-    if sigma.grid != m.grid:
-        raise ProfileError("source and medium grids differ")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhs = _check_compatible(sigma.values, neutralize)
-    chi, res, iters = solve_poisson_block(rhs, m, tol=tol, maxiter=maxiter)
-    return PoissonSolution(ScalarField(m.grid, chi), float(res), iters)
-
-
 def helmholtz_decompose(
     x: VectorField, m: MediumProfile, tol: float = DEFAULT_TOL
 ) -> DecompositionResult:
@@ -209,6 +163,19 @@ def helmholtz_decompose(
     )
 
 
+def cavity_radius_fault(grid: Grid, radius: float) -> str | None:
+    """Why ``cavity_field_factor`` cannot use ``radius`` on ``grid``, or None.
+
+    The cavity needs at least two cells of radius, and at most a quarter of
+    the shortest box side, so that its periodic images stay apart.
+    """
+    if radius < 2 * grid.spacing:
+        return f"cavity radius {radius} is below two cells ({2 * grid.spacing})"
+    if radius > min(grid.lengths) / 4:
+        return f"cavity radius {radius} is above a quarter of the box ({min(grid.lengths) / 4})"
+    return None
+
+
 def cavity_field_factor(
     eps_out: float,
     grid: Grid,
@@ -226,10 +193,9 @@ def cavity_field_factor(
     """
     if eps_out <= 0:
         raise ProfileError(f"eps_out must be positive, got {eps_out}")
-    if radius < 2 * grid.spacing:
-        raise ProfileError(f"cavity radius {radius} below two cells")
-    if radius > min(grid.lengths) / 4:
-        raise ProfileError(f"cavity radius {radius} above a quarter box")
+    fault = cavity_radius_fault(grid, radius)
+    if fault is not None:
+        raise ProfileError(fault)
 
     center = tuple(l / 2 for l in grid.lengths)
     m = build_profile(Sphere(center, radius, 1.0, float(eps_out)), grid)

@@ -17,10 +17,6 @@ class ProfileError(EpsmodesError):
     """Invalid medium descriptor or sampling request."""
 
 
-class SourceCompatibilityError(EpsmodesError):
-    """Source term incompatible with the periodic solvability condition."""
-
-
 class SolverError(EpsmodesError):
     """Iterative solver failed to reach the requested tolerance.
 

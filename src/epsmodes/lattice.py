@@ -107,10 +107,6 @@ class ScalarField:
             raise PlacementError(f"scalar fields are cell-centered, got {self.placement!r}")
         object.__setattr__(self, "values", _check_values(self.values, self.grid.dims, "scalar"))
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.dims))
-
 
 @dataclass(frozen=True)
 class VectorField:

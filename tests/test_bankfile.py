@@ -116,14 +116,26 @@ def test_missing_sidecar_rejected(bank, tmp_path):
         load_bank(path)
 
 
+def _without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda text: text[: len(text) // 2],
         lambda text: text.replace('"gram_defect"', '"gram_defect_"'),
         lambda text: json.dumps({**json.loads(text), "residuals": [0.0]}),
+        lambda text: json.dumps({**json.loads(text), "format": "not-a-bank"}),
+        lambda text: json.dumps({**json.loads(text), "version": 99}),
+        _without("mu"),
+        _without("complete"),
+        _without("seed"),
+        lambda text: json.dumps({**json.loads(text), "complete": "false"}),
+        lambda text: json.dumps({**json.loads(text), "seed": "3"}),
     ],
-    ids=["invalid-json", "missing-key", "residual-count"],
+    ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
+         "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed"],
 )
 def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     path = tmp_path / "bank.qmb"

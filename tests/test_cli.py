@@ -522,6 +522,12 @@ class TestRun:
              EXIT_CONFIG, "$.medium.eps_in"),
             ({"tasks": ["modes", "verify"], "mu": {"kind": "homogeneous", "eps": 1e200}},
              EXIT_CONFIG, "$.mu.eps"),
+            ({"grid": {"dims": [6, 6, 6]}, "tasks": ["decompose", "modes", "cavity-factor"],
+              "cavity_factor": {"eps_out": 4.0, "radius": 2.0}},
+             EXIT_CONFIG, "cavity_factor.radius"),
+            ({"tasks": ["decompose", "modes", "cavity-factor"],
+              "cavity_factor": {"eps_out": 4.0, "radius": 1}},
+             EXIT_CONFIG, "cavity_factor.radius"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -534,7 +540,8 @@ class TestRun:
              "float-modes-count", "float-rate-atom", "float-rate-transition",
              "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory",
              "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
-             "medium.eps_in", "mu.eps"],
+             "medium.eps_in", "mu.eps", "cavity-radius-above-quarter-box",
+             "cavity-radius-below-two-cells"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -548,8 +555,8 @@ class TestRun:
         assert run(write_config(tmp_path, cfg), tmp_path) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and names in err
-        # every fault is caught before a mode solve completes
-        assert not (tmp_path / "modes.json").exists()
+        # every fault is caught before any task writes a file
+        assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize(
         "tamper",

@@ -3,15 +3,15 @@ import pytest
 
 from epsmodes.electrostatics import (
     cavity_field_factor,
+    cavity_radius_fault,
     helmholtz_decompose,
-    solve_poisson,
     solve_poisson_block,
 )
-from epsmodes.errors import ProfileError, SolverError, SourceCompatibilityError
+from epsmodes.emission import local_field_grid
+from epsmodes.errors import ProfileError, SolverError
 from epsmodes.lattice import (
     EDGE,
     Grid,
-    ScalarField,
     VectorField,
     div,
     div_raw,
@@ -36,9 +36,9 @@ class TestSolvePoisson:
     def test_zero_source(self):
         g = Grid((6, 6, 6))
         m = build_profile(Homogeneous(2.0), g)
-        sol = solve_poisson(ScalarField.zeros(g), m)
-        assert np.all(sol.chi.values == 0.0)
-        assert sol.residual_norm == 0.0
+        chi, res, _ = solve_poisson_block(np.zeros(g.dims), m)
+        assert np.all(chi == 0.0)
+        assert res == 0.0
 
     def test_dipole_pair_matches_dense_solve(self):
         # discrete +-q pair on adjacent cells of a vacuum 8^3 box, solved
@@ -48,32 +48,33 @@ class TestSolvePoisson:
         sigma = np.zeros(g.dims)
         sigma[3, 4, 4] = 1.0
         sigma[4, 4, 4] = -1.0
-        sol = solve_poisson(ScalarField(g, sigma), m, tol=1e-12)
+        chi, _, _ = solve_poisson_block(sigma, m, tol=1e-12)
 
         lmat = dense_weighted_laplacian(m)
         n = g.ncells
         aug = np.vstack([lmat, np.ones((1, n))])
         rhs = np.concatenate([sigma.ravel(), [0.0]])
         chi_dense, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-        assert np.abs(sol.chi.values.ravel() - chi_dense).max() < 1e-10
+        assert np.abs(chi.ravel() - chi_dense).max() < 1e-10
 
     def test_zero_mean_gauge(self, rng):
         g = Grid((6, 5, 4))
         m = random_medium(g, rng)
         sigma = rng.standard_normal(g.dims)
         sigma -= sigma.mean()
-        sol = solve_poisson(ScalarField(g, sigma), m, tol=1e-10)
-        assert abs(sol.chi.values.mean()) < 1e-13
-        assert sol.residual_norm <= 1e-10
+        chi, res, _ = solve_poisson_block(sigma, m, tol=1e-10)
+        assert abs(chi.mean()) < 1e-13
+        assert res <= 1e-10
 
-    def test_incompatible_source_rejected(self, rng):
+    def test_source_mean_is_removed(self, rng):
+        # a periodic source must be neutral: the solver removes its mean
         g = Grid((4, 4, 4))
         m = random_medium(g, rng)
-        sigma = rng.standard_normal(g.dims) + 1.0
-        with pytest.raises(SourceCompatibilityError):
-            solve_poisson(ScalarField(g, sigma), m)
-        sol = solve_poisson(ScalarField(g, sigma), m, neutralize=True)
-        assert sol.residual_norm <= 1e-10
+        sigma = rng.standard_normal(g.dims)
+        chi, _, _ = solve_poisson_block(sigma, m)
+        shifted, res, _ = solve_poisson_block(sigma + 1.0, m)
+        assert res <= 1e-10
+        assert np.abs(shifted - chi).max() <= 1e-9 * np.abs(chi).max()
 
     @pytest.mark.parametrize("wavevectors", [[(1, 3, 7)], [(1, 3, 7), (2, 0, 5), (16, 16, 16)]],
                              ids=["one-mode", "three-modes"])
@@ -125,7 +126,7 @@ class TestSolvePoisson:
         sigma = rng.standard_normal(g.dims)
         sigma -= sigma.mean()
         with pytest.raises(SolverError) as err:
-            solve_poisson(ScalarField(g, sigma), m, tol=1e-12, maxiter=3)
+            solve_poisson_block(sigma, m, tol=1e-12, maxiter=3)
         assert err.value.residual is not None
         assert err.value.residual > 1e-12
 
@@ -249,3 +250,11 @@ class TestCavityFieldFactor:
             cavity_field_factor(4.0, g, 12.0)
         with pytest.raises(ProfileError):
             cavity_field_factor(-1.0, g, 4.0)
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.5])
+    def test_local_field_grids_admit_the_cavity(self, radius):
+        # rate.factor_grid's schema minimum of 16 is the smallest grid the
+        # cavity rule admits
+        for n in range(16, 65):
+            assert cavity_radius_fault(local_field_grid(radius, n), radius) is None
+        assert cavity_radius_fault(local_field_grid(radius, 15), radius) is not None
