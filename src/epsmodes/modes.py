@@ -10,10 +10,13 @@ iterates on face fields with ``B B^T``, as MPB does (Johnson &
 Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
 same, and its space, the range of B, is cut out by a constraint free of
 eps that one FFT imposes exactly, so no Poisson solve or zero-mode
-deflation is needed.  The same FFT pair carries the preconditioner, so
-each LOBPCG iteration runs one Fourier map, one Rayleigh-Ritz step and
-two operator applications (the Ritz block and the new directions).  The
-three zero-frequency modes of Q belong only to complete dense spectra.
+deflation is needed.  The preconditioner is MPB's too: it inverts the
+curls in Fourier space and multiplies by eps in real space, in one FFT
+pair for a homogeneous medium and two for an inhomogeneous one, and its
+output lies in the range.  Each LOBPCG iteration runs that map, one
+Rayleigh-Ritz step and two operator applications (the Ritz block and the
+new directions).  The three zero-frequency modes of Q belong only to
+complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -326,19 +329,50 @@ def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: floa
     return block
 
 
+def _cross(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a x v`` for a (3, ...) symbol and (3, ..., batch) spectra."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], v[k], out=out[i])
+        out[i] -= a[k] * v[j]
+    return out
+
+
+def _irfftn_consuming(vk: np.ndarray, dims) -> np.ndarray:
+    """``irfftn`` over axes 1-3 that overwrites ``vk`` instead of copying it."""
+    for axis in (1, 2):
+        np.fft.ifft(vk, axis=axis, out=vk)
+    return np.fft.irfft(vk, n=dims[2], axis=3)
+
+
 def _range_projector(op: QOperator):
     """Projector onto the range of ``B`` for raw (3, nx, ny, nz, batch) faces.
 
     The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
-    ``project(y)`` is ``w^(1/2) P(y / w^(1/2))``, one FFT applying the
-    orthogonal projector P.  ``project(y, shifts)`` fuses the solver's
-    preconditioner into that FFT: ``S F^-1 P D^-1 F S^-1`` with
-    ``S = w^(1/2)`` and, per column, ``D = |coeff |d|^2 - shift|`` floored
-    at a tenth of the shift, ``coeff = mean(1/eps) mean(w)``.  For
-    nonmagnetic media ``S = 1`` and P commutes with the scalar D, so this is
-    preconditioning followed by projection.  Also returns ``|d|^2``, the
-    Fourier symbol of the vacuum curl-curl on the rfftn half grid
-    (:func:`fourier_symbol`).
+    ``project(y)`` is ``w^(1/2) P(y / w^(1/2))``, one FFT pair applying the
+    orthogonal projector P.
+
+    ``project(y, shifts)`` is the solver's preconditioner, an approximate
+    inverse of ``B B^T = W C E^-1 C^T W`` (``W = w^(1/2)``, ``C`` the curl,
+    ``E = eps`` on edges) whose output lies in the range.  MPB's rule
+    (Johnson & Joannopoulos, Opt. Express 8, 173 (2001)) inverts the curls
+    in Fourier space and multiplies by eps in real space::
+
+        W C |d|^-2 E |d|^-2 C^T W^-1
+
+    with ``d x`` the symbol of C and ``-conj(d) x`` that of ``C^T``, so
+    ``C C^T = |d|^2 P``; W on the left, where an exact inverse would have
+    ``W^-1``, keeps the output in the range.  When eps and mu are both uniform, E is a scalar
+    and the rule collapses to ``P |d|^-2`` in one FFT pair; the symbol is
+    then exact, and the map becomes shift-and-invert,
+    ``W P D^-1 W^-1`` with, per column, ``D = |coeff |d|^2 - shift|``
+    floored at a tenth of the shift and ``coeff = mean(1/eps) mean(w)``.
+    In any other medium the map takes two FFT pairs and ignores the shifts:
+    the rule is only approximate there, and inverting ``A - shift`` through
+    an approximate inverse magnifies its error for the modes near the shift.
+    The medium alone decides which case runs.
+
+    Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
+    the rfftn half grid (:func:`fourier_symbol`).
     """
     grid = op.grid
     axes = (1, 2, 3)
@@ -347,19 +381,37 @@ def _range_projector(op: QOperator):
     d_conj = d.conj()[..., None]
     sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]
     w = 1.0 if op.sqrt_w is None else op.sqrt_w**2
-    coeff = float(np.mean(1.0 / op.medium.eps) * np.mean(w))
+    eps = op.medium.eps
+    coeff = float(np.mean(1.0 / eps) * np.mean(w))
+    uniform = np.ptp(eps) == 0 and np.ptp(w) == 0
+    if not uniform:
+        eps_cols = eps[..., None]
+        # C^T |d|^-2 and |d|^-2 C as symbols; inv_sym vanishes at k = 0, so
+        # the output has zero mean
+        curl_t_sym = -d_conj * inv_sym
+        curl_sym = d[..., None] * inv_sym
 
     def project(y, shifts=None):
         v = y if sqrt_w is None else y / sqrt_w
         vk = np.fft.rfftn(v, axes=axes)
-        if shifts is not None:
-            denom = np.abs(sym[..., None] * coeff - shifts)
-            np.maximum(denom, 0.1 * np.abs(shifts), out=denom)
-            vk /= denom
-        # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
-        vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
-        vk[:, 0, 0, 0] = 0.0
-        v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        if uniform or shifts is None:
+            if shifts is not None:
+                denom = np.abs(sym[..., None] * coeff - shifts)
+                np.maximum(denom, 0.1 * np.abs(shifts), out=denom)
+                vk /= denom
+            # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
+            vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
+            vk[:, 0, 0, 0] = 0.0
+            v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        else:
+            # one half-grid block takes both curls; each inverse FFT
+            # consumes it in place
+            buf = _cross(curl_t_sym, vk, np.empty_like(vk))
+            u = _irfftn_consuming(buf, grid.dims)
+            u *= eps_cols
+            np.fft.rfftn(u, axes=axes, out=vk)
+            del u
+            v = _irfftn_consuming(_cross(curl_sym, vk, buf), grid.dims)
         return v if sqrt_w is None else sqrt_w * v
 
     return project, sym
@@ -398,9 +450,11 @@ def solve_modes(
     ``g = B^T y / omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0``
     by construction.  Deterministic for a fixed seed.
 
-    The residuals are preconditioned and projected onto the range in one
-    FFT pair (:func:`_range_projector`), then orthonormalized once against
-    ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
+    The residuals are preconditioned into the range (:func:`_range_projector`:
+    one FFT pair and a shift by each Ritz value when eps and mu are uniform,
+    where the Fourier symbol is exact; two FFT pairs and no shift otherwise),
+    then orthonormalized once against ``[x, p]``.  They stay in the range
+    exactly: ``x`` and ``p`` lie in it,
     and Gram-Schmidt and SVQB only form combinations of range vectors, which
     holds for the oblique projector of an inhomogeneous mu as well.
     Gram-Schmidt leaves a direction that lay numerically inside the current
