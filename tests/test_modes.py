@@ -276,6 +276,24 @@ class TestRangeProjector:
         ref = project(pre)
         assert np.abs(project(y, shifts) - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    def test_uniform_eps_keeps_shifted_map_under_varying_mu(self, rng):
+        # eps alone picks the map: a mu sphere in a uniform eps gets the
+        # shifted mean-coefficient symbol between the w^(1/2) scalings
+        m = build_profile(Homogeneous(2.0), Grid((6, 6, 6)),
+                          mu_desc=Sphere((3.0, 3.0, 3.0), 2.0, 3.0, 1.0))
+        op = QOperator(m)
+        assert m.mu.min() < m.mu.max()
+        project, sym = _range_projector(op)
+        sqrt_w = self.sqrt_w(op)
+        y = rng.standard_normal((3,) + op.grid.dims + (3,))
+        shifts = np.array([0.05, 0.8, 3.0])
+        coeff = np.mean(1.0 / m.eps) * np.mean(1.0 / m.mu)
+        denom = np.maximum(np.abs(sym[..., None] * coeff - shifts), 0.1 * shifts)
+        axes = (1, 2, 3)
+        pre = np.fft.irfftn(np.fft.rfftn(y / sqrt_w, axes=axes) / denom, s=op.grid.dims, axes=axes)
+        ref = project(sqrt_w * pre)
+        assert np.abs(project(y, shifts) - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_shifted_map_lands_in_range(self, op, rng):
         project, _ = _range_projector(op)
         y = rng.standard_normal((3,) + op.grid.dims + (3,))
