@@ -4,8 +4,9 @@ A run is described by one JSON file (schema below) listing tasks that
 execute in order over a shared grid/medium: ``decompose``, ``modes``,
 ``verify``, ``ldos``, ``rate``, ``cavity-factor``.  Outputs are CSV for
 spectra and JSON for scalar summaries; every report embeds the
-tolerances, broadening and seed that produced it.  Identical config and
-seed give byte-identical outputs.
+tolerances, broadening and seed that produced it.  Identical config, seed
+and ``--threads`` give byte-identical outputs on one BLAS build; another
+thread count changes the order of BLAS sums and so the last bits.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 solver failure,
 4 invariant-suite failure from the ``verify`` task.
@@ -133,7 +134,7 @@ CONFIG_SCHEMA = {
                 "eta": {"$ref": "#/$defs/positive"},
                 "local_field": {"type": "boolean"},
                 # emission.local_field_grid spans n radius / 4 for n < 40, and
-                # electrostatics.cavity_radius_fault needs four radii: n >= 16
+                # electrostatics.check_cavity_radius needs four radii: n >= 16
                 "factor_grid": {"type": "integer", "minimum": 16},
             },
         },
@@ -344,8 +345,6 @@ class _Runner:
     """Runs the tasks of ``config``, the resolved run ``validate_config`` returns."""
 
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
-        import numpy as np
-
         from .bankfile import descriptor_from_dict
         from .emission import AtomSpec
         from .lattice import Grid
@@ -359,16 +358,7 @@ class _Runner:
         desc = descriptor_from_dict(config["medium"])
         mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
         self.medium = build_profile(desc, self.grid, mu_desc)
-        self.atoms = []
-        for entry in config["atoms"]:
-            nlev = len(entry["levels"])
-            dip = np.zeros((nlev, nlev, 3))
-            for d in entry["dipoles"]:
-                k, kp = d["levels"]
-                dip[k, kp] = dip[kp, k] = d["moment"]
-            self.atoms.append(
-                AtomSpec(entry["position"], entry["levels"], dip, entry["cavity_radius"])
-            )
+        self.atoms = [AtomSpec.from_dipoles(**entry) for entry in config["atoms"]]
         solver = config["solver"]
         self.poisson_tol = solver["poisson_tol"]
         self.eig_tol = solver["eig_tol"]
@@ -501,7 +491,8 @@ class _Runner:
     def task_verify(self) -> bool:
         import numpy as np
 
-        from .lattice import EDGE, FACE, ScalarField, VectorField, curl, curl_t, div, grad, inner
+        from .lattice import EDGE, FACE, ScalarField, VectorField, adjoint_defect, curl, curl_t
+        from .lattice import div, grad
         from .modes import STORED_MATCH_TOL, mode_residual_report
 
         if self.bank is None and self.config["modes"]["bank_in"]:
@@ -514,18 +505,17 @@ class _Runner:
         v = VectorField(self.grid, EDGE, rng.standard_normal((3,) + self.grid.dims))
         w = VectorField(self.grid, FACE, rng.standard_normal((3,) + self.grid.dims))
 
-        cg = curl(grad(phi)).values
-        checks["curl_grad_zero"] = (float(np.abs(cg).max()), 1e-13)
-        dc = div(curl_t(w)).values
-        checks["div_curl_t_zero"] = (float(np.abs(dc).max()), 1e-13)
-        lhs = inner(grad(phi), v)
-        rhs = -inner(phi, div(v))
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        checks["grad_div_adjoint"] = (abs(lhs - rhs) / scale, 1e-12)
-        lhs = inner(curl(v), w)
-        rhs = inner(v, curl_t(w))
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        checks["curl_adjoint"] = (abs(lhs - rhs) / scale, 1e-12)
+        # each defect relative to the terms that cancel in it: for a chain
+        # identity, the inner field's largest value over the spacing
+        g_phi, ct_w = grad(phi), curl_t(w)
+        for name, out, inner_field in (("curl_grad_zero", curl(g_phi), g_phi),
+                                       ("div_curl_t_zero", div(ct_w), ct_w)):
+            scale = float(np.abs(inner_field.values).max()) / self.grid.spacing or 1.0
+            checks[name] = (float(np.abs(out.values).max()) / scale, 1e-14)
+        checks["grad_div_adjoint"] = (
+            adjoint_defect(g_phi.values, v.values, -phi.values, div(v).values), 1e-14)
+        checks["curl_adjoint"] = (
+            adjoint_defect(curl(v).values, w.values, v.values, ct_w.values), 1e-14)
 
         _, recon, div_rel = self._decompose(v)
         checks["decomposition_reconstruction"] = (recon, 1e-12)
@@ -643,12 +633,22 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _rule(where: str, rule, *args):
+    """``rule(*args)``; its fault becomes a ConfigError led by ``where``, the keys it reads."""
+    from .errors import ConfigError, EpsmodesError
+
+    try:
+        return rule(*args)
+    except (ValueError, EpsmodesError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def validate_config(config: dict) -> dict:
     """The run ``config`` describes, or ConfigError on a fault.
 
     The run is a deep copy of ``config`` with every optional key's default
     filled in; ``config`` itself is left as it is.  The schema is checked
-    first, then each feasibility check on the resolved value its task uses.
+    first, then each resolved value by the library rule of the task using it.
     """
     from .errors import ConfigError
 
@@ -674,41 +674,40 @@ def validate_config(config: dict) -> dict:
     dims, spacing = resolved["grid"]["dims"], resolved["grid"]["spacing"]
     rate, tasks = resolved["rate"], resolved["tasks"]
 
-    # the lattice divides by spacing^2 and weighs sums by the cell volume
-    # spacing^3; both must be finite and nonzero in float64
-    scales = (1.0 / spacing / spacing, spacing * spacing * spacing)
-    if not all(0.0 < v < math.inf for v in scales):
-        raise ConfigError(
-            f"grid.spacing={spacing!r} leaves the float64 range: 1/spacing^2 = "
-            f"{scales[0]!r}, cell volume {scales[1]!r}"
-        )
-    from .lattice import Grid
+    # the modules the runner imports anyway
+    import numpy as np
 
-    memory = _physical_memory()
+    from . import emission
+    from .bankfile import descriptor_from_dict
+    from .electrostatics import check_cavity_radius
+    from .lattice import Grid
+    from .modes import SOLVE_HELD_BLOCKS, lobpcg_block
+
+    grid = _rule(f"grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
     # every grid a task samples fields on, checked before any is allocated
     grids = [("grid.dims", dims)]
     cavity = resolved.get("cavity_factor")
     if cavity is not None:
-        from .electrostatics import cavity_radius_fault
-
-        cavity_grid = cavity.setdefault("grid", list(dims))
-        grids.append(("cavity_factor.grid", cavity_grid))
-        fault = cavity_radius_fault(Grid(tuple(cavity_grid), spacing), cavity["radius"])
-        if fault is not None:
-            raise ConfigError(f"cavity_factor.radius: {fault} on cavity_factor.grid={cavity_grid}")
+        cavity_dims = cavity.setdefault("grid", list(dims))
+        grids.append(("cavity_factor.grid", cavity_dims))
+        _rule(f"cavity_factor.radius={cavity['radius']!r} on cavity_factor.grid={cavity_dims}",
+              check_cavity_radius, Grid(tuple(cavity_dims), spacing), cavity["radius"])
     if rate["local_field"]:
-        from .emission import LOCAL_FIELD_CELLS
-
-        n = rate.setdefault("factor_grid", LOCAL_FIELD_CELLS)
+        n = rate.setdefault("factor_grid", emission.LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
-    arrays = [(name, g, 3 * 8 * g[0] * g[1] * g[2],
-               "one three-component float64 field") for name, g in grids]
+    arrays = [(name, g, 3 * 8 * math.prod(g), "one three-component float64 field")
+              for name, g in grids]
     count = resolved["modes"]["count"]
+    if "modes" in tasks:
+        block = _rule(f"modes.count={count}", lobpcg_block, grid, count)
+        arrays.append(("modes.count", count, SOLVE_HELD_BLOCKS * 8 * 3 * grid.ncells * block,
+                       f"the mode solve's {SOLVE_HELD_BLOCKS} float64 blocks of {block} columns"))
     if "ldos" in resolved:
         # emission.ldos_spectrum's (count, modes) Lorentzian matrix
         n = resolved["ldos"]["count"]
         arrays.append(("ldos.count", n, 8 * n * count,
                        f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum"))
+    memory = _physical_memory()
     for name, value, nbytes, what in arrays:
         if memory is not None and nbytes > memory:
             raise ConfigError(
@@ -716,85 +715,49 @@ def validate_config(config: dict) -> dict:
                 f"more than the {memory / 2**30:.3g} GiB of physical memory"
             )
 
-    ncells = dims[0] * dims[1] * dims[2]
-    if "modes" in tasks and count > 2 * ncells - 2:
-        raise ConfigError(
-            f"modes.count={count} exceeds the transverse subspace "
-            f"({2 * ncells - 2} nonzero modes on a {dims} grid)"
-        )
     for task in tasks:
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)
         if key and key not in resolved:
             raise ConfigError(f"task {task!r} needs a {key!r} config section")
     for i, entry in enumerate(atoms):
-        nlev = len(entry["levels"])
         for j, dipole in enumerate(entry["dipoles"]):
-            if max(dipole["levels"]) >= nlev:
-                raise ConfigError(
-                    f"atoms[{i}].dipoles[{j}].levels={dipole['levels']} names a level "
-                    f"that atom {i} ({nlev} levels) lacks"
-                )
-    # the ldos and rate tasks sample fields at points in the periodic box
-    lengths = list(Grid(tuple(dims), spacing).lengths)
+            _rule(f"atoms[{i}].dipoles[{j}].levels={dipole['levels']}", emission.level_pair,
+                  entry["levels"], dipole["levels"])
 
-    def check_position(name, position):
-        if not all(0.0 <= x < length for x, length in zip(position, lengths)):
-            raise ConfigError(
-                f"{name}={position} lies outside the periodic box [0, L) with L = {lengths}"
-            )
-
-    # the LDOS faults ldos_spectrum would raise, caught before the mode solve
     ldos = resolved.get("ldos")
     if ldos is not None:
-        if ldos["omega_min"] >= ldos["omega_max"]:
-            raise ConfigError(
-                f"ldos.omega_min={ldos['omega_min']!r} must be below "
-                f"ldos.omega_max={ldos['omega_max']!r}"
-            )
         ldos.setdefault("eta", None)
+        lo, hi, n = ldos["omega_min"], ldos["omega_max"], ldos["count"]
         orientation = ldos.setdefault("orientation", [0.0, 0.0, 1.0])
-        if sum(v * v for v in orientation) == 0:
-            raise ConfigError(f"ldos.orientation={orientation} must be a nonzero vector")
+        # the grid task_ldos hands to emission.ldos_spectrum
+        _rule(f"ldos.omega_min={lo!r}, ldos.omega_max={hi!r}, ldos.count={n}, "
+              f"ldos.orientation={orientation}", emission.spectrum_probe,
+              np.linspace(lo, hi, n), orientation)
         # the probe defaults to the first atom, in floats as AtomSpec holds
         # its position, or else to the center of the box
         if "position" in ldos:
-            check_position("ldos.position", ldos["position"])
+            _rule(f"ldos.position={ldos['position']}", emission.check_position,
+                  ldos["position"], grid)
         elif atoms:
             if "ldos" in tasks:
-                check_position("atoms[0].position", atoms[0]["position"])
+                _rule(f"atoms[0].position={atoms[0]['position']}", emission.check_position,
+                      atoms[0]["position"], grid)
             ldos["position"] = [float(x) for x in atoms[0]["position"]]
         else:
-            ldos["position"] = [length / 2 for length in lengths]
+            ldos["position"] = [length / 2 for length in grid.lengths]
     if "rate" in tasks:
-        if not atoms:
-            raise ConfigError("task 'rate' needs a nonempty 'atoms' list")
-        atom = rate["atom"]
-        if atom >= len(atoms):
-            raise ConfigError(f"rate.atom={atom} is out of range for {len(atoms)} atoms")
-        check_position(f"atoms[{atom}].position", atoms[atom]["position"])
-        levels, transition = atoms[atom]["levels"], rate["transition"]
-        if max(transition) >= len(levels):
-            raise ConfigError(
-                f"rate.transition={transition} names a level that atom {atom} "
-                f"({len(levels)} levels) lacks"
-            )
-        # the emitted frequency, as AtomSpec.transition_frequency gives it
-        k, kp = transition
-        omega = float(levels[k]) - float(levels[kp])
-        if omega <= 0:
-            raise ConfigError(
-                f"rate.transition={transition}: atoms[{atom}].levels[{k}] - levels[{kp}] "
-                f"= {omega!r} is not a positive transition frequency"
-            )
-        # the empty-cavity correction of emission.local_field_corrected_rate
+        i = rate["atom"]
+        if i >= len(atoms):
+            raise ConfigError(f"rate.atom={i} is out of range for the {len(atoms)} atoms")
+        entry, atom = atoms[i], emission.AtomSpec.from_dipoles(**atoms[i])
+        _rule(f"atoms[{i}].position={entry['position']}", emission.check_position,
+              atom.position, grid)
+        transition = rate["transition"]
+        _rule(f"rate.transition={transition} of atoms[{i}].levels={entry['levels']}",
+              atom.transition_frequency, *transition)
         if rate["local_field"]:
-            if atoms[atom]["cavity_radius"] is None:
-                raise ConfigError(f"rate.local_field needs atoms[{atom}].cavity_radius")
-            kind = resolved["medium"]["kind"]
-            if kind != "homogeneous":
-                raise ConfigError(
-                    f"rate.local_field needs a homogeneous host, but medium.kind is {kind!r}"
-                )
+            _rule(f"rate.local_field for atoms[{i}] in medium.kind={resolved['medium']['kind']!r}",
+                  emission.local_field_host_eps, atom, descriptor_from_dict(resolved["medium"]))
     return resolved
 
 

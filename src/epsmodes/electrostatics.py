@@ -73,11 +73,11 @@ def solve_poisson_block(
     ``rhs`` has the grid's shape (nx, ny, nz).  Its mean is removed, since
     a periodic source must be neutral, so ``rhs`` and ``rhs + c`` give the
     same chi; it is solved to relative residual ``tol``, judged on the
-    true residual.  The preconditioner inverts ``mean(eps) * (-div grad)``
-    in Fourier space with the k = 0 term set to zero, so its output is
-    zero-mean.  Returns (chi, relative residual, iterations); raises
-    :class:`SolverError` on stagnation and ``ValueError`` for any other
-    rhs shape.
+    true residual after the CG run.  The preconditioner inverts ``mean(eps)
+    * (-div grad)`` in Fourier space with the k = 0 term set to zero, so its
+    output is zero-mean.  Returns (chi, relative residual, iterations);
+    raises :class:`SolverError` on stagnation and ``ValueError`` for any
+    other rhs shape.
     """
     if rhs.shape != m.grid.dims:
         raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {m.grid.dims}")
@@ -97,41 +97,38 @@ def solve_poisson_block(
         rk *= inv_sym
         return np.fft.irfftn(rk, s=m.grid.dims, axes=(0, 1, 2))
 
+    # x starts at zero, so the first residual is b, demeaned as every later one is
     x = np.zeros_like(b)
-    total_iters = 0
-    for _restart in range(3):
-        r = b - apply_weighted_laplacian(x, m.eps, spacing)
+    r = b - b.mean()
+    z = precondition(r)
+    p = z
+    rz = np.vdot(r, z)
+    iterations = 0
+    while iterations < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
+        iterations += 1
+        ap = apply_weighted_laplacian(p, m.eps, spacing)
+        pap = np.vdot(p, ap)
+        if pap <= 0:
+            break
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
         r -= r.mean()
         z = precondition(r)
-        p = z
-        rz = np.vdot(r, z)
-        while total_iters < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
-            total_iters += 1
-            ap = apply_weighted_laplacian(p, m.eps, spacing)
-            pap = np.vdot(p, ap)
-            if pap <= 0:
-                break
-            alpha = rz / pap
-            x += alpha * p
-            r -= alpha * ap
-            r -= r.mean()
-            z = precondition(r)
-            rz_new = np.vdot(r, z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        x -= x.mean()
-        r_true = b - apply_weighted_laplacian(x, m.eps, spacing)
-        res = float(np.linalg.norm(r_true)) / scale
-        if res <= tol or total_iters >= maxiter:
-            break
+        rz_new = np.vdot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    x -= x.mean()
+    r_true = b - apply_weighted_laplacian(x, m.eps, spacing)
+    res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
         raise SolverError(
-            f"Poisson CG did not reach tol={tol:g} in {total_iters} iterations "
+            f"Poisson CG did not reach tol={tol:g} in {iterations} iterations "
             f"(worst residual {res:.3e})",
             residual=res,
-            iterations=total_iters,
+            iterations=iterations,
         )
-    return x, res, total_iters
+    return x, res, iterations
 
 
 def helmholtz_decompose(
@@ -163,17 +160,17 @@ def helmholtz_decompose(
     )
 
 
-def cavity_radius_fault(grid: Grid, radius: float) -> str | None:
-    """Why ``cavity_field_factor`` cannot use ``radius`` on ``grid``, or None.
+def check_cavity_radius(grid: Grid, radius: float):
+    """``cavity_field_factor``'s rule for ``radius`` on ``grid``.
 
     The cavity needs at least two cells of radius, and at most a quarter of
     the shortest box side, so that its periodic images stay apart.
     """
-    if radius < 2 * grid.spacing:
-        return f"cavity radius {radius} is below two cells ({2 * grid.spacing})"
-    if radius > min(grid.lengths) / 4:
-        return f"cavity radius {radius} is above a quarter of the box ({min(grid.lengths) / 4})"
-    return None
+    quarter = min(grid.lengths) / 4
+    if not radius >= 2 * grid.spacing:
+        raise ProfileError(f"cavity radius {radius} is below two cells ({2 * grid.spacing})")
+    if not radius <= quarter:
+        raise ProfileError(f"cavity radius {radius} is above a quarter of the box ({quarter})")
 
 
 def cavity_field_factor(
@@ -193,9 +190,7 @@ def cavity_field_factor(
     """
     if eps_out <= 0:
         raise ProfileError(f"eps_out must be positive, got {eps_out}")
-    fault = cavity_radius_fault(grid, radius)
-    if fault is not None:
-        raise ProfileError(fault)
+    check_cavity_radius(grid, radius)
 
     center = tuple(l / 2 for l in grid.lengths)
     m = build_profile(Sphere(center, radius, 1.0, float(eps_out)), grid)

@@ -47,16 +47,37 @@ class AtomSpec:
         dip.setflags(write=False)
         object.__setattr__(self, "dipoles", dip)
 
+    @classmethod
+    def from_dipoles(cls, position, levels, dipoles, cavity_radius=None) -> "AtomSpec":
+        """An atom whose dipole matrix holds each ``{"levels": (k, k'), "moment": mu}``
+        of ``dipoles`` at ``[k, k']`` and ``[k', k]``, and zero elsewhere."""
+        dip = np.zeros((len(levels), len(levels), 3))
+        for d in dipoles:
+            k, kp = level_pair(levels, d["levels"])
+            dip[k, kp] = dip[kp, k] = d["moment"]
+        return cls(position, levels, dip, cavity_radius)
+
     def transition_frequency(self, k: int, kp: int) -> float:
-        return self.levels[k] - self.levels[kp]
+        """``levels[k] - levels[k']``, which must be positive."""
+        k, kp = level_pair(self.levels, (k, kp))
+        omega = self.levels[k] - self.levels[kp]
+        if not omega > 0:
+            raise ValueError(f"transition {k}->{kp} has nonpositive frequency {omega!r}")
+        return omega
+
+
+def level_pair(levels, pair) -> tuple[int, int]:
+    """``pair`` as the indices ``(k, k')`` of two existing ``levels``."""
+    k, kp = pair
+    if not (0 <= k < len(levels) and 0 <= kp < len(levels)):
+        raise ValueError(f"level pair {list(pair)} names a level outside the {len(levels)} levels")
+    return k, kp
 
 
 def two_level_atom(position, omega0: float, dipole, cavity_radius=None) -> AtomSpec:
     """Convenience constructor for a ground/excited pair."""
-    mu = np.asarray(dipole, dtype=np.float64)
-    dip = np.zeros((2, 2, 3))
-    dip[0, 1] = dip[1, 0] = mu
-    return AtomSpec(tuple(position), (0.0, float(omega0)), dip, cavity_radius)
+    dipoles = [{"levels": (0, 1), "moment": dipole}]
+    return AtomSpec.from_dipoles(position, (0.0, float(omega0)), dipoles, cavity_radius)
 
 
 @dataclass
@@ -68,11 +89,12 @@ class EmissionReport:
     local_field_factor: float = 1.0
 
 
-def _check_position(position, grid: Grid):
+def check_position(position, grid: Grid):
+    """A point where fields are sampled must lie in the periodic box ``[0, L)``."""
     for x, length in zip(position, grid.lengths):
         if not (0.0 <= x < length):
             raise ProfileError(
-                f"position {tuple(position)} outside the periodic box {grid.lengths}"
+                f"position {tuple(position)} is outside the box [0, L), L = {grid.lengths}"
             )
 
 
@@ -89,7 +111,7 @@ def edge_stencil(grid: Grid, position):
     staggered component is interpolated on its own sub-lattice;
     nearest-sample lookup would bias against the offset directions.
     """
-    _check_position(position, grid)
+    check_position(position, grid)
     # (component, axis): the point in units of each component's sub-lattice
     u = np.asarray(position, dtype=np.float64) / grid.spacing - grid.component_offsets(EDGE)
     base = np.floor(u)
@@ -134,7 +156,9 @@ def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.nd
 
 
 def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
-    """Unit-area Lorentzian of half-width eta."""
+    """Unit-area Lorentzian of half-width eta, which must be positive."""
+    if not eta > 0:
+        raise ValueError(f"broadening {eta!r} must be positive")
     return (eta / np.pi) / (x * x + eta * eta)
 
 
@@ -201,12 +225,8 @@ def emission_rate(
     """
     k, kp = transition
     omega0 = atom.transition_frequency(k, kp)
-    if omega0 <= 0:
-        raise ValueError(f"transition {k}->{kp} has nonpositive frequency {omega0}")
     if eta is None:
         eta = default_broadening(bank, omega0)
-    if eta <= 0:
-        raise ValueError("broadening must be positive")
     om = bank.frequencies
     lo, hi = om.min(), om.max()
     if omega0 - 2 * eta < lo or omega0 + 2 * eta > hi:
@@ -238,6 +258,16 @@ def local_field_grid(radius: float, n: int = LOCAL_FIELD_CELLS) -> Grid:
     return Grid((n, n, n), spacing=radius / max(4, n // 8))
 
 
+def local_field_host_eps(atom: AtomSpec, host) -> float:
+    """The eps of ``host``, the descriptor of a local-field rate's homogeneous
+    host; the atom must carry a cavity radius."""
+    if atom.cavity_radius is None:
+        raise ValueError("the atom's cavity_radius is None")
+    if not (isinstance(host, Homogeneous) and host.eps > 0):
+        raise ProfileError(f"the host must be homogeneous with a positive eps, not {host!r}")
+    return host.eps
+
+
 def local_field_corrected_rate(
     bank_or_bulk_eps,
     atom: AtomSpec,
@@ -254,25 +284,18 @@ def local_field_corrected_rate(
     is supplied, or from the analytic sqrt(eps) enhancement when only
     the bulk permittivity is given.
     """
-    if atom.cavity_radius is None:
-        raise ValueError("atom carries no cavity radius")
+    is_bank = isinstance(bank_or_bulk_eps, ModeBank)
+    host = bank_or_bulk_eps.medium.descriptor if is_bank else Homogeneous(float(bank_or_bulk_eps))
+    eps_bulk = local_field_host_eps(atom, host)
     k, kp = transition
     omega0 = atom.transition_frequency(k, kp)
     gamma0 = free_space_rate(omega0, atom.dipoles[k, kp])
 
-    if isinstance(bank_or_bulk_eps, ModeBank):
-        bank = bank_or_bulk_eps
-        desc = bank.medium.descriptor
-        if not isinstance(desc, Homogeneous):
-            raise ProfileError("local-field composition expects a homogeneous host bank")
-        eps_bulk = desc.eps
-        bulk = emission_rate(bank, atom, transition, eta)
+    if is_bank:
+        bulk = emission_rate(bank_or_bulk_eps, atom, transition, eta)
         bulk_rate = bulk.rate
         eta_used = bulk.eta
     else:
-        eps_bulk = float(bank_or_bulk_eps)
-        if eps_bulk <= 0:
-            raise ProfileError("bulk permittivity must be positive")
         bulk_rate = np.sqrt(eps_bulk) * gamma0
         eta_used = eta if eta is not None else 0.0
 
@@ -291,6 +314,22 @@ def local_field_corrected_rate(
     )
 
 
+def spectrum_probe(omega_grid, orientation) -> tuple[np.ndarray, np.ndarray]:
+    """An LDOS spectrum's omega grid, which must be nonempty, 1-d and strictly
+    ascending, and its orientation over a norm that must be finite and nonzero."""
+    omegas = np.asarray(omega_grid, dtype=np.float64)
+    if omegas.ndim != 1 or len(omegas) == 0:
+        raise ValueError("omega grid must be a nonempty 1-d array")
+    if not np.all(np.diff(omegas) > 0):
+        raise ValueError("omega grid must be strictly ascending")
+    u = np.asarray(orientation, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        un = float(np.linalg.norm(u))
+    if not 0 < un < np.inf:
+        raise ValueError(f"orientation norm {un!r} is not finite and nonzero")
+    return omegas, u / un
+
+
 def ldos_spectrum(
     bank: ModeBank,
     position,
@@ -304,18 +343,7 @@ def ldos_spectrum(
     the resolved band this approaches the eps-weighted diagonal of the
     transverse projector kernel.
     """
-    omegas = np.asarray(omega_grid, dtype=np.float64)
-    if omegas.ndim != 1 or len(omegas) == 0:
-        raise ValueError("omega grid must be a nonempty 1-d array")
-    if np.any(np.diff(omegas) <= 0):
-        raise ValueError("omega grid must be strictly ascending")
-    if eta <= 0:
-        raise ValueError("broadening must be positive")
-    u = np.asarray(orientation, dtype=np.float64)
-    un = np.linalg.norm(u)
-    if un == 0:
-        raise ValueError("orientation must be a nonzero vector")
-    u = u / un
+    omegas, u = spectrum_probe(omega_grid, orientation)
     proj = sample_mode_fields(bank, position) @ u
     eps_r = sample_permittivity(bank.medium, position)
     weights = proj**2 * eps_r

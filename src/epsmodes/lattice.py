@@ -43,8 +43,10 @@ class Grid:
         if len(dims) != 3 or any(n < 1 for n in dims):
             raise ValueError(f"dims must be three integers >= 1, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if not (self.spacing > 0.0 and np.isfinite(self.spacing)):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        # stencils divide by spacing^2, sums weigh by spacing^3: both must stay in (0, inf)
+        s = float(self.spacing)
+        if not (s > 0.0 and all(0.0 < v < np.inf for v in (1.0 / s / s, s * s * s))):
+            raise ValueError(f"spacing {s!r} puts 1/spacing^2 or spacing^3 outside (0, inf)")
 
     @property
     def ncells(self) -> int:
@@ -241,5 +243,11 @@ def inner(u, v) -> float:
     return float(np.vdot(u.values, v.values)) * u.grid.cell_volume
 
 
-def norm(u) -> float:
-    return float(np.sqrt(inner(u, u)))
+def adjoint_defect(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+    """``|a.b - c.d|`` over ``sum|a*b| + sum|c*d|`` for raw arrays.
+
+    The two products of an adjoint identity can cancel to far below their
+    terms, but their rounding stays a few ulps of the terms' magnitudes.
+    """
+    terms = np.abs(a * b).sum() + np.abs(c * d).sum()
+    return float(abs(np.vdot(a, b) - np.vdot(c, d)) / max(terms, np.finfo(float).tiny))

@@ -193,7 +193,3 @@ def eps_inner(u: VectorField, v: VectorField, m: MediumProfile) -> float:
     if u.placement != EDGE or v.placement != EDGE:
         raise PlacementError("eps_inner is defined for edge fields")
     return float(np.vdot(u.values, m.eps * v.values)) * m.grid.cell_volume
-
-
-def eps_norm(u: VectorField, m: MediumProfile) -> float:
-    return float(np.sqrt(eps_inner(u, u, m)))

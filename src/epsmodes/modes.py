@@ -432,6 +432,26 @@ def _projected_matrix(gram, widths):
     return t, spans
 
 
+#: dof x block float64 arrays every :func:`solve_modes` run holds at once:
+#: its first residual ``A x - x theta`` next to ``x``, ``A x`` and ``x theta``.
+SOLVE_HELD_BLOCKS = 4
+
+
+def lobpcg_block(grid: Grid, n_modes: int) -> int:
+    """Columns of :func:`solve_modes`' blocks: ``n_modes`` plus guard columns.
+
+    ``n_modes`` must lie between 1 and the ``2 ncells - 2`` nonzero-frequency
+    modes of the transverse subspace.
+    """
+    n_nonzero = 2 * grid.ncells - 2
+    if not 1 <= n_modes <= n_nonzero:
+        raise FeasibilityError(
+            f"{n_modes} modes requested: the count must lie between 1 and the "
+            f"{n_nonzero} nonzero-frequency modes of a {grid.dims} grid"
+        )
+    return min(n_modes + max(6, n_modes // 5), n_nonzero)
+
+
 def solve_modes(
     op: QOperator,
     n_modes: int,
@@ -482,16 +502,7 @@ def solve_modes(
     m = op.medium
     grid = m.grid
     dof = 3 * grid.ncells
-    n_nonzero = 2 * grid.ncells - 2
-    if n_modes < 1:
-        raise FeasibilityError("n_modes must be >= 1")
-    if n_modes > n_nonzero:
-        raise FeasibilityError(
-            f"requested {n_modes} modes but the transverse subspace holds "
-            f"only {n_nonzero} nonzero-frequency modes on this grid"
-        )
-
-    block = min(n_modes + max(6, n_modes // 5), n_nonzero)
+    block = lobpcg_block(grid, n_modes)
     shape = (3,) + grid.dims
     project, sym = _range_projector(op)
 

@@ -528,6 +528,20 @@ class TestRun:
             ({"tasks": ["decompose", "modes", "cavity-factor"],
               "cavity_factor": {"eps_out": 4.0, "radius": 1}},
              EXIT_CONFIG, "cavity_factor.radius"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 1.0, "omega_max": 1.0000000000000002, "count": 5}},
+             EXIT_CONFIG, "ldos.omega_max=1.0000000000000002"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5,
+                       "orientation": [1e200, 0, 0]}},
+             EXIT_CONFIG, "ldos.orientation"),
+            # JSON's NaN and Infinity literals pass the schema's bounds
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": float("inf"), "count": 5}},
+             EXIT_CONFIG, "ldos.omega_max=inf"),
+            ({"tasks": ["modes", "cavity-factor"],
+              "cavity_factor": {"eps_out": 4.0, "radius": float("nan"), "grid": [16, 16, 16]}},
+             EXIT_CONFIG, "cavity_factor.radius=nan"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -541,7 +555,8 @@ class TestRun:
              "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory",
              "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
              "medium.eps_in", "mu.eps", "cavity-radius-above-quarter-box",
-             "cavity-radius-below-two-cells"],
+             "cavity-radius-below-two-cells", "ldos-grid-not-ascending",
+             "ldos-orientation-norm-overflows", "ldos-omega-max-infinite", "cavity-radius-nan"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -557,6 +572,65 @@ class TestRun:
         assert "Traceback" not in err and names in err
         # every fault is caught before any task writes a file
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    def test_mode_blocks_checked_against_memory(self, monkeypatch):
+        import epsmodes.cli as cli_mod
+        from epsmodes.modes import SOLVE_HELD_BLOCKS
+
+        # 4^3 and 4 modes: blocks of 192 dof and 10 columns
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4})
+        held = SOLVE_HELD_BLOCKS * 8 * 192 * 10
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held)
+        validate_config(cfg)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held - 1)
+        with pytest.raises(ConfigError, match=r"^modes\.count=4: "):
+            validate_config(cfg)
+        # one 64^3 field fits in 8 GiB, but 2000 modes take 14 GiB a block
+        cfg = base_config(grid={"dims": [64, 64, 64]}, tasks=["modes"], modes={"count": 2000})
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * 2**30)
+        with pytest.raises(ConfigError, match=r"^modes\.count=2000: "):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "spacing, seed",
+        [(0.1, 0), (0.01, 0), (1.0, 1015), (1.0, 6558), (1e-3, 0)],
+        ids=["spacing-0.1", "spacing-0.01", "seed-1015", "seed-6558", "spacing-1e-3"],
+    )
+    def test_verify_passes_correct_operators(self, tmp_path, spacing, seed):
+        # bounds that ignored the spacing, or that divided by products that
+        # cancel, failed these runs on correct stencils
+        cfg = base_config(grid={"dims": [4, 4, 4], "spacing": spacing}, seed=seed)
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "stencil, side, caught",
+        [("grad_raw", "output", {"curl_grad_zero", "grad_div_adjoint"}),
+         ("div_raw", "input", {"div_curl_t_zero", "grad_div_adjoint"}),
+         ("curl_raw", "input", {"curl_grad_zero", "curl_adjoint"}),
+         ("curl_t_raw", "output", {"div_curl_t_zero", "curl_adjoint"})],
+    )
+    def test_verify_catches_a_flipped_component(self, tmp_path, monkeypatch, stencil, side,
+                                                caught):
+        from epsmodes import lattice
+
+        original = getattr(lattice, stencil)
+
+        def broken(arr, spacing):
+            # component 0 with its sign flipped, on the side of the stencil that
+            # meets the other operator of its chain identity
+            if side == "output":
+                out = original(arr, spacing)
+                out[0] *= -1
+                return out
+            flipped = arr.copy()
+            flipped[0] *= -1
+            return original(flipped, spacing)
+
+        monkeypatch.setattr(lattice, stencil, broken)
+        cfg = base_config(grid={"dims": [4, 4, 4]}, seed=0)
+        assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_INVARIANT
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert caught <= {name for name, check in checks.items() if not check["pass"]}
 
     @pytest.mark.parametrize(
         "tamper",

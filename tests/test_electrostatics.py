@@ -3,7 +3,7 @@ import pytest
 
 from epsmodes.electrostatics import (
     cavity_field_factor,
-    cavity_radius_fault,
+    check_cavity_radius,
     helmholtz_decompose,
     solve_poisson_block,
 )
@@ -256,5 +256,6 @@ class TestCavityFieldFactor:
         # rate.factor_grid's schema minimum of 16 is the smallest grid the
         # cavity rule admits
         for n in range(16, 65):
-            assert cavity_radius_fault(local_field_grid(radius, n), radius) is None
-        assert cavity_radius_fault(local_field_grid(radius, 15), radius) is not None
+            check_cavity_radius(local_field_grid(radius, n), radius)
+        with pytest.raises(ProfileError):
+            check_cavity_radius(local_field_grid(radius, 15), radius)

@@ -27,6 +27,7 @@ from epsmodes.medium import (
 from epsmodes.modes import (
     DEGENERACY_RTOL,
     DENSE_DOF_LIMIT,
+    SOLVE_HELD_BLOCKS,
     ModeBank,
     QOperator,
     _canonicalize_clusters,
@@ -35,6 +36,7 @@ from epsmodes.modes import (
     apply_q,
     dense_q_matrix,
     dense_transverse_spectrum,
+    lobpcg_block,
     mode_residual_report,
     solve_modes,
     transverse_subspace_basis,
@@ -452,6 +454,24 @@ class TestSolveModes:
             solve_modes(op, 0)
         with pytest.raises(FeasibilityError):
             solve_modes(op, 2 * g.ncells - 1)
+
+    def test_solve_holds_the_counted_blocks(self):
+        # the CLI refuses a modes.count whose SOLVE_HELD_BLOCKS blocks exceed
+        # physical memory; a run holds at least that many, even when it stops
+        # after one iteration, so no run that fits is refused
+        import tracemalloc
+
+        g = Grid((8, 8, 8))
+        op = QOperator(build_profile(Homogeneous(2.0), g))
+        held = SOLVE_HELD_BLOCKS * 8 * 3 * g.ncells * lobpcg_block(g, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SolverError):
+                solve_modes(op, 40, tol=1e-12, maxiter=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= held
 
     def test_nonconvergence_raises(self):
         g = Grid((6, 6, 6))
