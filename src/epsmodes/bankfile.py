@@ -17,8 +17,9 @@ offset   content
 
 A JSON sidecar (same path plus ``.json``) stores the medium and mu
 descriptors, Gram/residual metadata and the solver seed.  A sidecar of
-another format or version, or one that lacks a key, is refused, and so is
-a bank whose magnetic flag disagrees with its sidecar's mu.  Round trips are
+another format or version, one that lacks a key, or one holding a
+descriptor that :mod:`epsmodes.medium` refuses is refused, and so is a bank
+whose magnetic flag disagrees with its sidecar's mu.  Round trips are
 bit-exact: the g fields, the only form a bank holds, are read back bitwise
 into the same C-ordered layout the solver produces, and eps and mu are
 rebuilt from the descriptors.
@@ -36,15 +37,7 @@ import numpy as np
 
 from .errors import BankFileError, ProfileError
 from .lattice import Grid
-from .medium import (
-    Descriptor,
-    EmptyCavity,
-    Homogeneous,
-    Layer,
-    SlabStack,
-    Sphere,
-    build_profile,
-)
+from .medium import build_profile, descriptor_from_dict, descriptor_to_dict
 from .modes import ModeBank
 
 MAGIC = b"QMB1"
@@ -57,56 +50,6 @@ def _body_dtype(grid: Grid) -> np.dtype:
     """One mode record: the frequency, then g with each component x-fastest."""
     nx, ny, nz = grid.dims
     return np.dtype([("freq", "<f8"), ("g", "<f8", (3, nz, ny, nx))])
-
-
-def descriptor_to_dict(desc: Descriptor) -> dict:
-    if isinstance(desc, Homogeneous):
-        return {"kind": "homogeneous", "eps": desc.eps}
-    if isinstance(desc, SlabStack):
-        return {
-            "kind": "slab-stack",
-            "axis": desc.axis,
-            "layers": [{"thickness": l.thickness, "eps": l.eps} for l in desc.layers],
-        }
-    if isinstance(desc, Sphere):
-        return {
-            "kind": "sphere",
-            "center": list(desc.center),
-            "radius": desc.radius,
-            "eps_in": desc.eps_in,
-            "eps_out": desc.eps_out,
-        }
-    if isinstance(desc, EmptyCavity):
-        return {
-            "kind": "empty-cavity",
-            "host": descriptor_to_dict(desc.host),
-            "centers": [list(c) for c in desc.centers],
-            "radius": desc.radius,
-        }
-    raise ProfileError(f"cannot serialize descriptor {type(desc).__name__}")
-
-
-def descriptor_from_dict(data: dict) -> Descriptor:
-    kind = data.get("kind")
-    if kind == "homogeneous":
-        return Homogeneous(eps=float(data["eps"]))
-    if kind == "slab-stack":
-        layers = tuple(Layer(float(l["thickness"]), float(l["eps"])) for l in data["layers"])
-        return SlabStack(layers=layers, axis=int(data.get("axis", 0)))
-    if kind == "sphere":
-        return Sphere(
-            center=tuple(float(x) for x in data["center"]),
-            radius=float(data["radius"]),
-            eps_in=float(data["eps_in"]),
-            eps_out=float(data["eps_out"]),
-        )
-    if kind == "empty-cavity":
-        return EmptyCavity(
-            host=descriptor_from_dict(data["host"]),
-            centers=tuple(tuple(float(x) for x in c) for c in data["centers"]),
-            radius=float(data["radius"]),
-        )
-    raise ProfileError(f"unknown descriptor kind {kind!r}")
 
 
 def _sidecar_path(path) -> Path:
@@ -199,9 +142,6 @@ def load_bank(path) -> ModeBank:
                 f"sidecar {sidecar_file} has format {sidecar['format']!r} version "
                 f"{sidecar['version']!r}, not {SIDECAR_FORMAT!r} version {VERSION}"
             )
-        desc = descriptor_from_dict(sidecar["medium"])
-        mu = sidecar["mu"]
-        mu_desc = None if mu is None else descriptor_from_dict(mu)
         residuals = np.asarray(sidecar["residuals"], dtype=np.float64)
         gram_defect = float(sidecar["gram_defect"])
         complete, seed = sidecar["complete"], sidecar["seed"]
@@ -210,19 +150,25 @@ def load_bank(path) -> ModeBank:
                 f"sidecar {sidecar_file} has complete={complete!r} and seed={seed!r}, "
                 "not a boolean and an integer or null"
             )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        if residuals.shape != (n_modes,):
+            raise BankFileError(
+                f"sidecar {sidecar_file} holds {residuals.size} residuals for "
+                f"{n_modes} modes"
+            )
+        mu = sidecar["mu"]
+        if magnetic != int(mu is not None):
+            raise BankFileError(
+                f"magnetic flag {magnetic} at offset 32 disagrees with sidecar mu {mu!r}",
+                offset=32,
+            )
+        # the medium's own rules judge the descriptors: a fault is the sidecar's
+        medium = build_profile(
+            descriptor_from_dict(sidecar["medium"]),
+            grid,
+            None if mu is None else descriptor_from_dict(mu),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError, ProfileError) as exc:
         raise BankFileError(f"malformed sidecar {sidecar_file}: {exc!r}") from exc
-    if residuals.shape != (n_modes,):
-        raise BankFileError(
-            f"sidecar {sidecar_file} holds {residuals.size} residuals for "
-            f"{n_modes} modes"
-        )
-    if magnetic != int(mu_desc is not None):
-        raise BankFileError(
-            f"magnetic flag {magnetic} at offset 32 disagrees with sidecar mu {mu!r}",
-            offset=32,
-        )
-    medium = build_profile(desc, grid, mu_desc)
 
     body = np.frombuffer(raw, body_dtype, count=n_modes, offset=_HEADER.size)
     return ModeBank(

@@ -248,7 +248,9 @@ _JSON_TYPES = {
     # a JSON integer literal: unlike draft 2020-12, 4.0 is not an integer,
     # since the tasks index and size arrays with these values
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    # RFC 8259 has no NaN or Infinity, which json.loads admits as floats
+    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                         or isinstance(v, float) and math.isfinite(v)),
 }
 
 # numeric bounds: the comparison that violates each, and its message
@@ -345,10 +347,9 @@ class _Runner:
     """Runs the tasks of ``config``, the resolved run ``validate_config`` returns."""
 
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
-        from .bankfile import descriptor_from_dict
         from .emission import AtomSpec
         from .lattice import Grid
-        from .medium import build_profile
+        from .medium import build_profile, descriptor_from_dict
 
         self.config = config
         self.out_dir = out_dir
@@ -357,7 +358,8 @@ class _Runner:
         self.grid = Grid(tuple(config["grid"]["dims"]), config["grid"]["spacing"])
         desc = descriptor_from_dict(config["medium"])
         mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
-        self.medium = build_profile(desc, self.grid, mu_desc)
+        self.medium = _rule("medium" if mu_desc is None else "medium, mu",
+                            build_profile, desc, self.grid, mu_desc)
         self.atoms = [AtomSpec.from_dipoles(**entry) for entry in config["atoms"]]
         solver = config["solver"]
         self.poisson_tol = solver["poisson_tol"]
@@ -678,9 +680,9 @@ def validate_config(config: dict) -> dict:
     import numpy as np
 
     from . import emission
-    from .bankfile import descriptor_from_dict
     from .electrostatics import check_cavity_radius
     from .lattice import Grid
+    from .medium import descriptor_from_dict
     from .modes import SOLVE_HELD_BLOCKS, lobpcg_block
 
     grid = _rule(f"grid.spacing={spacing!r}", Grid, tuple(dims), spacing)

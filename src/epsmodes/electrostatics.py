@@ -37,7 +37,7 @@ from .lattice import (
     fourier_symbol,
     grad_raw,
 )
-from .medium import MediumProfile, Sphere, _min_image, build_profile
+from .medium import MediumProfile, Sphere, build_profile, in_balls
 
 DEFAULT_TOL = 1e-10
 
@@ -188,8 +188,6 @@ def cavity_field_factor(
     ``CAVITY_INTERIOR_MARGIN`` cells inside the cavity; for a sphere in a
     uniform host the quasi-static answer is ``3 eps / (2 eps + 1)``.
     """
-    if eps_out <= 0:
-        raise ProfileError(f"eps_out must be positive, got {eps_out}")
     check_cavity_radius(grid, radius)
 
     center = tuple(l / 2 for l in grid.lengths)
@@ -201,8 +199,8 @@ def cavity_field_factor(
     chi, _, _ = solve_poisson_block(rhs, m, tol=tol)
     total_x = 1.0 - dplus(chi, 0, grid.spacing)
 
-    delta = _min_image(grid.component_positions(EDGE, 0) - np.asarray(center), grid.lengths)
-    inside = np.linalg.norm(delta, axis=-1) <= radius - CAVITY_INTERIOR_MARGIN * grid.spacing
+    inside = in_balls(grid.component_positions(EDGE, 0), (center,),
+                      radius - CAVITY_INTERIOR_MARGIN * grid.spacing, grid, "cavity interior")
     if not inside.any():
         raise ProfileError("interior margin leaves no cavity samples")
     return float(total_x[inside].mean())

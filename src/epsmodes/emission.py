@@ -20,7 +20,7 @@ from .electrostatics import cavity_field_factor
 from .errors import BandCoverageError, FeasibilityError, ProfileError
 from .lattice import EDGE, Grid
 from .medium import Homogeneous, MediumProfile
-from .modes import DEGENERACY_RTOL, ModeBank
+from .modes import ModeBank, degenerate_clusters
 
 
 @dataclass(frozen=True)
@@ -168,17 +168,13 @@ BROADENING_LEVELS = 6
 
 
 def distinct_levels(frequencies: np.ndarray) -> np.ndarray:
-    """Resonance frequencies with degenerate clusters merged."""
+    """Resonance frequencies, the first of each degenerate cluster as the bank
+    groups them (:func:`epsmodes.modes.degenerate_clusters`)."""
     om = np.sort(np.asarray(frequencies))
     om = om[om > 0]
     if len(om) == 0:
         return om
-    out = [om[0]]
-    tol = DEGENERACY_RTOL * om[-1]
-    for w in om[1:]:
-        if w - out[-1] > tol:
-            out.append(w)
-    return np.asarray(out)
+    return om[[cluster.start for cluster in degenerate_clusters(om)]]
 
 
 def default_broadening(bank: ModeBank, omega0: float) -> float:

@@ -231,6 +231,18 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[i] < 0 else vec
 
 
+def degenerate_clusters(freqs: np.ndarray) -> list[slice]:
+    """The degenerate clusters of ascending ``freqs``, as slices.
+
+    A cluster is a run whose consecutive gaps are at most
+    ``DEGENERACY_RTOL * max(f_max, 1)``, so a chain of near-equal
+    frequencies is one cluster however far its ends lie apart.
+    """
+    cuts = np.flatnonzero(np.diff(freqs) > DEGENERACY_RTOL * max(freqs.max(), 1.0)) + 1
+    bounds = [0, *cuts.tolist(), len(freqs)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """Deterministic basis within degenerate clusters.
 
@@ -242,16 +254,10 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     cancellation error in the basis.
     """
     vecs = vecs.copy()
-    scale = max(freqs.max(), 1.0)
-    i = 0
-    n = len(freqs)
-    while i < n:
-        j = i + 1
-        while j < n and freqs[j] - freqs[j - 1] <= DEGENERACY_RTOL * scale:
-            j += 1
-        size = j - i
+    for cluster in degenerate_clusters(freqs):
+        size = cluster.stop - cluster.start
         if size > 1:
-            v = vecs[:, i:j]                      # (dof, m)
+            v = vecs[:, cluster]                  # (dof, m)
             coeff = np.zeros((size, size))
             picked = 0
             # rows of v are the coefficient vectors of the coordinate unit
@@ -276,10 +282,9 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
                 row += k + 1
             if picked < size:
                 raise SolverError("degenerate cluster canonicalization failed")
-            vecs[:, i:j] = v @ coeff.T
+            vecs[:, cluster] = v @ coeff.T
         else:
-            vecs[:, i] = _canonical_sign(vecs[:, i])
-        i = j
+            vecs[:, cluster.start] = _canonical_sign(vecs[:, cluster.start])
     return vecs
 
 

@@ -133,9 +133,13 @@ def _without(key):
         _without("seed"),
         lambda text: json.dumps({**json.loads(text), "complete": "false"}),
         lambda text: json.dumps({**json.loads(text), "seed": "3"}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "medium": {"kind": "homogeneous", "eps": -2.0}}),
+        lambda text: json.dumps({**json.loads(text), "medium": {"kind": "crystal"}}),
     ],
     ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
-         "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed"],
+         "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed",
+         "medium-refused", "unknown-kind"],
 )
 def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     path = tmp_path / "bank.qmb"

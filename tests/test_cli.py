@@ -535,13 +535,26 @@ class TestRun:
               "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5,
                        "orientation": [1e200, 0, 0]}},
              EXIT_CONFIG, "ldos.orientation"),
-            # JSON's NaN and Infinity literals pass the schema's bounds
+            # json.loads admits NaN and Infinity, which are not JSON numbers
             ({"tasks": ["modes", "ldos"],
               "ldos": {"omega_min": 0.5, "omega_max": float("inf"), "count": 5}},
-             EXIT_CONFIG, "ldos.omega_max=inf"),
+             EXIT_CONFIG, "$.ldos.omega_max: inf"),
             ({"tasks": ["modes", "cavity-factor"],
               "cavity_factor": {"eps_out": 4.0, "radius": float("nan"), "grid": [16, 16, 16]}},
-             EXIT_CONFIG, "cavity_factor.radius=nan"),
+             EXIT_CONFIG, "$.cavity_factor.radius: nan"),
+            ({"tasks": ["modes", "verify"], "solver": {"eig_tol": float("inf")}},
+             EXIT_CONFIG, "$.solver.eig_tol: inf"),
+            ({"tasks": ["modes"], "solver": {"eig_tol": float("nan")}},
+             EXIT_CONFIG, "$.solver.eig_tol: nan"),
+            ({"tasks": ["modes", "ldos"],
+              "ldos": {"omega_min": 0.5, "omega_max": 0.9, "count": 5, "eta": float("nan")}},
+             EXIT_CONFIG, "$.ldos.eta: nan"),
+            # the medium's own rules, named by the config key that holds it
+            ({"medium": {"kind": "sphere", "center": [2, 2, 2], "radius": 3.0,
+                         "eps_in": 1.0, "eps_out": 2.0}},
+             EXIT_CONFIG, "medium: sphere radius 3.0 exceeds half the box 2.0"),
+            ({"medium": {"kind": "slab-stack", "layers": [{"thickness": 3.0, "eps": 2.0}]}},
+             EXIT_CONFIG, "medium: stack period 3.0 does not tile"),
         ],
         ids=["rate-atom-out-of-range", "max-iter-reaches-solver", "homogeneous-without-eps",
              "sphere-without-radius", "empty-cavity-without-host", "slab-stack-axis-5",
@@ -556,7 +569,9 @@ class TestRun:
              "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
              "medium.eps_in", "mu.eps", "cavity-radius-above-quarter-box",
              "cavity-radius-below-two-cells", "ldos-grid-not-ascending",
-             "ldos-orientation-norm-overflows", "ldos-omega-max-infinite", "cavity-radius-nan"],
+             "ldos-orientation-norm-overflows", "ldos-omega-max-infinite", "cavity-radius-nan",
+             "eig-tol-infinite", "eig-tol-nan", "ldos-eta-nan", "sphere-wider-than-half-box",
+             "slab-period-not-tiling"],
     )
     def test_input_fault_exit_code(self, tmp_path, capsys, overrides, code, names):
         # names: a part of the message that says which input is at fault
@@ -660,18 +675,30 @@ class TestRun:
         checks = json.loads((tmp_path / "tampered" / "verify.json").read_text())["checks"]
         assert [name for name, c in checks.items() if not c["pass"]] == ["bank_stored_metadata"]
 
-    def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
-        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"],
+    @pytest.mark.parametrize(
+        "dims, medium, corrupt",
+        [
+            ([4, 4, 4], {"kind": "homogeneous", "eps": 1.0},
+             lambda data: data.pop("gram_defect")),
+            # a descriptor the medium refuses, though the sidecar holds every key
+            ([8, 1, 1], {"kind": "slab-stack", "axis": 0,
+                         "layers": [{"thickness": 6.0, "eps": 1.0}, {"thickness": 2.0, "eps": 13.0}]},
+             lambda data: data["medium"].update(axis=5)),
+        ],
+        ids=["missing-gram-defect", "slab-axis-5"],
+    )
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys, dims, medium, corrupt):
+        cfg = base_config(grid={"dims": dims}, medium=medium, tasks=["modes"],
                           modes={"count": 4, "bank_out": "bank.qmb"})
         assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_OK
         sidecar = tmp_path / "bank.qmb.json"
         data = json.loads(sidecar.read_text())
-        del data["gram_defect"]
+        corrupt(data)
         sidecar.write_text(json.dumps(data))
-        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["verify"],
-                          modes={"bank_in": str(tmp_path / "bank.qmb")})
+        cfg.update(tasks=["verify"], modes={"bank_in": str(tmp_path / "bank.qmb")})
         assert run(write_config(tmp_path, cfg), tmp_path) == EXIT_CONFIG
-        assert "malformed sidecar" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed sidecar" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "overrides, field",

@@ -4,11 +4,12 @@ import pytest
 from epsmodes.errors import BandCoverageError, ProfileError
 from epsmodes.lattice import Grid
 from epsmodes.medium import Homogeneous, Sphere, build_profile
-from epsmodes.modes import QOperator, dense_transverse_spectrum, solve_modes
+from epsmodes.modes import QOperator, degenerate_clusters, dense_transverse_spectrum, solve_modes
 from epsmodes.emission import (
     AtomSpec,
     coupling_strengths,
     default_broadening,
+    distinct_levels,
     edge_stencil,
     emission_rate,
     free_space_rate,
@@ -197,6 +198,13 @@ class TestDefaultBroadening:
         # omega right on a highly degenerate shell still yields a finite width
         eta = default_broadening(vacuum8, float(vacuum8.frequencies[0]))
         assert eta > 1e-3
+
+    def test_levels_merge_clusters_as_the_bank_does(self):
+        # gaps of 0.8e-8 chain three frequencies into one cluster, though
+        # its ends lie 1.6e-8 apart, above the 1e-8 tolerance
+        w = np.array([0.5, 0.5 + 0.8e-8, 0.5 + 1.6e-8])
+        assert degenerate_clusters(w) == [slice(0, 3)]
+        assert distinct_levels(w).tolist() == [0.5]
 
 
 class TestLocalFieldRate:

@@ -72,6 +72,28 @@ class TestBuildProfile:
         with pytest.raises(ProfileError):
             build_profile(EmptyCavity(Homogeneous(2.0), ((4, 4, 4),), 0.2), g)
 
+    @pytest.mark.parametrize(
+        "desc, mu_desc",
+        [
+            (SlabStack((Layer(8.0, 2.0),), axis=5), None),
+            (SlabStack((Layer(8.0, 2.0),), axis=1.0), None),
+            (SlabStack((Layer(8e9, 2.0),)), None),
+            (Sphere((4.0, 4.0), 2.0, 1.0, 2.0), None),
+            (EmptyCavity(Homogeneous(2.0), ((4.0, 4.0, 4.0), (1.0, 1.0)), 1.5), None),
+            # values no sample reaches: a sphere inside one cell, a layer
+            # thinner than one
+            (Sphere((4.2, 4.2, 4.2), 0.1, -1.0, 2.0), None),
+            (SlabStack((Layer(7.1, 2.0), Layer(0.3, -1.0), Layer(0.6, 2.0))), None),
+            (Homogeneous(1.0), SlabStack((Layer(7.1, 2.0), Layer(0.3, -1.0), Layer(0.6, 2.0)))),
+        ],
+        ids=["slab-axis-5", "slab-axis-float", "period-far-above-box", "two-coordinate-center", "two-coordinate-cavity-center",
+             "negative-eps-in-unsampled-sphere", "negative-eps-unsampled-layer",
+             "negative-mu-unsampled-layer"],
+    )
+    def test_rejects_descriptor_faults(self, desc, mu_desc):
+        with pytest.raises(ProfileError):
+            build_profile(desc, Grid((8, 8, 8), 1.0), mu_desc)
+
 
 class TestEpsInner:
     def test_unit_fields_give_box_volume(self):
