@@ -786,8 +786,9 @@ def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:
 
     try:
         resolved = validate_config(config)
-        out_dir.mkdir(parents=True, exist_ok=True)
         runner = _Runner(resolved, out_dir, verbosity)
+        # made only once the medium is built, so a refused run leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, EpsmodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,8 +15,12 @@ curls in Fourier space and multiplies by eps in real space, in two FFT
 pairs, and its output lies in the range; when eps is uniform it is one
 shifted FFT pair instead.  Each LOBPCG iteration runs that map, one
 Rayleigh-Ritz step and two operator applications (the Ritz block and the
-new directions).  The three zero-frequency modes of Q belong only to
-complete dense spectra.
+new directions).  For a homogeneous medium the start block is random
+inside the fewest lowest shells of the vacuum symbol ``|d|^2`` that hold
+it, which span its lowest eigenspace exactly; the same FFT pair that
+projects it onto the range drops the higher shells.  Any other medium
+starts from every shell.  The three zero-frequency modes of Q belong only
+to complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -374,6 +378,11 @@ def _range_projector(op: QOperator):
     ignores too, the shift converged in fewer iterations where measured.
     Whether eps is uniform alone decides which case runs.
 
+    ``project(y, cutoff=c)`` is the plain projection with every wave vector
+    whose ``|d|^2`` exceeds ``c`` dropped from ``y / w^(1/2)`` in the same
+    FFT pair, so its output stays in the range: the start block of a
+    homogeneous medium (:func:`_start_cutoff`).
+
     Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
     the rfftn half grid (:func:`fourier_symbol`).
     """
@@ -394,7 +403,7 @@ def _range_projector(op: QOperator):
         curl_t_sym = -d_conj * inv_sym
         curl_sym = d[..., None] * inv_sym
 
-    def project(y, shifts=None):
+    def project(y, shifts=None, cutoff=None):
         v = y if sqrt_w is None else y / sqrt_w
         vk = np.fft.rfftn(v, axes=axes)
         if uniform_eps or shifts is None:
@@ -402,6 +411,8 @@ def _range_projector(op: QOperator):
                 denom = np.abs(sym[..., None] * coeff - shifts)
                 np.maximum(denom, 0.1 * np.abs(shifts), out=denom)
                 vk /= denom
+            if cutoff is not None:
+                vk[:, sym > cutoff] = 0.0
             # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
             vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
             vk[:, 0, 0, 0] = 0.0
@@ -419,6 +430,29 @@ def _range_projector(op: QOperator):
         return v if sqrt_w is None else sqrt_w * v
 
     return project, sym
+
+
+def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
+    """Smallest ``|d|^2`` whose shells and those below hold ``block`` range directions.
+
+    Each nonzero wave vector carries two directions of the range of B, so
+    the cutoff is the smallest value of ``sym`` (the rfftn half-grid
+    symbol of :func:`_range_projector`) at which the nonzero wave vectors
+    with ``sym <= cutoff`` number at least ``ceil(block / 2)``.  They are
+    counted on ``sym`` itself, so the count and the projector's mask agree
+    exactly: an interior rfft plane stands for two wave vectors, the
+    self-conjugate planes ``kz = 0`` and ``kz = nz/2`` (nz even) for one.
+    """
+    weight = np.full(sym.shape[-1], 2)
+    weight[0] = 1
+    if nz % 2 == 0:
+        weight[-1] = 1
+    weight = np.broadcast_to(weight, sym.shape)
+    nonzero = sym > 0
+    values, counts = sym[nonzero], weight[nonzero]
+    order = np.argsort(values, kind="stable")
+    held = np.cumsum(counts[order])
+    return float(values[order][np.searchsorted(held, -(-block // 2))])
 
 
 def _projected_matrix(gram, widths):
@@ -500,6 +534,20 @@ def solve_modes(
     ``p^T A p = c_p^T t c_p`` need no image of ``p``.  The operator is
     applied to ``x``, whose image the residual needs, and to ``w``.
 
+    The start block is a seeded random draw projected onto the range.
+    When eps and mu are both uniform, the same FFT pair drops every wave
+    vector above :func:`_start_cutoff`, so the block lies in the fewest
+    lowest shells of the vacuum symbol ``|d|^2`` that hold it.  The modes
+    of such a medium are plane waves, so those shells span its lowest
+    ``block`` eigenpairs exactly and the solve takes two iterations
+    instead of about seven (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
+    Any other medium starts from every shell: a symmetry of the medium (a
+    period that tiles the box more than once, a mirror plane) splits the
+    range into subspaces the iteration never mixes, and one that misses
+    the lowest shells can still hold wanted modes, which a start confined
+    to those shells would never find.  A block of all ``2 ncells - 2``
+    range directions keeps every shell.
+
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
     smaller.
@@ -517,11 +565,13 @@ def solve_modes(
     def apply_cols(mat):
         return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
-    def project_cols(mat, shifts=None):
-        return project(to_block(mat), shifts).reshape(dof, -1)
+    def project_cols(mat, shifts=None, cutoff=None):
+        return project(to_block(mat), shifts, cutoff).reshape(dof, -1)
 
     rng = np.random.default_rng(seed)
-    x = _orthonormalize(project_cols(rng.standard_normal((dof, block))), [])
+    homogeneous = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
+    cutoff = _start_cutoff(sym, grid.dims[2], block) if homogeneous else None
+    x = _orthonormalize(project_cols(rng.standard_normal((dof, block)), cutoff=cutoff), [])
     if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")
 

@@ -442,7 +442,12 @@ class TestRun:
         "overrides, code, names",
         [
             ({"tasks": ["modes", "rate"], "rate": {"atom": 1}}, EXIT_CONFIG, "rate.atom"),
-            ({"tasks": ["modes"], "solver": {"max_iter": 1}}, EXIT_SOLVER, "did not converge"),
+            # a sphere: four vacuum modes lie in one shell of the start block
+            # and converge at once
+            ({"tasks": ["modes"], "solver": {"max_iter": 1},
+              "medium": {"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
+                         "eps_in": 4.0, "eps_out": 1.0}},
+             EXIT_SOLVER, "did not converge"),
             ({"medium": {"kind": "homogeneous"}}, EXIT_CONFIG, "'eps'"),
             ({"medium": {"kind": "sphere", "center": [2, 2, 2], "eps_in": 1.0,
                          "eps_out": 2.0}}, EXIT_CONFIG, "'radius'"),
@@ -587,6 +592,15 @@ class TestRun:
         assert "Traceback" not in err and names in err
         # every fault is caught before any task writes a file
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    def test_refused_medium_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = base_config(grid={"dims": [4, 4, 4]},
+                          medium={"kind": "sphere", "center": [2, 2, 2], "radius": 3.0,
+                                  "eps_in": 1.0, "eps_out": 2.0})
+        out_dir = tmp_path / "fresh"
+        assert run(write_config(tmp_path, cfg), out_dir) == EXIT_CONFIG
+        assert "medium: sphere radius 3.0 exceeds half the box 2.0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_mode_blocks_checked_against_memory(self, monkeypatch):
         import epsmodes.cli as cli_mod

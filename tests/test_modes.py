@@ -33,6 +33,7 @@ from epsmodes.modes import (
     _canonicalize_clusters,
     _orthonormalize,
     _range_projector,
+    _start_cutoff,
     apply_q,
     dense_q_matrix,
     dense_transverse_spectrum,
@@ -328,6 +329,121 @@ class TestRangeProjector:
         assert np.linalg.eigvalsh((gram + gram.T) / 2).min() > 0
 
 
+class TestStartBlock:
+    """The solver's start block: random inside the lowest shells of ``|d|^2``
+    for a homogeneous medium, over every shell for any other."""
+
+    @staticmethod
+    def start_block(op, n_modes, monkeypatch):
+        """The range-projected start block ``solve_modes`` orthonormalizes first."""
+        seen = []
+
+        def spy(block, against, drop_abs=0.0):
+            if not seen:
+                seen.append(block.copy())
+            return _orthonormalize(block, against, drop_abs)
+
+        monkeypatch.setattr(modes, "_orthonormalize", spy)
+        solve_modes(op, n_modes, tol=1e-6, seed=0)
+        return seen[0].reshape((3,) + op.grid.dims + (-1,))
+
+    @pytest.mark.parametrize(
+        "make_op, n_modes",
+        [
+            (lambda: QOperator(build_profile(Homogeneous(1.0), Grid((2, 2, 2)))), 8),
+            (lambda: QOperator(build_profile(Homogeneous(4.0), Grid((64, 1, 1)))), 16),
+            (lambda: QOperator(build_profile(Homogeneous(2.0), Grid((5, 3, 1)))), 10),
+            (lambda: QOperator(build_profile(Homogeneous(2.0), Grid((6, 6, 6)),
+                                             mu_desc=Homogeneous(3.0))), 30),
+        ],
+        ids=["2^3-complete", "64x1x1", "5x3x1", "uniform-mu-6^3"],
+    )
+    def test_block_lies_in_the_lowest_shells_of_the_range(self, make_op, n_modes,
+                                                           monkeypatch):
+        op = make_op()
+        grid = op.grid
+        block = lobpcg_block(grid, n_modes)
+        y = self.start_block(op, n_modes, monkeypatch)
+        assert y.shape[-1] == block
+        # independent columns
+        sv = np.linalg.svd(y.reshape(-1, block), compute_uv=False)
+        assert sv.min() > 1e-3 * sv.max()
+        # in the range of B
+        project, sym = _range_projector(op)
+        assert np.abs(project(y) - y).max() <= 1e-13 * np.abs(y).max()
+        # no wave vector of the full grid above the cutoff, which is the
+        # smallest |d|^2 whose shells and those below hold ceil(block / 2) of
+        # the nonzero wave vectors; the full-grid symbol is formed here
+        # apart from the solver's, so both sides get a rounding margin
+        cutoff = _start_cutoff(sym, grid.dims[2], block)
+        n = np.indices(grid.dims)
+        dims = np.array(grid.dims)[:, None, None, None]
+        full_sym = 4 / grid.spacing**2 * np.sum(np.sin(np.pi * n / dims) ** 2, axis=0)
+        sqrt_w = 1.0 if op.sqrt_w is None else op.sqrt_w[..., None]
+        yk = np.abs(np.fft.fftn(y / sqrt_w, axes=(1, 2, 3))).max(axis=(0, -1))
+        assert yk[full_sym > cutoff * (1 + 1e-12)].max(initial=0.0) <= 1e-12 * yk.max()
+        nonzero = full_sym > 0
+        need = -(-block // 2)
+        assert np.count_nonzero(nonzero & (full_sym <= cutoff * (1 + 1e-12))) >= need
+        assert np.count_nonzero(nonzero & (full_sym < cutoff * (1 - 1e-12))) < need
+        if block == 2 * grid.ncells - 2:
+            assert cutoff == sym.max()
+
+    @pytest.mark.parametrize(
+        "make_op, n_modes",
+        [
+            (lambda: QOperator(build_profile(
+                SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1)))), 16),
+            (lambda: QOperator(sphere_medium(Grid((6, 6, 6)))), 30),
+        ],
+        ids=["slab-64x1x1", "mu-sphere-6^3"],
+    )
+    def test_inhomogeneous_block_keeps_every_shell(self, make_op, n_modes, monkeypatch):
+        # the seeded draw projected onto the range with no wave vector dropped
+        op = make_op()
+        block = lobpcg_block(op.grid, n_modes)
+        y = self.start_block(op, n_modes, monkeypatch)
+        draw = np.random.default_rng(0).standard_normal((3 * op.grid.ncells, block))
+        project, _ = _range_projector(op)
+        assert np.array_equal(y, project(draw.reshape(y.shape)))
+
+    @pytest.mark.parametrize(
+        "make_op, n_modes",
+        [
+            (lambda: QOperator(build_profile(
+                SlabStack((Layer(1.0, 1.0), Layer(1.0, 50.0)), axis=0), Grid((8, 6, 6)))), 16),
+            (lambda: QOperator(build_profile(
+                Sphere((3.0, 3.0, 3.0), 1.8, 50.0, 1.0), Grid((6, 6, 6)))), 6),
+        ],
+        ids=["period-2-slabs-8x6x6", "centered-sphere-6^3"],
+    )
+    def test_symmetric_media_find_every_mode(self, make_op, n_modes):
+        # each symmetry of a medium splits the range into subspaces that the
+        # operator and both preconditioner paths keep apart: a period of two
+        # cells on an 8-cell axis couples kx only to kx + 4m, a centred sphere
+        # keeps mirror parities apart.  Some of these subspaces have no wave
+        # vector in the lowest shells that hold the block, yet hold wanted
+        # modes, so a start confined to those shells misses them (the
+        # frequencies then came out 1.6e-2 and 4e-3 too high)
+        op = make_op()
+        bank = solve_modes(op, n_modes, tol=1e-8, seed=0)
+        ref = dense_transverse_spectrum(op, include_zero_modes=False).frequencies[:n_modes]
+        assert np.abs(bank.frequencies - ref).max() <= 1e-10 * ref.max()
+
+    def test_closed_shells_converge_in_one_step(self):
+        # 4^3, 6 modes: the block of 12 is exactly the six wave vectors of
+        # the lowest shell, the eigenspace of a homogeneous medium, so the
+        # first Rayleigh-Ritz step solves it
+        g = Grid((4, 4, 4))
+        iterations = []
+        bank = solve_modes(QOperator(build_profile(Homogeneous(2.0), g)), 6, tol=1e-10,
+                           seed=0, on_iteration=lambda i, theta, rnorm: iterations.append(i))
+        assert lobpcg_block(g, 6) == 12
+        assert iterations == [0]
+        ref = homogeneous_frequencies(g, 2.0)[:6]
+        assert np.abs(bank.frequencies - ref).max() <= 1e-12 * ref.max()
+
+
 def homogeneous_frequencies(grid, eps):
     """Sorted nonzero frequencies of a homogeneous lattice, with multiplicity.
 
@@ -509,9 +625,10 @@ class TestSolveModes:
         iterations = []
         solve_modes(op, 112, tol=1e-6, seed=0,
                     on_iteration=lambda i, theta, rnorm: iterations.append(i))
-        # the last iteration converges and adds no directions; the exact
-        # shift-and-invert of a homogeneous medium needs 7 iterations
-        assert 1 < len(iterations) <= 7
+        # the last iteration converges and adds no directions; the start
+        # block lies in the lowest shells, the exact eigenspace of a
+        # homogeneous medium, and the second Rayleigh-Ritz step closes it
+        assert len(iterations) == 2
         assert len(calls) == 1 + (len(iterations) - 1)
 
     def test_implicit_gram_blocks_do_not_drift(self, monkeypatch):
