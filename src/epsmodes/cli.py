@@ -787,10 +787,14 @@ def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:
     try:
         resolved = validate_config(config)
         runner = _Runner(resolved, out_dir, verbosity)
-        # made only once the medium is built, so a refused run leaves none
+        # made only once the medium is built, so a refused run leaves none;
+        # it is the one step here that touches the file system
         out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ValueError, EpsmodesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: --out-dir {out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     for task in resolved["tasks"]:

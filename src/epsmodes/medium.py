@@ -167,26 +167,33 @@ def descriptor_to_dict(desc: Descriptor) -> dict:
     raise ProfileError(f"cannot serialize descriptor {type(desc).__name__}")
 
 
+def _number(value, kind=float):
+    """A JSON number as ``kind``; a bool or a string, which Python would coerce, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise ProfileError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def descriptor_from_dict(data: dict) -> Descriptor:
     """The descriptor of a JSON form; its rules are checked when it is sampled."""
     kind = data.get("kind")
     if kind == "homogeneous":
-        return Homogeneous(eps=float(data["eps"]))
+        return Homogeneous(eps=_number(data["eps"]))
     if kind == "slab-stack":
-        layers = tuple(Layer(float(l["thickness"]), float(l["eps"])) for l in data["layers"])
-        return SlabStack(layers=layers, axis=data.get("axis", 0))
+        layers = tuple(Layer(_number(l["thickness"]), _number(l["eps"])) for l in data["layers"])
+        return SlabStack(layers=layers, axis=_number(data.get("axis", 0), int))
     if kind == "sphere":
         return Sphere(
-            center=tuple(float(x) for x in data["center"]),
-            radius=float(data["radius"]),
-            eps_in=float(data["eps_in"]),
-            eps_out=float(data["eps_out"]),
+            center=tuple(_number(x) for x in data["center"]),
+            radius=_number(data["radius"]),
+            eps_in=_number(data["eps_in"]),
+            eps_out=_number(data["eps_out"]),
         )
     if kind == "empty-cavity":
         return EmptyCavity(
             host=descriptor_from_dict(data["host"]),
-            centers=tuple(tuple(float(x) for x in c) for c in data["centers"]),
-            radius=float(data["radius"]),
+            centers=tuple(tuple(_number(x) for x in c) for c in data["centers"]),
+            radius=_number(data["radius"]),
         )
     raise ProfileError(f"unknown descriptor kind {kind!r}")
 

@@ -10,17 +10,16 @@ iterates on face fields with ``B B^T``, as MPB does (Johnson &
 Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
 same, and its space, the range of B, is cut out by a constraint free of
 eps that one FFT imposes exactly, so no Poisson solve or zero-mode
-deflation is needed.  The preconditioner is MPB's too: it inverts the
-curls in Fourier space and multiplies by eps in real space, in two FFT
-pairs, and its output lies in the range; when eps is uniform it is one
-shifted FFT pair instead.  Each LOBPCG iteration runs that map, one
-Rayleigh-Ritz step and two operator applications (the Ritz block and the
-new directions).  For a homogeneous medium the start block is random
-inside the fewest lowest shells of the vacuum symbol ``|d|^2`` that hold
-it, which span its lowest eigenspace exactly; the same FFT pair that
-projects it onto the range drops the higher shells.  Any other medium
-starts from every shell.  The three zero-frequency modes of Q belong only
-to complete dense spectra.
+deflation is needed.  The preconditioner is MPB's too, for every medium:
+it inverts the curls in Fourier space and multiplies by eps in real space,
+in two FFT pairs, and its output lies in the range.  Each LOBPCG iteration
+runs that map, one Rayleigh-Ritz step and two operator applications (the
+Ritz block and the new directions).  For a homogeneous medium the start
+block is random inside the fewest lowest shells of the vacuum symbol
+``|d|^2`` that hold it, which span its lowest eigenspace exactly; the same
+FFT pair that projects it onto the range drops the higher shells.  Any
+other medium starts from every shell.  The three zero-frequency modes of Q
+belong only to complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -348,40 +347,31 @@ def _cross(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _range_projector(op: QOperator):
-    """Projector onto the range of ``B`` for raw (3, nx, ny, nz, batch) faces.
+    """Range projector and preconditioner for raw (3, nx, ny, nz, batch) faces.
 
     The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
     ``project(y)`` is ``w^(1/2) P(y / w^(1/2))``, one FFT pair applying the
-    orthogonal projector P.
+    orthogonal projector P.  ``project(y, cutoff=c)`` also drops every wave
+    vector whose ``|d|^2`` exceeds ``c`` from ``y / w^(1/2)`` in the same
+    FFT pair, so its output stays in the range: the start block of a
+    homogeneous medium (:func:`_start_cutoff`).
 
-    ``project(y, shifts)`` is the solver's preconditioner, an approximate
-    inverse of ``B B^T = W C E^-1 C^T W`` (``W = w^(1/2)``, ``C`` the curl,
-    ``E = eps`` on edges) whose output lies in the range.  MPB's rule
-    (Johnson & Joannopoulos, Opt. Express 8, 173 (2001)) inverts the curls
-    in Fourier space and multiplies by eps in real space::
+    ``precondition(y)`` is an approximate inverse of ``B B^T = W C E^-1 C^T W``
+    (``W = w^(1/2)``, ``C`` the curl, ``E = eps`` on edges) whose output lies
+    in the range.  It is MPB's rule (Johnson & Joannopoulos, Opt. Express 8,
+    173 (2001)), which inverts the curls in Fourier space and multiplies by
+    eps in real space, two FFT pairs::
 
         W C |d|^-2 E |d|^-2 C^T W^-1
 
     with ``d x`` the symbol of C and ``-conj(d) x`` that of ``C^T``, so
     ``C C^T = |d|^2 P``; W on the left, where an exact inverse would have
-    ``W^-1``, keeps the output in the range.  This map takes two FFT pairs
-    and ignores the shifts: the rule is only approximate, and inverting
+    ``W^-1``, keeps the output in the range.  A uniform eps is a constant E,
+    for which the map is ``eps W P |d|^-2 W^-1``: the exact inverse of a
+    homogeneous medium up to a scale, which the solver normalizes away.
+    The map is not shifted: the rule is only approximate, and inverting
     ``A - shift`` through an approximate inverse magnifies its error for
     the modes near the shift.
-
-    When eps is uniform, E is a scalar and the rule collapses to
-    ``W P |d|^-2 W^-1``, which no longer sees the medium.  There the map is
-    shift-and-invert in one FFT pair instead, ``W P D^-1 W^-1`` with, per
-    column, ``D = |coeff |d|^2 - shift|`` floored at a tenth of the shift
-    and ``coeff = mean(1/eps) mean(w)``: the symbol is exact for a
-    homogeneous medium, and with a varying mu, which the collapsed rule
-    ignores too, the shift converged in fewer iterations where measured.
-    Whether eps is uniform alone decides which case runs.
-
-    ``project(y, cutoff=c)`` is the plain projection with every wave vector
-    whose ``|d|^2`` exceeds ``c`` dropped from ``y / w^(1/2)`` in the same
-    FFT pair, so its output stays in the range: the start block of a
-    homogeneous medium (:func:`_start_cutoff`).
 
     Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
     the rfftn half grid (:func:`fourier_symbol`).
@@ -392,44 +382,37 @@ def _range_projector(op: QOperator):
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
     d_conj = d.conj()[..., None]
     sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]
-    w = 1.0 if op.sqrt_w is None else op.sqrt_w**2
-    eps = op.medium.eps
-    coeff = float(np.mean(1.0 / eps) * np.mean(w))
-    uniform_eps = np.ptp(eps) == 0
-    if not uniform_eps:
-        eps_cols = eps[..., None]
-        # C^T |d|^-2 and |d|^-2 C as symbols; inv_sym vanishes at k = 0, so
-        # the output has zero mean
-        curl_t_sym = -d_conj * inv_sym
-        curl_sym = d[..., None] * inv_sym
+    eps_cols = op.medium.eps[..., None]
+    # C^T |d|^-2 and |d|^-2 C as symbols; inv_sym vanishes at k = 0, so the
+    # preconditioner's output has zero mean
+    curl_t_sym = -d_conj * inv_sym
+    curl_sym = d[..., None] * inv_sym
 
-    def project(y, shifts=None, cutoff=None):
+    def project(y, cutoff=None):
         v = y if sqrt_w is None else y / sqrt_w
         vk = np.fft.rfftn(v, axes=axes)
-        if uniform_eps or shifts is None:
-            if shifts is not None:
-                denom = np.abs(sym[..., None] * coeff - shifts)
-                np.maximum(denom, 0.1 * np.abs(shifts), out=denom)
-                vk /= denom
-            if cutoff is not None:
-                vk[:, sym > cutoff] = 0.0
-            # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
-            vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
-            vk[:, 0, 0, 0] = 0.0
-            v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
-        else:
-            # each array is dropped as soon as the next one is formed
-            vk = _cross(curl_t_sym, vk)
-            u = np.fft.irfftn(vk, s=grid.dims, axes=axes)
-            del vk
-            u *= eps_cols
-            vk = np.fft.rfftn(u, axes=axes)
-            del u
-            vk = _cross(curl_sym, vk)
-            v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        if cutoff is not None:
+            vk[:, sym > cutoff] = 0.0
+        # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
+        vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
+        vk[:, 0, 0, 0] = 0.0
+        v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
         return v if sqrt_w is None else sqrt_w * v
 
-    return project, sym
+    def precondition(y):
+        v = y if sqrt_w is None else y / sqrt_w
+        # each array is dropped as soon as the next one is formed
+        vk = _cross(curl_t_sym, np.fft.rfftn(v, axes=axes))
+        u = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        del vk
+        u *= eps_cols
+        vk = np.fft.rfftn(u, axes=axes)
+        del u
+        vk = _cross(curl_sym, vk)
+        v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
+        return v if sqrt_w is None else sqrt_w * v
+
+    return project, precondition, sym
 
 
 def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
@@ -508,12 +491,9 @@ def solve_modes(
     ``g = B^T y / omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0``
     by construction.  Deterministic for a fixed seed.
 
-    The residuals are preconditioned into the range (:func:`_range_projector`:
-    one FFT pair and a shift by each Ritz value when eps is uniform, where
-    the mean Fourier symbol is exact or close; two FFT pairs and no shift
-    otherwise),
-    then orthonormalized once against ``[x, p]``.  They stay in the range
-    exactly: ``x`` and ``p`` lie in it,
+    The residuals are preconditioned into the range by MPB's map in two FFT
+    pairs (:func:`_range_projector`), then orthonormalized once against
+    ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
     and Gram-Schmidt and SVQB only form combinations of range vectors, which
     holds for the oblique projector of an inhomogeneous mu as well.
     Gram-Schmidt leaves a direction that lay numerically inside the current
@@ -557,7 +537,7 @@ def solve_modes(
     dof = 3 * grid.ncells
     block = lobpcg_block(grid, n_modes)
     shape = (3,) + grid.dims
-    project, sym = _range_projector(op)
+    project, precondition, sym = _range_projector(op)
 
     def to_block(mat):
         return mat.reshape(shape + (mat.shape[1],))
@@ -565,13 +545,11 @@ def solve_modes(
     def apply_cols(mat):
         return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
-    def project_cols(mat, shifts=None, cutoff=None):
-        return project(to_block(mat), shifts, cutoff).reshape(dof, -1)
-
     rng = np.random.default_rng(seed)
     homogeneous = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
     cutoff = _start_cutoff(sym, grid.dims[2], block) if homogeneous else None
-    x = _orthonormalize(project_cols(rng.standard_normal((dof, block)), cutoff=cutoff), [])
+    x = project(to_block(rng.standard_normal((dof, block))), cutoff).reshape(dof, -1)
+    x = _orthonormalize(x, [])
     if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")
 
@@ -619,7 +597,7 @@ def solve_modes(
         # the map so the drop tolerances are scale-free
         active = rnorm > tol * np.maximum(theta, op_scale)
         resid = resid[:, active]
-        w = project_cols(resid, theta[active])
+        w = precondition(to_block(resid)).reshape(dof, -1)
         del resid
         w /= np.linalg.norm(w, axis=0)
         w = _orthonormalize(w, [x, p], drop_abs=1e-9)

@@ -136,10 +136,17 @@ def _without(key):
         lambda text: json.dumps({**json.loads(text),
                                  "medium": {"kind": "homogeneous", "eps": -2.0}}),
         lambda text: json.dumps({**json.loads(text), "medium": {"kind": "crystal"}}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "medium": {"kind": "homogeneous", "eps": True}}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "medium": {"kind": "homogeneous", "eps": "4"}}),
+        lambda text: json.dumps({**json.loads(text), "medium": {
+            "kind": "slab-stack", "axis": True,
+            "layers": [{"thickness": 1.0, "eps": 1.0}, {"thickness": 2.0, "eps": 4.0}]}}),
     ],
     ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
          "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed",
-         "medium-refused", "unknown-kind"],
+         "medium-refused", "unknown-kind", "bool-eps", "string-eps", "bool-axis"],
 )
 def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     path = tmp_path / "bank.qmb"

@@ -602,6 +602,15 @@ class TestRun:
         assert "medium: sphere radius 3.0 exceeds half the box 2.0" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_out_dir_not_a_directory_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "afile").touch()
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4})
+        assert run(write_config(tmp_path, cfg), tmp_path / target) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: --out-dir {tmp_path / target}: " in err and "Traceback" not in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "run.json"]
+
     def test_mode_blocks_checked_against_memory(self, monkeypatch):
         import epsmodes.cli as cli_mod
         from epsmodes.modes import SOLVE_HELD_BLOCKS

@@ -31,7 +31,7 @@ def descriptors(draw):
 @given(desc=descriptors(), mu_desc=st.none() | descriptors(), seed=SEEDS)
 def test_range_projector_idempotent_property(desc, mu_desc, seed):
     m = build_profile(desc, GRID, mu_desc)
-    project, _ = _range_projector(QOperator(m))
+    project, _, _ = _range_projector(QOperator(m))
     y = np.random.default_rng(seed).standard_normal((3,) + GRID.dims + (2,))
     once = project(y)
     assert np.abs(project(once) - once).max() <= 1e-12 * np.abs(y).max()
