@@ -54,11 +54,25 @@ class DecompositionResult:
     iterations: int     # Poisson CG iterations
 
 
-def apply_weighted_laplacian(chi: np.ndarray, eps: np.ndarray, spacing: float) -> np.ndarray:
-    """L chi = -div(eps * grad chi) for one (nx, ny, nz) field."""
-    out = np.zeros_like(chi)
+def apply_weighted_laplacian(
+    chi: np.ndarray,
+    eps: np.ndarray,
+    spacing: float,
+    out: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """L chi = -div(eps * grad chi) for one (nx, ny, nz) field.
+
+    ``out`` and the two ``work`` arrays, each of chi's shape and none
+    overlapping it, let repeated applies run without allocating.
+    """
+    if out is None:
+        out = np.empty_like(chi)
+    flux, term = work if work is not None else (np.empty_like(chi), np.empty_like(chi))
+    out.fill(0.0)
     for a in range(3):
-        out -= dminus(eps[a] * dplus(chi, a, spacing), a, spacing)
+        np.multiply(eps[a], dplus(chi, a, spacing, out=flux), out=flux)
+        out -= dminus(flux, a, spacing, out=term)
     return out
 
 
@@ -103,23 +117,28 @@ def solve_poisson_block(
     z = precondition(r)
     p = z
     rz = np.vdot(r, z)
+    # L p, the Laplacian's two work arrays and the scaled step live through the solve
+    ap, step = np.empty_like(b), np.empty_like(b)
+    work = (np.empty_like(b), np.empty_like(b))
     iterations = 0
     while iterations < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
         iterations += 1
-        ap = apply_weighted_laplacian(p, m.eps, spacing)
+        apply_weighted_laplacian(p, m.eps, spacing, out=ap, work=work)
         pap = np.vdot(p, ap)
         if pap <= 0:
             break
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         r -= r.mean()
         z = precondition(r)
         rz_new = np.vdot(r, z)
-        p = z + (rz_new / rz) * p
+        # p <- z + beta p in place: z was just reassigned, so p no longer aliases it
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     x -= x.mean()
-    r_true = b - apply_weighted_laplacian(x, m.eps, spacing)
+    r_true = b - apply_weighted_laplacian(x, m.eps, spacing, out=ap, work=work)
     res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
         raise SolverError(
@@ -199,7 +218,7 @@ def cavity_field_factor(
     chi, _, _ = solve_poisson_block(rhs, m, tol=tol)
     total_x = 1.0 - dplus(chi, 0, grid.spacing)
 
-    inside = in_balls(grid.component_positions(EDGE, 0), (center,),
+    inside = in_balls(grid.component_axes(EDGE, 0), (center,),
                       radius - CAVITY_INTERIOR_MARGIN * grid.spacing, grid, "cavity interior")
     if not inside.any():
         raise ProfileError("interior margin leaves no cavity samples")

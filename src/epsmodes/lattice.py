@@ -75,14 +75,15 @@ class Grid:
             return np.zeros((3, 3))
         raise PlacementError(f"unknown placement {placement!r}")
 
-    def component_positions(self, placement: str, comp: int) -> np.ndarray:
-        """Sample coordinates of one component, shape (nx, ny, nz, 3)."""
+    def component_axes(self, placement: str, comp: int) -> tuple[np.ndarray, ...]:
+        """Sample coordinates of one component along each axis, three 1D arrays.
+
+        The component's samples sit at every combination of the three, so a
+        profile that is separable, or a distance that is a sum over axes, is
+        formed on the broadcast grid without a full coordinate array.
+        """
         off = self.component_offsets(placement)[comp]
-        axes = [
-            (np.arange(n) + off[a]) * self.spacing for a, n in enumerate(self.dims)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        return tuple((np.arange(n) + off[a]) * self.spacing for a, n in enumerate(self.dims))
 
 
 def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -147,20 +148,32 @@ def _wrap_slices(ndim: int, axis: int):
         slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
 
 
-def dplus(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Periodic forward difference ``(f[i+1] - f[i]) / s``."""
+def dplus(
+    arr: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Periodic forward difference ``(f[i+1] - f[i]) / s``.
+
+    ``out``, when given, receives the result; it must not overlap ``arr``.
+    """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
-    out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+    if out is None:
+        out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
     np.subtract(arr[hi], arr[lo], out=out[lo])
     np.subtract(arr[first], arr[last], out=out[last])
     out /= spacing
     return out
 
 
-def dminus(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Periodic backward difference ``(f[i] - f[i-1]) / s``."""
+def dminus(
+    arr: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Periodic backward difference ``(f[i] - f[i-1]) / s``.
+
+    ``out``, when given, receives the result; it must not overlap ``arr``.
+    """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
-    out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+    if out is None:
+        out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
     np.subtract(arr[hi], arr[lo], out=out[hi])
     np.subtract(arr[first], arr[last], out=out[first])
     out /= spacing

@@ -71,39 +71,54 @@ def _positive(what: str, value: float):
         raise ProfileError(f"{what} must be positive and finite, got {value!r}")
 
 
-def in_balls(points: np.ndarray, centers, radius: float, grid: Grid, what: str) -> np.ndarray:
-    """Mask of the points (..., 3) within ``radius`` of any of ``centers``.
+def in_balls(axes, centers, radius: float, grid: Grid, what: str) -> np.ndarray:
+    """Mask of the samples within ``radius`` of any of ``centers``.
 
-    Distances are taken to the nearest periodic image.  The radius must be
-    positive and at most half the shortest box side, so that a ball never
-    meets an image of itself, and every center needs three coordinates.
+    ``axes`` holds a component's 1D coordinates along x, y and z (see
+    :meth:`Grid.component_axes`); the mask has their broadcast shape.
+    Distances are taken to the nearest periodic image, one axis at a time,
+    and summed as ``(dx² + dy²) + dz²`` before the root, the operations of
+    ``np.linalg.norm`` over a full coordinate array in its order.  The
+    radius must be positive and at most half the shortest box side, so
+    that a ball never meets an image of itself, and every center needs
+    three finite coordinates.
     """
     lengths = grid.lengths
     _positive(f"{what} radius", radius)
     half = min(lengths) / 2
     if radius > half:
         raise ProfileError(f"{what} radius {radius} exceeds half the box {half}")
-    inside = np.zeros(points.shape[:-1], dtype=bool)
     for center in centers:
         if np.shape(center) != (3,):
             raise ProfileError(f"{what} center {center!r} needs three coordinates")
-        delta = points - np.asarray(center)
-        for a in range(3):
-            delta[..., a] -= lengths[a] * np.round(delta[..., a] / lengths[a])
-        inside |= np.linalg.norm(delta, axis=-1) <= radius
+        if not np.all(np.isfinite(center)):
+            raise ProfileError(f"{what} center {center!r} is not finite")
+    inside = np.zeros(tuple(len(x) for x in axes), dtype=bool)
+    for center in centers:
+        squares = []
+        for x, c, length in zip(axes, np.asarray(center), lengths):
+            d = x - c
+            d -= length * np.round(d / length)
+            squares.append(d * d)
+        sx, sy, sz = np.ix_(*squares)
+        inside |= np.sqrt((sx + sy) + sz) <= radius
     return inside
 
 
-def evaluate_descriptor(desc: Descriptor, points: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise permittivity of a descriptor at coordinates (..., 3).
+def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
+    """Permittivity of a descriptor at a component's samples.
 
-    Each kind's rules are checked before it is sampled, also for values no
-    sample reaches (a layer thinner than a cell, a sphere inside one);
-    a fault raises :class:`ProfileError`.
+    ``axes`` holds the component's 1D coordinates along x, y and z (see
+    :meth:`Grid.component_axes`), and the result has their broadcast shape;
+    a slab stack's may be a read-only broadcast view.  Each kind's rules
+    are checked before it is sampled, also for values no sample reaches (a
+    layer thinner than a cell, a sphere inside one); a fault raises
+    :class:`ProfileError`.
     """
+    shape = tuple(len(x) for x in axes)
     if isinstance(desc, Homogeneous):
         _positive("permittivity", desc.eps)
-        return np.full(points.shape[:-1], float(desc.eps))
+        return np.full(shape, float(desc.eps))
     if isinstance(desc, SlabStack):
         if not (isinstance(desc.axis, (int, np.integer)) and 0 <= desc.axis <= 2):
             raise ProfileError(f"slab axis {desc.axis!r} is not 0, 1 or 2")
@@ -116,26 +131,29 @@ def evaluate_descriptor(desc: Descriptor, points: np.ndarray, grid: Grid) -> np.
         n_periods = box / desc.period
         if round(n_periods) < 1 or abs(n_periods - round(n_periods)) > 1e-9:
             raise ProfileError(f"stack period {desc.period} does not tile the box length {box}")
-        x = np.mod(points[..., desc.axis], desc.period)
-        out = np.full(points.shape[:-1], desc.layers[-1].eps)
+        # the profile depends on one coordinate: sample it there and broadcast
+        x = np.mod(axes[desc.axis], desc.period)
+        out = np.full(x.shape, desc.layers[-1].eps)
         lo = 0.0
         for layer in desc.layers:
             hi = lo + layer.thickness
             out[(x >= lo) & (x < hi)] = layer.eps
             lo = hi
-        return out
+        along = [1, 1, 1]
+        along[desc.axis] = len(x)
+        return np.broadcast_to(out.reshape(along), shape)
     if isinstance(desc, Sphere):
         _positive("sphere eps_in", desc.eps_in)
         _positive("sphere eps_out", desc.eps_out)
-        inside = in_balls(points, (desc.center,), desc.radius, grid, "sphere")
+        inside = in_balls(axes, (desc.center,), desc.radius, grid, "sphere")
         return np.where(inside, desc.eps_in, desc.eps_out)
     if isinstance(desc, EmptyCavity):
         if not desc.radius >= grid.spacing:
             raise ProfileError(
                 f"cavity radius {desc.radius!r} is not at least one cell ({grid.spacing})"
             )
-        out = evaluate_descriptor(desc.host, points, grid)
-        return np.where(in_balls(points, desc.centers, desc.radius, grid, "cavity"), 1.0, out)
+        out = evaluate_descriptor(desc.host, axes, grid)
+        return np.where(in_balls(axes, desc.centers, desc.radius, grid, "cavity"), 1.0, out)
     raise ProfileError(f"unknown descriptor type {type(desc).__name__}")
 
 
@@ -227,13 +245,12 @@ def build_profile(
 ) -> MediumProfile:
     """Staircase-sample a descriptor at every staggered sample point."""
     eps = np.stack(
-        [evaluate_descriptor(desc, grid.component_positions(EDGE, a), grid) for a in range(3)]
+        [evaluate_descriptor(desc, grid.component_axes(EDGE, a), grid) for a in range(3)]
     )
     mu = None
     if mu_desc is not None:
         mu = np.stack(
-            [evaluate_descriptor(mu_desc, grid.component_positions(FACE, a), grid)
-             for a in range(3)]
+            [evaluate_descriptor(mu_desc, grid.component_axes(FACE, a), grid) for a in range(3)]
         )
     return MediumProfile(grid, eps, mu, descriptor=desc, mu_descriptor=mu_desc)
 

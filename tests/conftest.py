@@ -23,6 +23,35 @@ def random_medium(grid, rng, lo=1.0, hi=4.0):
     return MediumProfile(grid, eps, None)
 
 
+def component_positions(grid, placement, comp):
+    """Sample coordinates of one component as a full (nx, ny, nz, 3) array.
+
+    The reference against which the library's separable sampling is checked.
+    """
+    mesh = np.meshgrid(*grid.component_axes(placement, comp), indexing="ij")
+    return np.stack(mesh, axis=-1)
+
+
+def image_distance(points, center, grid):
+    """Distance of each point (..., 3) to the nearest periodic image of ``center``.
+
+    Full coordinates and one ``np.linalg.norm`` over the last axis: the
+    reference for ``medium.in_balls``.
+    """
+    lengths = np.asarray(grid.lengths)
+    delta = points - np.asarray(center)
+    delta -= lengths * np.round(delta / lengths)
+    return np.linalg.norm(delta, axis=-1)
+
+
+def reference_balls(points, centers, radius, grid):
+    """Mask of the points (..., 3) within ``radius`` of any of ``centers``."""
+    inside = np.zeros(points.shape[:-1], dtype=bool)
+    for center in centers:
+        inside |= image_distance(points, center, grid) <= radius
+    return inside
+
+
 def smooth_medium(grid, seed=7, lo=1.0, hi=4.0):
     """Smooth (few-Fourier-component) permittivity sampled per edge component."""
     rng = np.random.default_rng(seed)
@@ -32,7 +61,7 @@ def smooth_medium(grid, seed=7, lo=1.0, hi=4.0):
         terms.append((kvec, rng.uniform(0, 2 * np.pi), rng.uniform(0.2, 0.5)))
     comps = []
     for a in range(3):
-        pts = grid.component_positions(EDGE, a)
+        pts = component_positions(grid, EDGE, a)
         out = np.zeros(pts.shape[:-1])
         for kvec, phase, amp in terms:
             out += amp * np.cos(pts @ kvec + phase)

@@ -143,10 +143,14 @@ def _without(key):
         lambda text: json.dumps({**json.loads(text), "medium": {
             "kind": "slab-stack", "axis": True,
             "layers": [{"thickness": 1.0, "eps": 1.0}, {"thickness": 2.0, "eps": 4.0}]}}),
+        lambda text: json.dumps({**json.loads(text), "medium": {
+            "kind": "sphere", "center": [float("nan"), 1.5, 1.5], "radius": 1.0,
+            "eps_in": 1.0, "eps_out": 2.0}}),
     ],
     ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
          "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed",
-         "medium-refused", "unknown-kind", "bool-eps", "string-eps", "bool-axis"],
+         "medium-refused", "unknown-kind", "bool-eps", "string-eps", "bool-axis",
+         "nan-center"],
 )
 def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     path = tmp_path / "bank.qmb"

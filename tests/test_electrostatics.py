@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from epsmodes import electrostatics
 from epsmodes.electrostatics import (
+    CAVITY_INTERIOR_MARGIN,
+    apply_weighted_laplacian,
     cavity_field_factor,
     check_cavity_radius,
     helmholtz_decompose,
@@ -15,12 +18,20 @@ from epsmodes.lattice import (
     VectorField,
     div,
     div_raw,
+    dminus,
+    dplus,
     grad_raw,
     inner,
 )
 from epsmodes.medium import Homogeneous, Sphere, build_profile
 
-from conftest import random_medium, random_vector, smooth_medium
+from conftest import (
+    component_positions,
+    random_medium,
+    random_vector,
+    reference_balls,
+    smooth_medium,
+)
 
 
 def dense_weighted_laplacian(m):
@@ -30,6 +41,23 @@ def dense_weighted_laplacian(m):
     basis = np.eye(n).reshape(g.dims + (n,))
     cols = -div_raw(m.eps[..., None] * grad_raw(basis, g.spacing), g.spacing)
     return cols.reshape(n, n)
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 4), (8, 1, 1)], ids=["6x5x4", "8x1x1"])
+def test_weighted_laplacian_buffers_give_the_same_bits(dims, rng):
+    # the sum -dminus(eps dplus chi) over axes, from zero, in the axis order
+    # (a constant field's zeros come out +0.0, as 0 - 0 does, not -0.0)
+    g = Grid(dims, 0.37)
+    m = random_medium(g, rng)
+    out, work = np.full(dims, np.nan), (np.full(dims, np.nan), np.full(dims, np.nan))
+    for chi in (rng.standard_normal(dims), np.full(dims, 2.5)):
+        expect = np.zeros(dims)
+        for a in range(3):
+            expect -= dminus(m.eps[a] * dplus(chi, a, g.spacing), a, g.spacing)
+        assert apply_weighted_laplacian(chi, m.eps, g.spacing).tobytes() == expect.tobytes()
+        got = apply_weighted_laplacian(chi, m.eps, g.spacing, out=out, work=work)
+        assert got is out
+        assert out.tobytes() == expect.tobytes()
 
 
 class TestSolvePoisson:
@@ -232,10 +260,31 @@ class TestCavityFieldFactor:
         rhs = -div_raw(m.eps * applied, g.spacing)
         chi, _, _ = solve_poisson_block(rhs, m, tol=1e-10)
         total = applied - grad_raw(chi, g.spacing)
-        pts = g.component_positions(EDGE, 0)
+        pts = component_positions(g, EDGE, 0)
         r = np.linalg.norm(pts - np.array(center), axis=-1)
         interior = total[0][r <= 4.0]
         assert interior.std() / interior.mean() <= 0.03
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.37, 1.0, 2.5])
+    def test_interior_mask_matches_full_coordinates(self, spacing, monkeypatch, rng):
+        # the interior mask is sampled on 1D axes; the reference takes a norm
+        # per point.  A radius of 4 cells puts the interior's edge on samples.
+        masks, in_balls = [], electrostatics.in_balls
+
+        def recording(*args):
+            masks.append((args, in_balls(*args)))
+            return masks[-1][1]
+
+        monkeypatch.setattr(electrostatics, "in_balls", recording)
+        for dims, radius in (((16, 16, 16), 4.0), ((17, 16, 19), float(rng.uniform(2, 4)))):
+            g = Grid(dims, spacing)
+            cavity_field_factor(4.0, g, radius * spacing)
+            (axes, centers, interior, grid, _), mask = masks.pop()
+            center = tuple(l / 2 for l in g.lengths)
+            assert centers == (center,) and grid == g
+            assert interior == radius * spacing - CAVITY_INTERIOR_MARGIN * spacing
+            expect = reference_balls(component_positions(g, EDGE, 0), (center,), interior, g)
+            assert mask.any() and mask.tobytes() == expect.tobytes()
 
     def test_monotone_in_host_permittivity(self):
         g = Grid((32, 32, 32), 1.0)

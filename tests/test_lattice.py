@@ -209,3 +209,9 @@ def test_stencils_match_roll_formulas(dims, spacing, rng):
         backward = (arr - np.roll(arr, 1, axis=axis)) / spacing
         assert np.array_equal(dplus(arr, axis, spacing), forward)
         assert np.array_equal(dminus(arr, axis, spacing), backward)
+        # a given out array is filled and returned, every sample overwritten
+        out = np.full_like(arr, np.nan)
+        assert dplus(arr, axis, spacing, out=out) is out
+        assert np.array_equal(out, forward)
+        assert dminus(arr, axis, spacing, out=out) is out
+        assert np.array_equal(out, backward)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsmodes.errors import GridMismatchError, ProfileError
-from epsmodes.lattice import EDGE, Grid, VectorField
+from epsmodes.lattice import EDGE, FACE, Grid, VectorField
 from epsmodes.medium import (
     EmptyCavity,
     Homogeneous,
@@ -18,7 +18,13 @@ from epsmodes.medium import (
     evaluate_descriptor,
 )
 
-from conftest import random_medium, random_vector
+from conftest import (
+    component_positions,
+    image_distance,
+    random_medium,
+    random_vector,
+    reference_balls,
+)
 
 
 class TestBuildProfile:
@@ -43,8 +49,8 @@ class TestBuildProfile:
         desc = SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0)
         m = build_profile(desc, g)
         for a in range(3):
-            pts = g.component_positions(EDGE, a)
-            assert np.array_equal(m.eps[a], evaluate_descriptor(desc, pts, g))
+            axes = g.component_axes(EDGE, a)
+            assert np.array_equal(m.eps[a], evaluate_descriptor(desc, axes, g))
         # cell-centered samples of the y component follow the layer pattern
         assert m.eps[1, 0, 0, 0] == 1.0
         assert m.eps[1, 6, 0, 0] == 13.0
@@ -55,7 +61,7 @@ class TestBuildProfile:
         desc = EmptyCavity(Homogeneous(4.0), centers=((8.0, 8.0, 8.0),), radius=2.5)
         m = build_profile(desc, g)
         for a in range(3):
-            pts = g.component_positions(EDGE, a)
+            pts = component_positions(g, EDGE, a)
             d = pts - np.array([8.0, 8.0, 8.0])
             r = np.linalg.norm(d, axis=-1)
             assert np.all(m.eps[a][r <= 2.5] == 1.0)
@@ -85,14 +91,98 @@ class TestBuildProfile:
             (Sphere((4.2, 4.2, 4.2), 0.1, -1.0, 2.0), None),
             (SlabStack((Layer(7.1, 2.0), Layer(0.3, -1.0), Layer(0.6, 2.0))), None),
             (Homogeneous(1.0), SlabStack((Layer(7.1, 2.0), Layer(0.3, -1.0), Layer(0.6, 2.0)))),
+            # refused before any arithmetic, so numpy warns of no invalid value
+            (Sphere((math.nan, 4.0, 4.0), 2.0, 1.0, 2.0), None),
+            (Sphere((4.0, 4.0, math.inf), 2.0, 1.0, 2.0), None),
+            (EmptyCavity(Homogeneous(2.0), ((1.0, 1.0, 1.0), (4.0, -math.inf, 4.0)), 1.5), None),
         ],
         ids=["slab-axis-5", "slab-axis-float", "period-far-above-box", "two-coordinate-center", "two-coordinate-cavity-center",
              "negative-eps-in-unsampled-sphere", "negative-eps-unsampled-layer",
-             "negative-mu-unsampled-layer"],
+             "negative-mu-unsampled-layer", "nan-center", "inf-center", "minus-inf-cavity-center"],
     )
     def test_rejects_descriptor_faults(self, desc, mu_desc):
         with pytest.raises(ProfileError):
             build_profile(desc, Grid((8, 8, 8), 1.0), mu_desc)
+
+
+def reference_eps(desc, points, grid):
+    """A descriptor's eps at full coordinates (..., 3), evaluated pointwise."""
+    if isinstance(desc, Homogeneous):
+        return np.full(points.shape[:-1], float(desc.eps))
+    if isinstance(desc, SlabStack):
+        x = np.mod(points[..., desc.axis], desc.period)
+        out = np.full(points.shape[:-1], desc.layers[-1].eps)
+        lo = 0.0
+        for layer in desc.layers:
+            hi = lo + layer.thickness
+            out[(x >= lo) & (x < hi)] = layer.eps
+            lo = hi
+        return out
+    if isinstance(desc, Sphere):
+        inside = reference_balls(points, (desc.center,), desc.radius, grid)
+        return np.where(inside, desc.eps_in, desc.eps_out)
+    inside = reference_balls(points, desc.centers, desc.radius, grid)
+    return np.where(inside, 1.0, reference_eps(desc.host, points, grid))
+
+
+def random_descriptor(rng, grid, kinds=("homogeneous", "slab-stack", "sphere", "empty-cavity")):
+    """A descriptor that passes the medium's rules on ``grid``.
+
+    Centers fall inside and outside the box; a third of them sit on whole
+    coordinates with the radius equal to a sample's distance, so the
+    comparison with the radius is decided by its last bit.
+    """
+    lengths = np.asarray(grid.lengths)
+    half = lengths.min() / 2
+    if min(grid.dims) < 2:
+        kinds = [k for k in kinds if k != "empty-cavity"]
+    kind = kinds[rng.integers(len(kinds))]
+
+    def center_and_radius(floor):
+        if rng.random() < 1 / 3:
+            center = rng.integers(-2, 2 * max(grid.dims), 3).astype(float)
+            points = component_positions(grid, [EDGE, FACE][rng.integers(2)], rng.integers(3))
+            dist = image_distance(points, center, grid).ravel()
+            dist = dist[(dist >= floor) & (dist <= half)]
+            if dist.size:
+                return tuple(center), float(dist[rng.integers(dist.size)])
+        center = tuple(float(x) for x in rng.uniform(-1.0, 2.0, 3) * lengths)
+        return center, float(rng.uniform(max(floor, 0.05 * half), half))
+
+    if kind == "homogeneous":
+        return Homogeneous(float(rng.uniform(1, 13)))
+    if kind == "slab-stack":
+        axis = int(rng.integers(3))
+        periods = 1 + int(rng.integers(2))
+        parts = rng.uniform(0.2, 1.0, 1 + int(rng.integers(3)))
+        parts *= grid.lengths[axis] / periods / parts.sum()
+        return SlabStack(tuple(Layer(float(t), float(rng.uniform(1, 13))) for t in parts), axis)
+    if kind == "sphere":
+        center, radius = center_and_radius(0.0)
+        return Sphere(center, radius, float(rng.uniform(1, 13)), float(rng.uniform(1, 13)))
+    host = random_descriptor(rng, grid, ("homogeneous", "slab-stack", "sphere"))
+    center, radius = center_and_radius(grid.spacing)
+    others = [tuple(float(x) for x in rng.uniform(0, 1, 3) * lengths)
+              for _ in range(int(rng.integers(2)))]
+    return EmptyCavity(host, (center, *others), radius)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_separable_sampling_is_bit_identical_to_full_coordinates(seed):
+    # build_profile samples on 1D axes; the reference takes a norm per point
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        dims = tuple(int(n) for n in rng.integers(1, 13, 3))
+        spacing = float([0.1, 0.37, 1.0, 2.5][rng.integers(4)] if rng.random() < 0.6
+                        else rng.uniform(0.05, 3.0))
+        grid = Grid(dims, spacing)
+        desc, mu_desc = random_descriptor(rng, grid), random_descriptor(rng, grid)
+        m = build_profile(desc, grid, mu_desc)
+        for a in range(3):
+            eps = reference_eps(desc, component_positions(grid, EDGE, a), grid)
+            mu = reference_eps(mu_desc, component_positions(grid, FACE, a), grid)
+            assert m.eps[a].tobytes() == eps.tobytes(), (desc, grid, a)
+            assert m.mu[a].tobytes() == mu.tobytes(), (mu_desc, grid, a)
 
 
 class TestEpsInner:

@@ -44,7 +44,7 @@ from epsmodes.modes import (
 )
 from epsmodes.quantization import projector_matrix
 
-from conftest import random_medium, random_vector, smooth_medium
+from conftest import component_positions, random_medium, random_vector, smooth_medium
 
 
 def transfer_matrix_gap(eps_cells, spacing=1.0):
@@ -824,7 +824,7 @@ def plane_wave_shells(n, eps, count):
         p1 = np.cross(kappa, np.eye(3)[np.argmin(np.abs(kappa))])
         p1 /= np.linalg.norm(p1)
         p2 = np.cross(kappa, p1) / np.linalg.norm(kappa)
-        phases = [grid.component_positions(EDGE, a) @ k for a in range(3)]
+        phases = [component_positions(grid, EDGE, a) @ k for a in range(3)]
         for f in (np.cos, np.sin):
             for p in (p1, p2):
                 col = np.stack([p[a] * f(phases[a]) for a in range(3)]).ravel()

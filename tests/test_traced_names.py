@@ -34,9 +34,11 @@ def test_tracer_installs():
     _run("")
 
 
-def test_tracer_counts_poisson_solves():
-    # one decomposition and one cavity factor make one Poisson solve each
-    counters = json.loads(_run(
+def test_tracer_counts_poisson_solves(tmp_path):
+    # one decomposition and one cavity factor make one Poisson solve each;
+    # the per-layer metrics come from the spans as the benchmark reads them
+    spans = tmp_path / "spans.npz"
+    metrics = json.loads(_run(
         "import json\n"
         "import numpy as np\n"
         "from epsmodes import electrostatics\n"
@@ -47,7 +49,12 @@ def test_tracer_counts_poisson_solves():
         "x = np.random.default_rng(0).standard_normal((3,) + g.dims)\n"
         "electrostatics.helmholtz_decompose(VectorField(g, EDGE, x), m)\n"
         "electrostatics.cavity_field_factor(4.0, g, 2.0)\n"
-        "print(json.dumps(tracer.counters))\n"
+        f"tracer.save({str(spans)!r})\n"
+        f"print(json.dumps(tracing.layer_metrics([({str(spans)!r}, tracer.counters)])[0]))\n"
     ))
-    assert counters["electrostatics.poisson_columns"] == 2
-    assert counters["electrostatics.cg_iterations"] > 0
+    assert metrics["electrostatics.poisson_columns"] == 2
+    assert metrics["electrostatics.cg_iterations"] > 0
+    # one Laplacian apply per CG iteration and one true-residual check per solve
+    assert (metrics["electrostatics.laplacian_columns"]
+            == metrics["electrostatics.cg_iterations"] + 2)
+    assert metrics["lattice.stencil_calls"] > 0
