@@ -15,7 +15,8 @@ offset   content
          components, each component raveled x-fastest
 =======  ======================================================
 
-A JSON sidecar (same path plus ``.json``) stores the medium and mu
+Dims or a spacing that make no grid are refused at their offset.  A JSON
+sidecar (same path plus ``.json``) stores the medium and mu
 descriptors, Gram/residual metadata and the solver seed.  A sidecar of
 another format or version, one that lacks a key, or one holding a
 descriptor that :mod:`epsmodes.medium` refuses is refused, and so is a bank
@@ -121,8 +122,14 @@ def load_bank(path) -> ModeBank:
         raise BankFileError(f"bad magic {magic!r} at offset 0", offset=0)
     if version != VERSION:
         raise BankFileError(f"unsupported version {version} at offset 4", offset=4)
-    grid = Grid((nx, ny, nz), spacing)
-    body_dtype = _body_dtype(grid)
+    try:
+        body_dtype = _body_dtype(Grid((nx, ny, nz)))
+    except ValueError as exc:
+        raise BankFileError(f"dims {(nx, ny, nz)} at offset 8: {exc}", offset=8) from exc
+    try:
+        grid = Grid((nx, ny, nz), spacing)
+    except ValueError as exc:
+        raise BankFileError(f"spacing at offset 20: {exc}", offset=20) from exc
     per_mode = body_dtype.itemsize
     expect = _HEADER.size + n_modes * per_mode
     if len(raw) != expect:

@@ -46,8 +46,9 @@ CONFIG_SCHEMA = {
                 "spacing": {"$ref": "#/$defs/positive"},
             },
         },
-        "medium": {"$ref": "#/$defs/descriptor"},
-        "mu": {"$ref": "#/$defs/descriptor"},
+        # a descriptor's grammar is epsmodes.medium's, which validate_config calls
+        "medium": {"type": "object"},
+        "mu": {"type": "object"},
         "tasks": {
             "type": "array",
             "minItems": 1,
@@ -143,7 +144,7 @@ CONFIG_SCHEMA = {
             "required": ["eps_out", "radius"],
             "additionalProperties": False,
             "properties": {
-                "eps_out": {"$ref": "#/$defs/permittivity"},
+                "eps_out": {"type": "number"},
                 "radius": {"$ref": "#/$defs/positive"},
                 "grid": {
                     "type": "array",
@@ -162,82 +163,15 @@ CONFIG_SCHEMA = {
     },
     "$defs": {
         "positive": {"type": "number", "exclusiveMinimum": 0},
-        # a relative permittivity or permeability: from 1e8 on, a correct bank's
-        # weighted divergence fails verify's 1e-8, and far above the frequencies err
-        "permittivity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e6},
         "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-        # the kind selects one schema below; each names its required keys
-        # and lists "kind" itself, so that additionalProperties admits it
-        "descriptor": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["homogeneous", "slab-stack", "sphere", "empty-cavity"]}
-            },
-            "allOf": [
-                {
-                    "if": {"properties": {"kind": {"const": kind}}},
-                    "then": {"$ref": f"#/$defs/{kind}"},
-                }
-                for kind in ("homogeneous", "slab-stack", "sphere", "empty-cavity")
-            ],
-        },
-        "homogeneous": {
-            "required": ["eps"],
-            "additionalProperties": False,
-            "properties": {"kind": {}, "eps": {"$ref": "#/$defs/permittivity"}},
-        },
-        "slab-stack": {
-            "required": ["layers"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {},
-                "axis": {"type": "integer", "minimum": 0, "maximum": 2},
-                "layers": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["thickness", "eps"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "thickness": {"$ref": "#/$defs/positive"},
-                            "eps": {"$ref": "#/$defs/permittivity"},
-                        },
-                    },
-                },
-            },
-        },
-        "sphere": {
-            "required": ["center", "radius", "eps_in", "eps_out"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {},
-                "center": {"$ref": "#/$defs/point"},
-                "radius": {"$ref": "#/$defs/positive"},
-                "eps_in": {"$ref": "#/$defs/permittivity"},
-                "eps_out": {"$ref": "#/$defs/permittivity"},
-            },
-        },
-        "empty-cavity": {
-            "required": ["host", "centers", "radius"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {},
-                "host": {"$ref": "#/$defs/descriptor"},
-                "centers": {"type": "array", "items": {"$ref": "#/$defs/point"}},
-                "radius": {"$ref": "#/$defs/positive"},
-            },
-        },
     },
 }
 
 # the JSON Schema (draft 2020-12) keywords CONFIG_SCHEMA uses, all that
-# schema_error implements; "then" is read by "if", "$defs" by "$ref"
+# schema_error implements; "$defs" is read by "$ref"
 SCHEMA_KEYWORDS = frozenset({
-    "type", "enum", "const", "minimum", "maximum", "exclusiveMinimum",
-    "minItems", "maxItems", "items", "required", "properties",
-    "additionalProperties", "$ref", "$defs", "allOf", "if", "then",
+    "type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
+    "items", "required", "properties", "additionalProperties", "$ref", "$defs",
 })
 
 _JSON_TYPES = {
@@ -256,7 +190,6 @@ _JSON_TYPES = {
 # numeric bounds: the comparison that violates each, and its message
 _BOUNDS = {
     "minimum": (lambda x, b: x < b, "is less than the minimum of"),
-    "maximum": (lambda x, b: x > b, "is greater than the maximum of"),
     "exclusiveMinimum": (lambda x, b: x <= b, "is less than or equal to the minimum of"),
 }
 
@@ -278,9 +211,6 @@ def schema_error(instance, schema=CONFIG_SCHEMA, path="$"):
         elif key == "enum":
             if instance not in value:
                 message = f"{instance!r} is not one of {value!r}"
-        elif key == "const":
-            if instance != value:
-                message = f"{value!r} was expected"
         elif key in _BOUNDS:
             violates, text = _BOUNDS[key]
             if _JSON_TYPES["number"](instance) and violates(instance, value):
@@ -309,10 +239,6 @@ def schema_error(instance, schema=CONFIG_SCHEMA, path="$"):
                         for name, sub in value.items() if name in instance]
         elif key == "items" and is_array:
             children = [(item, value, f"{path}[{i}]") for i, item in enumerate(instance)]
-        elif key == "allOf":
-            children = [(instance, sub, path) for sub in value]
-        elif key == "if" and "then" in schema and schema_error(instance, value) is None:
-            children = [(instance, schema["then"], path)]
         elif key == "$ref":
             children = [(instance, CONFIG_SCHEMA["$defs"][value.removeprefix("#/$defs/")], path)]
         if message is not None:
@@ -682,14 +608,20 @@ def validate_config(config: dict) -> dict:
     from . import emission
     from .electrostatics import check_cavity_radius
     from .lattice import Grid
-    from .medium import descriptor_from_dict
+    from .medium import check_permittivity, descriptor_from_dict
     from .modes import SOLVE_HELD_BLOCKS, lobpcg_block
 
     grid = _rule(f"grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
+    # the medium's grammar here, its values' rules where _Runner samples it
+    medium = _rule("medium", descriptor_from_dict, resolved["medium"])
+    if "mu" in resolved:
+        _rule("mu", descriptor_from_dict, resolved["mu"])
     # every grid a task samples fields on, checked before any is allocated
     grids = [("grid.dims", dims)]
     cavity = resolved.get("cavity_factor")
     if cavity is not None:
+        _rule(f"cavity_factor.eps_out={cavity['eps_out']!r}", check_permittivity, "eps_out",
+              cavity["eps_out"])
         cavity_dims = cavity.setdefault("grid", list(dims))
         grids.append(("cavity_factor.grid", cavity_dims))
         _rule(f"cavity_factor.radius={cavity['radius']!r} on cavity_factor.grid={cavity_dims}",
@@ -759,7 +691,7 @@ def validate_config(config: dict) -> dict:
               atom.transition_frequency, *transition)
         if rate["local_field"]:
             _rule(f"rate.local_field for atoms[{i}] in medium.kind={resolved['medium']['kind']!r}",
-                  emission.local_field_host_eps, atom, descriptor_from_dict(resolved["medium"]))
+                  emission.local_field_host_eps, atom, medium)
     return resolved
 
 

@@ -6,14 +6,15 @@ relative permittivity at the three edge positions, optional relative
 permeability at the three face positions.  The descriptor is retained on
 the profile for provenance and persistence.
 
-This module is the one owner of the descriptors: their JSON form
-(:func:`descriptor_to_dict`, :func:`descriptor_from_dict`) and their rules,
-which :func:`evaluate_descriptor` checks in the branch that samples each
-kind, whether the descriptor came from a config, a bank sidecar or Python.
+This module holds the descriptors' only grammar, for configs, bank sidecars
+and Python alike: :func:`descriptor_from_dict` checks the JSON form's keys
+and types, and :func:`evaluate_descriptor` the values' rules, such as
+:func:`check_permittivity`, in the branch that samples each kind.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -66,9 +67,20 @@ class EmptyCavity:
 Descriptor = Union[Homogeneous, SlabStack, Sphere, EmptyCavity]
 
 
+# a relative permittivity or permeability: from 1e8 on, a correct bank's
+# weighted divergence fails verify's 1e-8, and far above it the frequencies err
+MAX_PERMITTIVITY = 1e6
+
+
 def _positive(what: str, value: float):
     if not 0 < value < np.inf:
         raise ProfileError(f"{what} must be positive and finite, got {value!r}")
+
+
+def check_permittivity(what: str, value: float):
+    """Refuse a relative permittivity or permeability outside (0, MAX_PERMITTIVITY]."""
+    if not 0 < value <= MAX_PERMITTIVITY:
+        raise ProfileError(f"{what} must lie in (0, {MAX_PERMITTIVITY:g}], got {value!r}")
 
 
 def in_balls(axes, centers, radius: float, grid: Grid, what: str) -> np.ndarray:
@@ -117,7 +129,7 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
     """
     shape = tuple(len(x) for x in axes)
     if isinstance(desc, Homogeneous):
-        _positive("permittivity", desc.eps)
+        check_permittivity("eps", desc.eps)
         return np.full(shape, float(desc.eps))
     if isinstance(desc, SlabStack):
         if not (isinstance(desc.axis, (int, np.integer)) and 0 <= desc.axis <= 2):
@@ -126,7 +138,7 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
             raise ProfileError("slab stack needs at least one layer")
         for i, layer in enumerate(desc.layers):
             _positive(f"layer {i} thickness", layer.thickness)
-            _positive(f"layer {i} eps", layer.eps)
+            check_permittivity(f"layer {i} eps", layer.eps)
         box = grid.lengths[desc.axis]
         n_periods = box / desc.period
         if round(n_periods) < 1 or abs(n_periods - round(n_periods)) > 1e-9:
@@ -143,8 +155,8 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
         along[desc.axis] = len(x)
         return np.broadcast_to(out.reshape(along), shape)
     if isinstance(desc, Sphere):
-        _positive("sphere eps_in", desc.eps_in)
-        _positive("sphere eps_out", desc.eps_out)
+        check_permittivity("sphere eps_in", desc.eps_in)
+        check_permittivity("sphere eps_out", desc.eps_out)
         inside = in_balls(axes, (desc.center,), desc.radius, grid, "sphere")
         return np.where(inside, desc.eps_in, desc.eps_out)
     if isinstance(desc, EmptyCavity):
@@ -185,35 +197,83 @@ def descriptor_to_dict(desc: Descriptor) -> dict:
     raise ProfileError(f"cannot serialize descriptor {type(desc).__name__}")
 
 
-def _number(value, kind=float):
-    """A JSON number as ``kind``; a bool or a string, which Python would coerce, is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)):
-        raise ProfileError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+def _number(what: str, value, kind=float):
+    """A finite JSON number as ``kind``; a bool or a string, which Python
+    would coerce, is refused, and so is an integer past the float range."""
+    if (isinstance(value, bool) or not isinstance(value, (int, kind))
+            or kind is float and not abs(value) <= sys.float_info.max):
+        wanted = "an integer" if kind is int else "a finite number"
+        raise ProfileError(f"{what} must be {wanted}, got {value!r}")
     return kind(value)
 
 
-def descriptor_from_dict(data: dict) -> Descriptor:
-    """The descriptor of a JSON form; its rules are checked when it is sampled."""
-    kind = data.get("kind")
+def _array(what: str, value) -> list:
+    if not isinstance(value, list):
+        raise ProfileError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _point(what: str, value) -> tuple:
+    return tuple(_number(what, x) for x in _array(what, value))
+
+
+def _keys(what: str, data, required, optional=()) -> dict:
+    """``data`` if it is an object with every ``required`` key and no other."""
+    if not isinstance(data, dict):
+        raise ProfileError(f"{what} must be an object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise ProfileError(f"{what}: {key!r} is a required property")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ProfileError(f"{what}: unknown key {key!r}")
+    return data
+
+
+# each kind's required keys, then its optional ones
+_KIND_KEYS = {
+    "homogeneous": (("eps",), ()),
+    "slab-stack": (("layers",), ("axis",)),
+    "sphere": (("center", "radius", "eps_in", "eps_out"), ()),
+    "empty-cavity": (("host", "centers", "radius"), ()),
+}
+
+
+def descriptor_from_dict(data) -> Descriptor:
+    """The descriptor of a JSON form, or ProfileError naming the key at fault;
+    the values' rules are checked when it is sampled."""
+    # an object with a kind first: the kind decides which other keys belong
+    kind = _keys("descriptor", data, ("kind",), optional=data)["kind"]
+    if not (isinstance(kind, str) and kind in _KIND_KEYS):
+        raise ProfileError(f"unknown descriptor kind {kind!r}, not one of {list(_KIND_KEYS)}")
+    required, optional = _KIND_KEYS[kind]
+    _keys(kind, data, ("kind",) + required, optional)
     if kind == "homogeneous":
-        return Homogeneous(eps=_number(data["eps"]))
+        return Homogeneous(eps=_number("eps", data["eps"]))
     if kind == "slab-stack":
-        layers = tuple(Layer(_number(l["thickness"]), _number(l["eps"])) for l in data["layers"])
-        return SlabStack(layers=layers, axis=_number(data.get("axis", 0), int))
+        layers = [_keys("layer", layer, ("thickness", "eps"))
+                  for layer in _array("layers", data["layers"])]
+        return SlabStack(
+            layers=tuple(Layer(_number("layer thickness", layer["thickness"]),
+                               _number("layer eps", layer["eps"])) for layer in layers),
+            axis=_number("axis", data.get("axis", 0), int),
+        )
     if kind == "sphere":
         return Sphere(
-            center=tuple(_number(x) for x in data["center"]),
-            radius=_number(data["radius"]),
-            eps_in=_number(data["eps_in"]),
-            eps_out=_number(data["eps_out"]),
+            center=_point("center", data["center"]),
+            radius=_number("radius", data["radius"]),
+            eps_in=_number("eps_in", data["eps_in"]),
+            eps_out=_number("eps_out", data["eps_out"]),
         )
-    if kind == "empty-cavity":
-        return EmptyCavity(
-            host=descriptor_from_dict(data["host"]),
-            centers=tuple(tuple(_number(x) for x in c) for c in data["centers"]),
-            radius=_number(data["radius"]),
-        )
-    raise ProfileError(f"unknown descriptor kind {kind!r}")
+    try:
+        host = descriptor_from_dict(data["host"])
+    except ProfileError as exc:
+        raise ProfileError(f"host: {exc}") from exc
+    return EmptyCavity(
+        host=host,
+        centers=tuple(_point("centers", c) for c in _array("centers", data["centers"])),
+        radius=_number("radius", data["radius"]),
+    )
 
 
 @dataclass(frozen=True)

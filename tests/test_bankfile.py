@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epsmodes.bankfile import load_bank, save_bank
+from epsmodes.cli import EXIT_CONFIG, run
 from epsmodes.errors import BankFileError, ProfileError
 from epsmodes.lattice import Grid
 from epsmodes.medium import Homogeneous, Layer, MediumProfile, SlabStack, build_profile
@@ -146,11 +147,15 @@ def _without(key):
         lambda text: json.dumps({**json.loads(text), "medium": {
             "kind": "sphere", "center": [float("nan"), 1.5, 1.5], "radius": 1.0,
             "eps_in": 1.0, "eps_out": 2.0}}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "medium": {"kind": "homogeneous", "eps": 1e8}}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "medium": {"kind": "homogeneous", "eps": 2.0, "typo": 1}}),
     ],
     ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
          "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed",
          "medium-refused", "unknown-kind", "bool-eps", "string-eps", "bool-axis",
-         "nan-center"],
+         "nan-center", "eps-above-1e6", "descriptor-extra-key"],
 )
 def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     path = tmp_path / "bank.qmb"
@@ -159,6 +164,34 @@ def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
     sidecar.write_text(corrupt(sidecar.read_text()))
     with pytest.raises(BankFileError):
         load_bank(path)
+
+
+@pytest.mark.parametrize(
+    "start, value, offset",
+    [(8, struct.pack("<3I", 0, 4, 4), 8),
+     (8, struct.pack("<3I", 460, 460, 460), 8),
+     (20, struct.pack("<d", 0.0), 20),
+     (20, struct.pack("<d", -1.0), 20),
+     (20, struct.pack("<d", float("nan")), 20)],
+    ids=["zero-dim", "record-beyond-dtype", "zero-spacing", "negative-spacing", "nan-spacing"],
+)
+def test_header_geometry_faults_name_the_offset(bank, tmp_path, capsys, start, value, offset):
+    path = tmp_path / "bank.qmb"
+    save_bank(bank, path)
+    raw = bytearray(path.read_bytes())
+    raw[start:start + len(value)] = value
+    path.write_bytes(raw)
+    with pytest.raises(BankFileError) as err:
+        load_bank(path)
+    assert err.value.offset == offset and f"offset {offset}" in str(err.value)
+    # read through modes.bank_in, the fault is a config error
+    config = {"grid": {"dims": list(bank.grid.dims), "spacing": bank.grid.spacing},
+              "medium": {"kind": "homogeneous", "eps": 2.0}, "tasks": ["verify"],
+              "modes": {"bank_in": str(path)}}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert run(tmp_path / "run.json", tmp_path / "out") == EXIT_CONFIG
+    stderr = capsys.readouterr().err
+    assert f"offset {offset}" in stderr and "Traceback" not in stderr
 
 
 def test_descriptor_required(tmp_path, rng):

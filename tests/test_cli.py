@@ -1,13 +1,16 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 import epsmodes
@@ -23,7 +26,11 @@ from epsmodes.cli import (
     schema_error,
     validate_config,
 )
-from epsmodes.errors import ConfigError
+from epsmodes.bankfile import load_bank, save_bank
+from epsmodes.errors import BankFileError, ConfigError, ProfileError
+from epsmodes.lattice import Grid
+from epsmodes.medium import Homogeneous, build_profile, descriptor_from_dict
+from epsmodes.modes import QOperator, solve_modes
 
 
 def base_config(**overrides):
@@ -43,14 +50,14 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
-def _reference_validator():
+def _reference_validator(schema=CONFIG_SCHEMA):
     """jsonschema's draft 2020-12 validator with the walker's integer: no 4.0."""
     import jsonschema
 
     base = jsonschema.Draft202012Validator
     checker = base.TYPE_CHECKER.redefine(
         "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
-    return jsonschema.validators.extend(base, type_checker=checker)(CONFIG_SCHEMA)
+    return jsonschema.validators.extend(base, type_checker=checker)(schema)
 
 
 KINDS = ["homogeneous", "slab-stack", "sphere", "empty-cavity"]
@@ -166,17 +173,18 @@ class TestValidation:
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
     def test_schema_uses_only_walked_keywords(self):
-        # a keyword schema_error does not implement would be ignored silently
+        # a keyword schema_error does not implement would be ignored silently,
+        # and one the schema does not use is a dead branch of the walker
+        used = set()
+
         def walk(schema, where):
             for key, value in schema.items():
                 assert key in SCHEMA_KEYWORDS, f"{where}: schema_error ignores {key!r}"
+                used.add(key)
                 if key in ("properties", "$defs"):
                     for name, sub in value.items():
                         walk(sub, f"{where}.{key}.{name}")
-                elif key == "allOf":
-                    for i, sub in enumerate(value):
-                        walk(sub, f"{where}.allOf[{i}]")
-                elif key in ("items", "if", "then"):
+                elif key == "items":
                     walk(value, f"{where}.{key}")
                 elif key == "type":
                     assert value in ("object", "array", "string", "boolean", "integer",
@@ -188,6 +196,7 @@ class TestValidation:
                     assert value.removeprefix("#/$defs/") in CONFIG_SCHEMA["$defs"]
 
         walk(CONFIG_SCHEMA, "$")
+        assert used == SCHEMA_KEYWORDS
 
     @settings(max_examples=20, deadline=None)
     @given(configs=mutated_configs())
@@ -226,6 +235,169 @@ class TestValidation:
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(base_config(tasks=["ldos"]))
+
+
+# The medium descriptor's grammar as the config schema once stated it, in
+# JSON Schema: the reference against which epsmodes.medium, the grammar's
+# only statement, is checked.
+REFERENCE_DESCRIPTOR_DEFS = {
+    "permittivity": {"type": "number", "exclusiveMinimum": 0, "maximum": 1e6},
+    "descriptor": {
+        "type": "object",
+        "required": ["kind"],
+        "properties": {"kind": {"enum": KINDS}},
+        "allOf": [{"if": {"properties": {"kind": {"const": kind}}},
+                   "then": {"$ref": f"#/$defs/{kind}"}} for kind in KINDS],
+    },
+    "homogeneous": {
+        "required": ["eps"],
+        "additionalProperties": False,
+        "properties": {"kind": {}, "eps": {"$ref": "#/$defs/permittivity"}},
+    },
+    "slab-stack": {
+        "required": ["layers"],
+        "additionalProperties": False,
+        "properties": {
+            "kind": {},
+            "axis": {"type": "integer", "minimum": 0, "maximum": 2},
+            "layers": {
+                "type": "array",
+                "minItems": 1,
+                "items": {
+                    "type": "object",
+                    "required": ["thickness", "eps"],
+                    "additionalProperties": False,
+                    "properties": {"thickness": {"$ref": "#/$defs/positive"},
+                                   "eps": {"$ref": "#/$defs/permittivity"}},
+                },
+            },
+        },
+    },
+    "sphere": {
+        "required": ["center", "radius", "eps_in", "eps_out"],
+        "additionalProperties": False,
+        "properties": {
+            "kind": {},
+            "center": {"$ref": "#/$defs/point"},
+            "radius": {"$ref": "#/$defs/positive"},
+            "eps_in": {"$ref": "#/$defs/permittivity"},
+            "eps_out": {"$ref": "#/$defs/permittivity"},
+        },
+    },
+    "empty-cavity": {
+        "required": ["host", "centers", "radius"],
+        "additionalProperties": False,
+        "properties": {
+            "kind": {},
+            "host": {"$ref": "#/$defs/descriptor"},
+            "centers": {"type": "array", "items": {"$ref": "#/$defs/point"}},
+            "radius": {"$ref": "#/$defs/positive"},
+        },
+    },
+}
+
+# a 4^3 box of unit cells; the sound descriptors below pass every rule on it
+REFERENCE_GRID = {"dims": [4, 4, 4], "spacing": 1.0}
+BOX_POINT = st.lists(st.floats(0.0, 4.0), min_size=3, max_size=3)
+
+
+def sound_descriptors(kinds=KINDS):
+    """Descriptors that pass the medium's rules on REFERENCE_GRID."""
+    eps = st.floats(0.5, 1e6)
+    return st.sampled_from(kinds).flatmap(lambda kind: st.fixed_dictionaries({
+        "homogeneous": {"eps": eps},
+        # periods of 4 and 2 tile the box
+        "slab-stack": {"layers": st.sampled_from([[4.0], [1.0, 3.0], [1.5, 0.5]]).flatmap(
+            lambda ts: st.tuples(*[eps for _ in ts]).map(
+                lambda es: [{"thickness": t, "eps": e} for t, e in zip(ts, es)]))},
+        "sphere": {"center": BOX_POINT, "radius": st.floats(0.1, 2.0), "eps_in": eps,
+                   "eps_out": eps},
+        "empty-cavity": {"host": sound_descriptors(KINDS[:3]),
+                         "centers": st.lists(BOX_POINT, max_size=2),
+                         "radius": st.floats(1.0, 2.0)},
+    }[kind], optional={"axis": st.integers(0, 2)} if kind == "slab-stack" else None
+    ).map(lambda d: {"kind": kind, **d}))
+
+
+@st.composite
+def descriptor_faults(draw):
+    """Runs on REFERENCE_GRID, each with one mutation in its medium or mu: a
+    wrong type (twice), a missing key, an extra key, two numbers at or past a bound
+    and a wrong kind, in the descriptor or in the host of an empty cavity."""
+    sound = {"grid": REFERENCE_GRID, "tasks": ["verify"], "medium": draw(sound_descriptors())}
+    configs = []
+    for mutation in ("type", "type", "missing", "extra", "bound", "bound", "kind"):
+        config = copy.deepcopy(sound)
+        section = draw(st.sampled_from(["medium", "mu"]))
+        config[section] = target = draw(sound_descriptors())
+        if draw(st.booleans()):
+            # nest it, and mutate inside the host
+            config[section] = {"kind": "empty-cavity", "host": target,
+                               "centers": [[2.0, 2.0, 2.0]], "radius": 1.5}
+        nodes = list(_nodes(target))
+        if mutation == "type":
+            parent, key, _ = draw(st.sampled_from([(config, section, target)] + nodes))
+            parent[key] = draw(st.sampled_from(["4", 1.5, None, [], {}, True, [1.0]]))
+        elif mutation == "missing":
+            parent, key, _ = draw(st.sampled_from(nodes))
+            del parent[key]
+        elif mutation == "extra":
+            dicts = [target] + [n[2] for n in nodes if isinstance(n[2], dict)]
+            draw(st.sampled_from(dicts))[draw(st.sampled_from(["extra", "typo", "Eps"]))] = 1
+        elif mutation == "bound":
+            parent, key, _ = draw(st.sampled_from(
+                [n for n in nodes if isinstance(n[1], str) and type(n[2]) in (int, float)]))
+            # at or just past a bound of the key: axis 0 to 2, a positive radius
+            # or thickness, else a permittivity in (0, 1e6]
+            parent[key] = draw(st.sampled_from({"axis": [-1, 3], "radius": [0, -0.5],
+                                                "thickness": [0.0, -0.5]}.get(
+                key, [0, -1.0, 1.000001e6, 1e8])))
+        else:
+            target["kind"] = draw(st.sampled_from(KINDS + ["cube", "Sphere"]))
+        configs.append(config)
+    return configs
+
+
+@pytest.fixture(scope="module")
+def reference_grammar():
+    return _reference_validator({"$defs": {**CONFIG_SCHEMA["$defs"], **REFERENCE_DESCRIPTOR_DEFS},
+                                 "$ref": "#/$defs/descriptor"})
+
+
+@pytest.fixture(scope="module")
+def saved_bank(tmp_path_factory):
+    """A bank solved and saved on REFERENCE_GRID, and its sidecar's JSON."""
+    grid = Grid(tuple(REFERENCE_GRID["dims"]), REFERENCE_GRID["spacing"])
+    path = tmp_path_factory.mktemp("reference") / "bank.qmb"
+    save_bank(solve_modes(QOperator(build_profile(Homogeneous(1.0), grid)), 4, seed=0), path)
+    return path, json.loads(Path(str(path) + ".json").read_text())
+
+
+# without the explain phase, which takes minutes over these examples
+@settings(max_examples=60, deadline=None, phases=set(Phase) - {Phase.explain})
+@seed(0)
+@given(configs=descriptor_faults())
+def test_reference_grammar_faults_refused_everywhere(reference_grammar, saved_bank, configs):
+    # a descriptor the reference refuses is refused by the config, the bank
+    # sidecar and the Python path alike, each in its own way
+    bank_path, sidecar = saved_bank
+    for config, form in [(c, c[key]) for c in configs for key in ("medium", "mu") if key in c]:
+        # the parser refuses a form with ProfileError alone, never KeyError,
+        # TypeError or AttributeError
+        with contextlib.suppress(ProfileError):
+            descriptor_from_dict(form)
+        if reference_grammar.is_valid(form):
+            continue
+        Path(str(bank_path) + ".json").write_text(json.dumps({**sidecar, "medium": form}))
+        with pytest.raises(BankFileError):
+            load_bank(bank_path)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(write_config(Path(tmp), config), out)
+            assert code == EXIT_CONFIG, (config, err.getvalue())
+            assert "Traceback" not in err.getvalue() and not out.exists()
 
 
 class TestRun:
@@ -520,13 +692,17 @@ class TestRun:
                          "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
              EXIT_CONFIG, "atoms[0].levels"),
             ({"tasks": ["modes", "verify"], "medium": {"kind": "homogeneous", "eps": 1e8}},
-             EXIT_CONFIG, "$.medium.eps"),
+             EXIT_CONFIG, "medium: eps must lie in (0, 1e+06], got 100000000.0"),
             ({"tasks": ["modes", "verify"],
               "medium": {"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
                          "eps_in": 1e8, "eps_out": 1.0}},
-             EXIT_CONFIG, "$.medium.eps_in"),
+             EXIT_CONFIG, "medium: sphere eps_in must lie in (0, 1e+06]"),
             ({"tasks": ["modes", "verify"], "mu": {"kind": "homogeneous", "eps": 1e200}},
-             EXIT_CONFIG, "$.mu.eps"),
+             EXIT_CONFIG, "medium, mu: eps must lie in (0, 1e+06]"),
+            ({"medium": {"kind": "homogeneous", "eps": 2.0, "typo": 1}},
+             EXIT_CONFIG, "medium: homogeneous: unknown key 'typo'"),
+            ({"tasks": ["cavity-factor"], "cavity_factor": {"eps_out": 2e6, "radius": 2.0}},
+             EXIT_CONFIG, "cavity_factor.eps_out=2000000.0: eps_out must lie in (0, 1e+06]"),
             ({"grid": {"dims": [6, 6, 6]}, "tasks": ["decompose", "modes", "cavity-factor"],
               "cavity_factor": {"eps_out": 4.0, "radius": 2.0}},
              EXIT_CONFIG, "cavity_factor.radius"),
@@ -572,7 +748,8 @@ class TestRun:
              "float-modes-count", "float-rate-atom", "float-rate-transition",
              "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory",
              "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
-             "medium.eps_in", "mu.eps", "cavity-radius-above-quarter-box",
+             "medium.eps_in", "mu.eps", "descriptor-extra-key", "cavity-eps-out-above-1e6",
+             "cavity-radius-above-quarter-box",
              "cavity-radius-below-two-cells", "ldos-grid-not-ascending",
              "ldos-orientation-norm-overflows", "ldos-omega-max-infinite", "cavity-radius-nan",
              "eig-tol-infinite", "eig-tol-nan", "ldos-eta-nan", "sphere-wider-than-half-box",

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from epsmodes.errors import GridMismatchError, ProfileError
 from epsmodes.lattice import EDGE, FACE, Grid, VectorField
 from epsmodes.medium import (
+    MAX_PERMITTIVITY,
     EmptyCavity,
     Homogeneous,
     Layer,
     SlabStack,
     Sphere,
     build_profile,
+    check_permittivity,
+    descriptor_from_dict,
     eps_inner,
     evaluate_descriptor,
 )
@@ -95,14 +98,67 @@ class TestBuildProfile:
             (Sphere((math.nan, 4.0, 4.0), 2.0, 1.0, 2.0), None),
             (Sphere((4.0, 4.0, math.inf), 2.0, 1.0, 2.0), None),
             (EmptyCavity(Homogeneous(2.0), ((1.0, 1.0, 1.0), (4.0, -math.inf, 4.0)), 1.5), None),
+            # past MAX_PERMITTIVITY, for eps and for mu
+            (Homogeneous(1e8), None),
+            (Homogeneous(1.0), Homogeneous(1e8)),
         ],
         ids=["slab-axis-5", "slab-axis-float", "period-far-above-box", "two-coordinate-center", "two-coordinate-cavity-center",
              "negative-eps-in-unsampled-sphere", "negative-eps-unsampled-layer",
-             "negative-mu-unsampled-layer", "nan-center", "inf-center", "minus-inf-cavity-center"],
+             "negative-mu-unsampled-layer", "nan-center", "inf-center", "minus-inf-cavity-center",
+             "eps-1e8", "mu-1e8"],
     )
     def test_rejects_descriptor_faults(self, desc, mu_desc):
         with pytest.raises(ProfileError):
             build_profile(desc, Grid((8, 8, 8), 1.0), mu_desc)
+
+
+SPHERE = {"kind": "sphere", "center": [1.0, 1.0, 1.0], "radius": 1.0, "eps_in": 1.0,
+          "eps_out": 2.0}
+
+
+@pytest.mark.parametrize(
+    "form, names",
+    [
+        ([], "descriptor must be an object"),
+        ({"eps": 2.0}, "'kind' is a required property"),
+        ({"kind": "cube"}, "unknown descriptor kind 'cube'"),
+        ({"kind": ["sphere"]}, "unknown descriptor kind ['sphere']"),
+        ({k: v for k, v in SPHERE.items() if k != "eps_in"}, "'eps_in' is a required property"),
+        ({"kind": "sphere"}, "'center' is a required property"),
+        (dict(SPHERE, typo=1), "unknown key 'typo'"),
+        (dict(SPHERE, center=1.0), "center must be an array"),
+        (dict(SPHERE, center=[1.0, "1", 1.0]), "center must be a finite number"),
+        (dict(SPHERE, radius=float("nan")), "radius must be a finite number"),
+        (dict(SPHERE, eps_out=10**400), "eps_out must be a finite number"),
+        ({"kind": "homogeneous", "eps": True}, "eps must be a finite number"),
+        ({"kind": "slab-stack", "layers": {"thickness": 1.0, "eps": 2.0}},
+         "layers must be an array"),
+        ({"kind": "slab-stack", "layers": [2.0]}, "layer must be an object"),
+        ({"kind": "slab-stack", "layers": [{"thickness": 1.0}]}, "'eps' is a required property"),
+        ({"kind": "slab-stack", "layers": [{"thickness": 1.0, "eps": 2.0, "mu": 1.0}]},
+         "unknown key 'mu'"),
+        ({"kind": "slab-stack", "layers": [{"thickness": 1.0, "eps": 2.0}], "axis": 1.0},
+         "axis must be an integer"),
+        ({"kind": "empty-cavity", "host": [], "centers": [], "radius": 1.0},
+         "host: descriptor must be an object"),
+        ({"kind": "empty-cavity", "host": {"kind": "homogeneous", "eps": 2.0, "typo": 1},
+          "centers": [], "radius": 1.0}, "host: homogeneous: unknown key 'typo'"),
+        ({"kind": "empty-cavity", "host": {"kind": "homogeneous", "eps": 2.0},
+          "centers": [1.0, 1.0, 1.0], "radius": 1.0}, "centers must be an array"),
+    ],
+)
+def test_descriptor_grammar_names_the_key(form, names):
+    with pytest.raises(ProfileError) as err:
+        descriptor_from_dict(form)
+    assert names in str(err.value)
+
+
+def test_permittivity_rule_is_open_at_zero_and_closed_at_the_top():
+    for value in (1e-300, 1.0, MAX_PERMITTIVITY):
+        check_permittivity("eps", value)
+    for value in (0.0, -1.0, MAX_PERMITTIVITY * (1 + 2**-52), math.inf, math.nan):
+        with pytest.raises(ProfileError, match=r"eps must lie in \(0, 1e\+06\]"):
+            check_permittivity("eps", value)
 
 
 def reference_eps(desc, points, grid):
