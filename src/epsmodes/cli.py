@@ -275,7 +275,7 @@ class _Runner:
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
         from .emission import AtomSpec
         from .lattice import Grid
-        from .medium import build_profile, descriptor_from_dict
+        from .medium import build_profile, check_descriptor, descriptor_from_dict
 
         self.config = config
         self.out_dir = out_dir
@@ -284,8 +284,10 @@ class _Runner:
         self.grid = Grid(tuple(config["grid"]["dims"]), config["grid"]["spacing"])
         desc = descriptor_from_dict(config["medium"])
         mu_desc = descriptor_from_dict(config["mu"]) if "mu" in config else None
-        self.medium = _rule("medium" if mu_desc is None else "medium, mu",
-                            build_profile, desc, self.grid, mu_desc)
+        if mu_desc is not None:
+            # mu's rules first, so that a fault in sampling is the medium's
+            _rule("mu", check_descriptor, mu_desc, self.grid)
+        self.medium = _rule("medium", build_profile, desc, self.grid, mu_desc)
         self.atoms = [AtomSpec.from_dipoles(**entry) for entry in config["atoms"]]
         solver = config["solver"]
         self.poisson_tol = solver["poisson_tol"]

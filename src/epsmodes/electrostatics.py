@@ -8,7 +8,8 @@ with the constants as null space; the gauge is fixed by keeping chi
 zero-mean, the periodic analogue of a potential vanishing at infinity.
 Solutions come from conjugate gradients preconditioned by the exact
 inverse of ``mean(eps)`` times the periodic 7-point Laplacian, applied
-with one FFT (Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the
+with a real FFT pair through a spectrum and an output buffer held for the
+solve (Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the
 iteration count then depends on the eps contrast, not on the grid size.
 
 On top of the solver sits the unique decomposition of an arbitrary edge
@@ -34,8 +35,8 @@ from .lattice import (
     div_raw,
     dminus,
     dplus,
-    fourier_symbol,
     grad_raw,
+    laplacian_symbol,
 )
 from .medium import MediumProfile, Sphere, build_profile, in_balls
 
@@ -76,6 +77,28 @@ def apply_weighted_laplacian(
     return out
 
 
+def fourier_multiplier(symbol: np.ndarray, dims: tuple[int, int, int]):
+    """The map ``r -> irfftn(rfftn(r) * symbol, s=dims)``, bit for bit.
+
+    ``symbol`` lives on the rfftn half grid of ``dims``.  The map runs
+    numpy's own per-axis passes in their order (``rfftn`` writing into one
+    complex spectrum buffer, then ``ifft`` on axes 0 and 1 in place and
+    ``irfft`` on axis 2 into one real buffer), so a call allocates no
+    grid-sized array.  Each call overwrites and returns the same real array.
+    """
+    spec = np.empty(symbol.shape, dtype=np.complex128)
+    out = np.empty(dims)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        np.fft.rfftn(r, axes=(0, 1, 2), out=spec)
+        np.multiply(spec, symbol, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.ifft(spec, axis=1, out=spec)
+        return np.fft.irfft(spec, n=dims[2], axis=2, out=out)
+
+    return apply
+
+
 def solve_poisson_block(
     rhs: np.ndarray,
     m: MediumProfile,
@@ -89,9 +112,10 @@ def solve_poisson_block(
     same chi; it is solved to relative residual ``tol``, judged on the
     true residual after the CG run.  The preconditioner inverts ``mean(eps)
     * (-div grad)`` in Fourier space with the k = 0 term set to zero, so its
-    output is zero-mean.  Returns (chi, relative residual, iterations);
-    raises :class:`SolverError` on stagnation and ``ValueError`` for any
-    other rhs shape.
+    output is zero-mean; it is an FFT pair through two buffers held for the
+    solve (:func:`fourier_multiplier`), and no iteration allocates.  Returns
+    (chi, relative residual, iterations); raises :class:`SolverError` on
+    stagnation and ``ValueError`` for any other rhs shape.
     """
     if rhs.shape != m.grid.dims:
         raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {m.grid.dims}")
@@ -103,19 +127,16 @@ def solve_poisson_block(
 
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
-    sym = fourier_symbol(m.grid)[1] * m.eps.mean()
+    sym = laplacian_symbol(m.grid) * m.eps.mean()
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
-
-    def precondition(r):
-        rk = np.fft.rfftn(r, axes=(0, 1, 2))
-        rk *= inv_sym
-        return np.fft.irfftn(rk, s=m.grid.dims, axes=(0, 1, 2))
+    precondition = fourier_multiplier(inv_sym, m.grid.dims)
 
     # x starts at zero, so the first residual is b, demeaned as every later one is
     x = np.zeros_like(b)
     r = b - b.mean()
+    # z is the preconditioner's output buffer, rewritten every iteration
     z = precondition(r)
-    p = z
+    p = z.copy()
     rz = np.vdot(r, z)
     # L p, the Laplacian's two work arrays and the scaled step live through the solve
     ap, step = np.empty_like(b), np.empty_like(b)
@@ -133,7 +154,7 @@ def solve_poisson_block(
         r -= r.mean()
         z = precondition(r)
         rz_new = np.vdot(r, z)
-        # p <- z + beta p in place: z was just reassigned, so p no longer aliases it
+        # p <- z + beta p in place
         p *= rz_new / rz
         p += z
         rz = rz_new

@@ -154,13 +154,15 @@ def dplus(
     """Periodic forward difference ``(f[i+1] - f[i]) / s``.
 
     ``out``, when given, receives the result; it must not overlap ``arr``.
+    At ``s = 1`` the divide, which would change no bit, is skipped.
     """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
     if out is None:
         out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
     np.subtract(arr[hi], arr[lo], out=out[lo])
     np.subtract(arr[first], arr[last], out=out[last])
-    out /= spacing
+    if spacing != 1.0:
+        out /= spacing
     return out
 
 
@@ -170,13 +172,15 @@ def dminus(
     """Periodic backward difference ``(f[i] - f[i-1]) / s``.
 
     ``out``, when given, receives the result; it must not overlap ``arr``.
+    At ``s = 1`` the divide, which would change no bit, is skipped.
     """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
     if out is None:
         out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
     np.subtract(arr[hi], arr[lo], out=out[hi])
     np.subtract(arr[first], arr[last], out=out[first])
-    out /= spacing
+    if spacing != 1.0:
+        out /= spacing
     return out
 
 
@@ -200,22 +204,38 @@ def curl_t_raw(w: np.ndarray, spacing: float) -> np.ndarray:
     )
 
 
-def fourier_symbol(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier symbols of the forward differences on the rfftn half grid.
-
-    Returns ``d`` of shape (3, nx, ny, nz // 2 + 1) with ``d_a = (e^(ik_a)
-    - 1)/s``, so ``rfftn(dplus(f, a)) = d_a rfftn(f)``, and ``|d|^2 =
-    sum_a |d_a|^2``, the symbol of the periodic 7-point Laplacian ``-div
-    grad`` and of the vacuum curl-curl on divergence-free fields.
-    """
+def _difference_symbols(grid: Grid) -> list[np.ndarray]:
+    """``d_a = (e^(ik_a) - 1)/s`` on axis ``a`` of the rfftn half grid, shaped to broadcast."""
     parts = []
     for a, npts in enumerate(grid.dims):
         k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
         shape_a = [1, 1, 1]
         shape_a[a] = len(k)
         parts.append(((np.exp(1j * k) - 1.0) / grid.spacing).reshape(shape_a))
-    d = np.stack(np.broadcast_arrays(*parts))
-    return d, np.sum(np.abs(d) ** 2, axis=0)
+    return parts
+
+
+def laplacian_symbol(grid: Grid) -> np.ndarray:
+    """``|d|^2 = sum_a |d_a|^2`` of shape (nx, ny, nz // 2 + 1) on the rfftn half grid.
+
+    It is the symbol of the periodic 7-point Laplacian ``-div grad`` and of
+    the vacuum curl-curl on divergence-free fields.  The three 1D parts are
+    summed as ``(s0 + s1) + s2``, the order of ``np.sum`` over the stacked
+    ``|d_a|^2``, without building the stack.
+    """
+    s0, s1, s2 = (np.abs(part) ** 2 for part in _difference_symbols(grid))
+    return (s0 + s1) + s2
+
+
+def fourier_symbol(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier symbols of the forward differences on the rfftn half grid.
+
+    Returns ``d`` of shape (3, nx, ny, nz // 2 + 1) with ``d_a = (e^(ik_a)
+    - 1)/s``, so ``rfftn(dplus(f, a)) = d_a rfftn(f)``, and ``|d|^2``
+    (:func:`laplacian_symbol`).
+    """
+    d = np.stack(np.broadcast_arrays(*_difference_symbols(grid)))
+    return d, laplacian_symbol(grid)
 
 
 # Field-level operators.

@@ -14,6 +14,7 @@ and types, and :func:`evaluate_descriptor` the values' rules, such as
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -72,13 +73,21 @@ Descriptor = Union[Homogeneous, SlabStack, Sphere, EmptyCavity]
 MAX_PERMITTIVITY = 1e6
 
 
+def _real(what: str, value):
+    """Refuse a value that is not a real number: a bool, a string, None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProfileError(f"{what} must be a number, got {value!r}")
+
+
 def _positive(what: str, value: float):
+    _real(what, value)
     if not 0 < value < np.inf:
         raise ProfileError(f"{what} must be positive and finite, got {value!r}")
 
 
 def check_permittivity(what: str, value: float):
     """Refuse a relative permittivity or permeability outside (0, MAX_PERMITTIVITY]."""
+    _real(what, value)
     if not 0 < value <= MAX_PERMITTIVITY:
         raise ProfileError(f"{what} must lie in (0, {MAX_PERMITTIVITY:g}], got {value!r}")
 
@@ -103,6 +112,8 @@ def in_balls(axes, centers, radius: float, grid: Grid, what: str) -> np.ndarray:
     for center in centers:
         if np.shape(center) != (3,):
             raise ProfileError(f"{what} center {center!r} needs three coordinates")
+        for x in center:
+            _real(f"{what} center", x)
         if not np.all(np.isfinite(center)):
             raise ProfileError(f"{what} center {center!r} is not finite")
     inside = np.zeros(tuple(len(x) for x in axes), dtype=bool)
@@ -160,6 +171,7 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
         inside = in_balls(axes, (desc.center,), desc.radius, grid, "sphere")
         return np.where(inside, desc.eps_in, desc.eps_out)
     if isinstance(desc, EmptyCavity):
+        _real("cavity radius", desc.radius)
         if not desc.radius >= grid.spacing:
             raise ProfileError(
                 f"cavity radius {desc.radius!r} is not at least one cell ({grid.spacing})"
@@ -167,6 +179,16 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
         out = evaluate_descriptor(desc.host, axes, grid)
         return np.where(in_balls(axes, desc.centers, desc.radius, grid, "cavity"), 1.0, out)
     raise ProfileError(f"unknown descriptor type {type(desc).__name__}")
+
+
+def check_descriptor(desc: Descriptor, grid: Grid):
+    """Check a descriptor's rules on ``grid`` without sampling it.
+
+    The rules are those :func:`evaluate_descriptor` checks, met here on
+    empty axes; a fault raises :class:`ProfileError`.
+    """
+    empty = np.empty(0)
+    evaluate_descriptor(desc, (empty, empty, empty), grid)
 
 
 def descriptor_to_dict(desc: Descriptor) -> dict:

@@ -698,7 +698,10 @@ class TestRun:
                          "eps_in": 1e8, "eps_out": 1.0}},
              EXIT_CONFIG, "medium: sphere eps_in must lie in (0, 1e+06]"),
             ({"tasks": ["modes", "verify"], "mu": {"kind": "homogeneous", "eps": 1e200}},
-             EXIT_CONFIG, "medium, mu: eps must lie in (0, 1e+06]"),
+             EXIT_CONFIG, "error: mu: eps must lie in (0, 1e+06]"),
+            ({"tasks": ["modes", "verify"], "medium": {"kind": "homogeneous", "eps": 1e200},
+              "mu": {"kind": "homogeneous", "eps": 2.0}},
+             EXIT_CONFIG, "error: medium: eps must lie in (0, 1e+06]"),
             ({"medium": {"kind": "homogeneous", "eps": 2.0, "typo": 1}},
              EXIT_CONFIG, "medium: homogeneous: unknown key 'typo'"),
             ({"tasks": ["cavity-factor"], "cavity_factor": {"eps_out": 2e6, "radius": 2.0}},
@@ -748,7 +751,7 @@ class TestRun:
              "float-modes-count", "float-rate-atom", "float-rate-transition",
              "float-max-iter", "float-dipole-levels", "ldos-count-beyond-memory",
              "rate-transition-zero-frequency", "rate-levels-equal", "medium.eps",
-             "medium.eps_in", "mu.eps", "descriptor-extra-key", "cavity-eps-out-above-1e6",
+             "medium.eps_in", "mu.eps", "medium.eps-beside-mu", "descriptor-extra-key", "cavity-eps-out-above-1e6",
              "cavity-radius-above-quarter-box",
              "cavity-radius-below-two-cells", "ldos-grid-not-ascending",
              "ldos-orientation-norm-overflows", "ldos-omega-max-infinite", "cavity-radius-nan",

@@ -7,6 +7,7 @@ from epsmodes.electrostatics import (
     apply_weighted_laplacian,
     cavity_field_factor,
     check_cavity_radius,
+    fourier_multiplier,
     helmholtz_decompose,
     solve_poisson_block,
 )
@@ -58,6 +59,24 @@ def test_weighted_laplacian_buffers_give_the_same_bits(dims, rng):
         got = apply_weighted_laplacian(chi, m.eps, g.spacing, out=out, work=work)
         assert got is out
         assert out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (6, 5, 7), (8, 1, 1), (16, 16, 16)],
+                         ids=["5x4x3", "6x5x7", "8x1x1", "16x16x16"])
+def test_fourier_multiplier_matches_rfftn_pair(dims, rng):
+    # the buffered map gives irfftn(rfftn(r) * symbol) bit for bit, and
+    # writes every call's result into the same array
+    symbol = rng.random(dims[:2] + (dims[2] // 2 + 1,))
+    apply = fourier_multiplier(symbol, dims)
+    first = None
+    for _ in range(3):
+        r = rng.standard_normal(dims)
+        expect = np.fft.irfftn(np.fft.rfftn(r, axes=(0, 1, 2)) * symbol, s=dims,
+                               axes=(0, 1, 2))
+        got = apply(r)
+        assert got.tobytes() == expect.tobytes()
+        first = got if first is None else first
+        assert got is first
 
 
 class TestSolvePoisson:

@@ -17,7 +17,9 @@ from epsmodes.lattice import (
     div,
     dminus,
     dplus,
+    fourier_symbol,
     grad,
+    laplacian_symbol,
 )
 
 from conftest import random_scalar, random_vector
@@ -215,3 +217,19 @@ def test_stencils_match_roll_formulas(dims, spacing, rng):
         assert np.array_equal(out, forward)
         assert dminus(arr, axis, spacing, out=out) is out
         assert np.array_equal(out, backward)
+
+
+@pytest.mark.parametrize(
+    "dims, spacing",
+    [((64, 64, 64), 1.0), ((48, 48, 48), 0.5), ((12, 12, 12), 1.0), ((64, 1, 1), 1.0),
+     ((6, 5, 7), 0.37)],
+    ids=["64^3", "48^3-half", "12^3", "64x1x1", "6x5x7"],
+)
+def test_laplacian_symbol_matches_sum_over_stacked_symbols(dims, spacing):
+    # (s0 + s1) + s2 from the 1D parts gives np.sum over the stacked |d_a|^2
+    # bit for bit, and fourier_symbol returns it beside d
+    g = Grid(dims, spacing)
+    d, sym = fourier_symbol(g)
+    expect = np.sum(np.abs(d) ** 2, axis=0)
+    assert laplacian_symbol(g).tobytes() == expect.tobytes()
+    assert sym.tobytes() == expect.tobytes()

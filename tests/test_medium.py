@@ -15,6 +15,7 @@ from epsmodes.medium import (
     SlabStack,
     Sphere,
     build_profile,
+    check_descriptor,
     check_permittivity,
     descriptor_from_dict,
     eps_inner,
@@ -151,6 +152,42 @@ def test_descriptor_grammar_names_the_key(form, names):
     with pytest.raises(ProfileError) as err:
         descriptor_from_dict(form)
     assert names in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "desc, names",
+    [
+        (Homogeneous("4"), "eps must be a number, got '4'"),
+        (Sphere((1, 1, 1), "1", 1.0, 2.0), "sphere radius must be a number, got '1'"),
+        (SlabStack((Layer(4.0, None),)), "layer 0 eps must be a number, got None"),
+        (Sphere((1, "1", 1), 1.0, 1.0, 2.0), "sphere center must be a number"),
+        (EmptyCavity(Homogeneous(2.0), ((1, 1, 1),), "1"), "cavity radius must be a number"),
+        (Homogeneous(True), "eps must be a number, got True"),
+    ],
+    ids=["homogeneous-eps-str", "sphere-radius-str", "layer-eps-none", "center-str",
+         "cavity-radius-str", "eps-bool"],
+)
+def test_python_descriptor_of_wrong_type_names_the_key(desc, names):
+    # a descriptor built in Python meets the rules with ProfileError, not TypeError
+    with pytest.raises(ProfileError) as err:
+        build_profile(desc, Grid((4, 4, 4)))
+    assert names in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [Homogeneous(1e8), Sphere((1, 1, 1), 3.0, 1.0, 2.0), SlabStack((Layer(3.0, 2.0),)),
+     EmptyCavity(Homogeneous(2.0), ((1, 1, 1),), 0.5)],
+    ids=["eps-1e8", "sphere-wider-than-half-box", "period-not-tiling", "cavity-below-one-cell"],
+)
+def test_check_descriptor_refuses_what_sampling_refuses(desc):
+    grid = Grid((4, 4, 4))
+    with pytest.raises(ProfileError) as checked:
+        check_descriptor(desc, grid)
+    with pytest.raises(ProfileError) as sampled:
+        build_profile(desc, grid)
+    assert str(checked.value) == str(sampled.value)
+    check_descriptor(Sphere((1, 1, 1), 1.0, 1.0, 2.0), grid)
 
 
 def test_permittivity_rule_is_open_at_zero_and_closed_at_the_top():
