@@ -1,31 +1,7 @@
 """Generalized-transverse mode solver and field quantization toolkit.
 
-Submodules are imported lazily so that the command-line entry point can
-configure threading before any numerical library loads.
+The package imports none of its submodules, so that the command-line entry
+point can configure threading before any numerical library loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "lattice",
-    "medium",
-    "electrostatics",
-    "modes",
-    "quantization",
-    "emission",
-    "bankfile",
-    "cli",
-    "errors",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -16,8 +16,8 @@ On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
 which also realizes the constrained functional derivative restricted to
 generalized-transverse variations.  The split is written once, in
-:func:`helmholtz_decompose`.  The mode solver does not use it: its space
-is cut out by one FFT, with no Poisson solve.
+:func:`helmholtz_decompose`.  The mode solver does not use it: MPB's
+preconditioner maps into its space in Fourier space, with no Poisson solve.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlacementError, ProfileError, SolverError
+from .errors import GridMismatchError, PlacementError, ProfileError, SolverError
 from .lattice import (
     EDGE,
     Grid,
@@ -186,7 +186,7 @@ def helmholtz_decompose(
     if x.placement != EDGE:
         raise PlacementError("decomposition expects an edge field")
     if x.grid != m.grid:
-        raise ProfileError("field and medium grids differ")
+        raise GridMismatchError("field and medium grids differ")
     sigma = -div_raw(x.values, m.grid.spacing)
     chi, res, iterations = solve_poisson_block(sigma, m, tol=tol)
     x2 = m.eps * grad_raw(chi, m.grid.spacing)

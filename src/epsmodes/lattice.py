@@ -18,6 +18,7 @@ and ``<grad phi, V> = -<phi, div V>`` holds exactly in exact arithmetic.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,23 @@ class Grid:
     spacing: float = 1.0
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) != 3 or any(n < 1 for n in dims):
-            raise ValueError(f"dims must be three integers >= 1, got {self.dims}")
-        object.__setattr__(self, "dims", dims)
+        # a bool or a string would pass int() and float() as a number
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            dims = ()
+        if len(dims) != 3 or not all(
+                isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+                for n in dims):
+            raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
+        if isinstance(self.spacing, bool) or not isinstance(self.spacing, numbers.Real):
+            raise ValueError(f"spacing must be a number, got {self.spacing!r}")
         # stencils divide by spacing^2, sums weigh by spacing^3: both must stay in (0, inf)
         s = float(self.spacing)
         if not (s > 0.0 and all(0.0 < v < np.inf for v in (1.0 / s / s, s * s * s))):
             raise ValueError(f"spacing {s!r} puts 1/spacing^2 or spacing^3 outside (0, inf)")
+        object.__setattr__(self, "spacing", s)
 
     @property
     def ncells(self) -> int:
@@ -204,8 +214,11 @@ def curl_t_raw(w: np.ndarray, spacing: float) -> np.ndarray:
     )
 
 
-def _difference_symbols(grid: Grid) -> list[np.ndarray]:
-    """``d_a = (e^(ik_a) - 1)/s`` on axis ``a`` of the rfftn half grid, shaped to broadcast."""
+def difference_symbols(grid: Grid) -> list[np.ndarray]:
+    """``d_a = (e^(ik_a) - 1)/s`` on axis ``a`` of the rfftn half grid, shaped to broadcast.
+
+    ``rfftn(dplus(f, a)) = d_a rfftn(f)``.
+    """
     parts = []
     for a, npts in enumerate(grid.dims):
         k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
@@ -223,19 +236,8 @@ def laplacian_symbol(grid: Grid) -> np.ndarray:
     summed as ``(s0 + s1) + s2``, the order of ``np.sum`` over the stacked
     ``|d_a|^2``, without building the stack.
     """
-    s0, s1, s2 = (np.abs(part) ** 2 for part in _difference_symbols(grid))
+    s0, s1, s2 = (np.abs(part) ** 2 for part in difference_symbols(grid))
     return (s0 + s1) + s2
-
-
-def fourier_symbol(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier symbols of the forward differences on the rfftn half grid.
-
-    Returns ``d`` of shape (3, nx, ny, nz // 2 + 1) with ``d_a = (e^(ik_a)
-    - 1)/s``, so ``rfftn(dplus(f, a)) = d_a rfftn(f)``, and ``|d|^2``
-    (:func:`laplacian_symbol`).
-    """
-    d = np.stack(np.broadcast_arrays(*_difference_symbols(grid)))
-    return d, laplacian_symbol(grid)
 
 
 # Field-level operators.

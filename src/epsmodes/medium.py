@@ -101,11 +101,13 @@ def in_balls(axes, centers, radius: float, grid: Grid, what: str) -> np.ndarray:
     and summed as ``(dx² + dy²) + dz²`` before the root, the operations of
     ``np.linalg.norm`` over a full coordinate array in its order.  The
     radius must be positive and at most half the shortest box side, so
-    that a ball never meets an image of itself, and every center needs
-    three finite coordinates.
+    that a ball never meets an image of itself, and ``centers`` must be a
+    tuple or list whose every entry has three finite coordinates.
     """
     lengths = grid.lengths
     _positive(f"{what} radius", radius)
+    if not isinstance(centers, (tuple, list)):
+        raise ProfileError(f"{what} centers must be a tuple of points, got {centers!r}")
     half = min(lengths) / 2
     if radius > half:
         raise ProfileError(f"{what} radius {radius} exceeds half the box {half}")
@@ -145,9 +147,13 @@ def evaluate_descriptor(desc: Descriptor, axes, grid: Grid) -> np.ndarray:
     if isinstance(desc, SlabStack):
         if not (isinstance(desc.axis, (int, np.integer)) and 0 <= desc.axis <= 2):
             raise ProfileError(f"slab axis {desc.axis!r} is not 0, 1 or 2")
+        if not isinstance(desc.layers, (tuple, list)):
+            raise ProfileError(f"slab layers must be a tuple of Layer, got {desc.layers!r}")
         if not desc.layers:
             raise ProfileError("slab stack needs at least one layer")
         for i, layer in enumerate(desc.layers):
+            if not isinstance(layer, Layer):
+                raise ProfileError(f"layer {i} must be a Layer, got {layer!r}")
             _positive(f"layer {i} thickness", layer.thickness)
             check_permittivity(f"layer {i} eps", layer.eps)
         box = grid.lengths[desc.axis]

@@ -8,18 +8,17 @@ mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
 const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
 iterates on face fields with ``B B^T``, as MPB does (Johnson &
 Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
-same, and its space, the range of B, is cut out by a constraint free of
-eps that one FFT imposes exactly, so no Poisson solve or zero-mode
-deflation is needed.  The preconditioner is MPB's too, for every medium:
-it inverts the curls in Fourier space and multiplies by eps in real space,
-in two FFT pairs, and its output lies in the range.  Each LOBPCG iteration
-runs that map, one Rayleigh-Ritz step and two operator applications (the
-Ritz block and the new directions).  For a homogeneous medium the start
-block is random inside the fewest lowest shells of the vacuum symbol
-``|d|^2`` that hold it, which span its lowest eigenspace exactly; the same
-FFT pair that projects it onto the range drops the higher shells.  Any
-other medium starts from every shell.  The three zero-frequency modes of Q
-belong only to complete dense spectra.
+same, and MPB's preconditioner maps exactly into its space, the range of
+B, so no Poisson solve or zero-mode deflation is needed.  That map is the
+solver's only one into the range, for every medium: it inverts the
+curls in Fourier space and multiplies by eps in real space, in two FFT
+pairs.  Each LOBPCG iteration runs it once, with one Rayleigh-Ritz step and
+two operator applications (the Ritz block and the new directions), and the
+start block is a seeded random draw passed through it.  For a homogeneous
+medium the map also drops every wave vector above the fewest lowest shells
+of the vacuum symbol ``|d|^2`` that hold the block, which span its lowest
+eigenspace exactly.  Any other medium starts from every shell.  The three
+zero-frequency modes of Q belong only to complete dense spectra.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -43,9 +42,10 @@ from .lattice import (
     VectorField,
     curl_raw,
     curl_t_raw,
+    difference_symbols,
     div_raw,
-    fourier_symbol,
     grad_raw,
+    laplacian_symbol,
 )
 from .medium import MediumProfile
 
@@ -337,8 +337,8 @@ def _orthonormalize(block: np.ndarray, against: list[np.ndarray], drop_abs: floa
     return block
 
 
-def _cross(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a x v`` for a (3, ...) symbol and (3, ..., batch) spectra."""
+def _cross(a: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """``a x v`` for a symbol's three components and (3, ..., batch) spectra."""
     out = np.empty_like(v)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], v[k], out=out[i])
@@ -346,21 +346,15 @@ def _cross(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _range_projector(op: QOperator):
-    """Range projector and preconditioner for raw (3, nx, ny, nz, batch) faces.
-
-    The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``;
-    ``project(y)`` is ``w^(1/2) P(y / w^(1/2))``, one FFT pair applying the
-    orthogonal projector P.  ``project(y, cutoff=c)`` also drops every wave
-    vector whose ``|d|^2`` exceeds ``c`` from ``y / w^(1/2)`` in the same
-    FFT pair, so its output stays in the range: the start block of a
-    homogeneous medium (:func:`_start_cutoff`).
+def _preconditioner(op: QOperator):
+    """MPB's preconditioner for raw (3, nx, ny, nz, batch) faces, and ``|d|^2``.
 
     ``precondition(y)`` is an approximate inverse of ``B B^T = W C E^-1 C^T W``
     (``W = w^(1/2)``, ``C`` the curl, ``E = eps`` on edges) whose output lies
-    in the range.  It is MPB's rule (Johnson & Joannopoulos, Opt. Express 8,
-    173 (2001)), which inverts the curls in Fourier space and multiplies by
-    eps in real space, two FFT pairs::
+    in the range of B, ``W * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``.  It
+    is MPB's rule (Johnson & Joannopoulos, Opt. Express 8, 173 (2001)), which
+    inverts the curls in Fourier space and multiplies by eps in real space,
+    two FFT pairs::
 
         W C |d|^-2 E |d|^-2 C^T W^-1
 
@@ -373,36 +367,34 @@ def _range_projector(op: QOperator):
     ``A - shift`` through an approximate inverse magnifies its error for
     the modes near the shift.
 
+    ``precondition(y, cutoff=c)`` also zeroes every wave vector whose
+    ``|d|^2`` exceeds ``c`` in its first spectrum.  When eps and mu are both
+    uniform the map does not mix wave vectors, so its output stays in the
+    shells at or below ``c``: the start block of such a medium
+    (:func:`_start_cutoff`).
+
     Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
-    the rfftn half grid (:func:`fourier_symbol`).
+    the rfftn half grid (:func:`laplacian_symbol`).
     """
     grid = op.grid
     axes = (1, 2, 3)
-    d, sym = fourier_symbol(grid)
+    sym = laplacian_symbol(grid)
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
-    d_conj = d.conj()[..., None]
     sqrt_w = None if op.sqrt_w is None else op.sqrt_w[..., None]
     eps_cols = op.medium.eps[..., None]
-    # C^T |d|^-2 and |d|^-2 C as symbols; inv_sym vanishes at k = 0, so the
-    # preconditioner's output has zero mean
-    curl_t_sym = -d_conj * inv_sym
-    curl_sym = d[..., None] * inv_sym
+    # C^T |d|^-2 and |d|^-2 C as symbols, one broadcast 1D part d_a per
+    # component; inv_sym vanishes at k = 0, so the output has zero mean
+    parts = [d_a[..., None] for d_a in difference_symbols(grid)]
+    curl_t_sym = [-d_a.conj() * inv_sym for d_a in parts]
+    curl_sym = [d_a * inv_sym for d_a in parts]
 
-    def project(y, cutoff=None):
+    def precondition(y, cutoff=None):
         v = y if sqrt_w is None else y / sqrt_w
+        # each array is dropped as soon as the next one is formed
         vk = np.fft.rfftn(v, axes=axes)
         if cutoff is not None:
             vk[:, sym > cutoff] = 0.0
-        # v_k <- v_k - conj(d) (d . v_k) / |d|^2, and v_0 <- 0
-        vk -= d_conj * (inv_sym * np.einsum("axyz,axyzb->xyzb", d, vk))
-        vk[:, 0, 0, 0] = 0.0
-        v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
-        return v if sqrt_w is None else sqrt_w * v
-
-    def precondition(y):
-        v = y if sqrt_w is None else y / sqrt_w
-        # each array is dropped as soon as the next one is formed
-        vk = _cross(curl_t_sym, np.fft.rfftn(v, axes=axes))
+        vk = _cross(curl_t_sym, vk)
         u = np.fft.irfftn(vk, s=grid.dims, axes=axes)
         del vk
         u *= eps_cols
@@ -412,7 +404,7 @@ def _range_projector(op: QOperator):
         v = np.fft.irfftn(vk, s=grid.dims, axes=axes)
         return v if sqrt_w is None else sqrt_w * v
 
-    return project, precondition, sym
+    return precondition, sym
 
 
 def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
@@ -420,10 +412,10 @@ def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
 
     Each nonzero wave vector carries two directions of the range of B, so
     the cutoff is the smallest value of ``sym`` (the rfftn half-grid
-    symbol of :func:`_range_projector`) at which the nonzero wave vectors
+    symbol of :func:`_preconditioner`) at which the nonzero wave vectors
     with ``sym <= cutoff`` number at least ``ceil(block / 2)``.  They are
-    counted on ``sym`` itself, so the count and the projector's mask agree
-    exactly: an interior rfft plane stands for two wave vectors, the
+    counted on ``sym`` itself, so the count and the preconditioner's mask
+    agree exactly: an interior rfft plane stands for two wave vectors, the
     self-conjugate planes ``kz = 0`` and ``kz = nz/2`` (nz even) for one.
     """
     weight = np.full(sym.shape[-1], 2)
@@ -492,7 +484,7 @@ def solve_modes(
     by construction.  Deterministic for a fixed seed.
 
     The residuals are preconditioned into the range by MPB's map in two FFT
-    pairs (:func:`_range_projector`), then orthonormalized once against
+    pairs (:func:`_preconditioner`), then orthonormalized once against
     ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
     and Gram-Schmidt and SVQB only form combinations of range vectors, which
     holds for the oblique projector of an inhomogeneous mu as well.
@@ -514,12 +506,13 @@ def solve_modes(
     ``p^T A p = c_p^T t c_p`` need no image of ``p``.  The operator is
     applied to ``x``, whose image the residual needs, and to ``w``.
 
-    The start block is a seeded random draw projected onto the range.
-    When eps and mu are both uniform, the same FFT pair drops every wave
-    vector above :func:`_start_cutoff`, so the block lies in the fewest
-    lowest shells of the vacuum symbol ``|d|^2`` that hold it.  The modes
-    of such a medium are plane waves, so those shells span its lowest
-    ``block`` eigenpairs exactly and the solve takes two iterations
+    The start block is a seeded random draw passed through the same map,
+    which puts it in the range.  When eps and mu are both uniform, the map
+    also drops every wave vector above :func:`_start_cutoff` from its first
+    spectrum; it mixes no wave vectors for such a medium, so the block lies
+    in the fewest lowest shells of the vacuum symbol ``|d|^2`` that hold it.
+    The modes of such a medium are plane waves, so those shells span its
+    lowest ``block`` eigenpairs exactly and the solve takes two iterations
     instead of about seven (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
     Any other medium starts from every shell: a symmetry of the medium (a
     period that tiles the box more than once, a mirror plane) splits the
@@ -537,7 +530,7 @@ def solve_modes(
     dof = 3 * grid.ncells
     block = lobpcg_block(grid, n_modes)
     shape = (3,) + grid.dims
-    project, precondition, sym = _range_projector(op)
+    precondition, sym = _preconditioner(op)
 
     def to_block(mat):
         return mat.reshape(shape + (mat.shape[1],))
@@ -548,7 +541,7 @@ def solve_modes(
     rng = np.random.default_rng(seed)
     homogeneous = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
     cutoff = _start_cutoff(sym, grid.dims[2], block) if homogeneous else None
-    x = project(to_block(rng.standard_normal((dof, block))), cutoff).reshape(dof, -1)
+    x = precondition(to_block(rng.standard_normal((dof, block))), cutoff).reshape(dof, -1)
     x = _orthonormalize(x, [])
     if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")

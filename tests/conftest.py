@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epsmodes.lattice import EDGE, FACE, Grid, ScalarField, VectorField
+from epsmodes.lattice import EDGE, FACE, Grid, ScalarField, VectorField, dplus
 from epsmodes.medium import MediumProfile
 
 
@@ -21,6 +21,19 @@ def random_vector(grid, rng, placement=EDGE):
 def random_medium(grid, rng, lo=1.0, hi=4.0):
     eps = lo + (hi - lo) * rng.random((3,) + grid.dims)
     return MediumProfile(grid, eps, None)
+
+
+def range_defect(op, y):
+    """How far raw (3, nx, ny, nz, batch) faces ``y`` lie from the range of B.
+
+    The range is ``w^(1/2) * {v : sum_a dplus_a v_a = 0, mean(v) = 0}``; the
+    defect is the largest face divergence or column mean of ``y / w^(1/2)``
+    over its largest entry.
+    """
+    v = y if op.sqrt_w is None else y / op.sqrt_w[..., None]
+    div_face = sum(dplus(v[a], a, op.grid.spacing) for a in range(3))
+    mean = v.mean(axis=(1, 2, 3))
+    return max(np.abs(div_face).max(), np.abs(mean).max()) / np.abs(v).max()
 
 
 def component_positions(grid, placement, comp):

@@ -408,6 +408,28 @@ class TestRun:
         assert report["pass"] is True
         assert all(check["pass"] for check in report["checks"].values())
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known fault: the solver stops on the face residual of B B^T relative to "
+        "max(theta, op_scale), while verify bounds the physical residual by a fixed "
+        "1e-6; seed 5 ends at bank_max_residual 1.71e-6"))
+    def test_bandgap_bank_passes_verify(self, tmp_path):
+        # the bandgap-1d benchmark config with tasks [modes, verify]: a bank the
+        # solver reports as converged should pass verify.  Over solver seeds
+        # 0-11, seeds 1, 2, 5 and 11 fail bank_max_residual
+        config = base_config(
+            grid={"dims": [64, 1, 1], "spacing": 1.0},
+            medium={"kind": "slab-stack", "axis": 0,
+                    "layers": [{"thickness": 6.0, "eps": 1.0}, {"thickness": 2.0, "eps": 13.0}]},
+            tasks=["modes", "verify"],
+            modes={"count": 16},
+            solver={"eig_tol": 3e-7},
+            seed=5,
+        )
+        code = run(write_config(tmp_path, config), tmp_path, verbosity=0)
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks["bank_max_residual"]["value"] <= 1e-6
+        assert code == EXIT_OK
+
     def test_bad_schema_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"grid": {"dims": [8, 8, 8]}, "tasks": ["verify"]})
         assert run(path, tmp_path) == EXIT_CONFIG

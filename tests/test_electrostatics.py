@@ -12,9 +12,10 @@ from epsmodes.electrostatics import (
     solve_poisson_block,
 )
 from epsmodes.emission import local_field_grid
-from epsmodes.errors import ProfileError, SolverError
+from epsmodes.errors import GridMismatchError, PlacementError, ProfileError, SolverError
 from epsmodes.lattice import (
     EDGE,
+    FACE,
     Grid,
     VectorField,
     div,
@@ -236,6 +237,16 @@ class TestHelmholtzDecompose:
         cross = inner(res.x1, grad_chi)
         bound = 1e-10 * np.linalg.norm(x.values) * max(np.linalg.norm(grad_chi.values), 1e-30)
         assert abs(cross) <= max(bound, 1e-13)
+
+
+    def test_refuses_a_field_on_another_grid(self, rng):
+        # a grid mismatch is the same error here as in apply_q, inner and eps_inner
+        m = smooth_medium(Grid((6, 6, 6)))
+        for grid in (Grid((6, 6, 5)), Grid((6, 6, 6), 0.5)):
+            with pytest.raises(GridMismatchError):
+                helmholtz_decompose(random_vector(grid, rng), m)
+        with pytest.raises(PlacementError):
+            helmholtz_decompose(random_vector(m.grid, rng, FACE), m)
 
 
 class TestConstrainedDerivative:

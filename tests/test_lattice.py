@@ -14,10 +14,10 @@ from epsmodes.lattice import (
     adjoint_defect,
     curl,
     curl_t,
+    difference_symbols,
     div,
     dminus,
     dplus,
-    fourier_symbol,
     grad,
     laplacian_symbol,
 )
@@ -53,6 +53,25 @@ class TestGrid:
             Grid((0, 4, 4))
         with pytest.raises(ValueError):
             Grid((4, 4, 4), spacing=-1.0)
+
+    @pytest.mark.parametrize(
+        "dims, spacing",
+        [((4, 4, 4), "1"), ((4, 4, 4), True), ((4, 4, 4), None), ((4.7, 4, 4), 1.0),
+         ((4.0, 4, 4), 1.0), ((True, 4, 4), 1.0), (("4", 4, 4), 1.0), ("444", 1.0),
+         (4, 1.0), ((4, 4), 1.0)],
+    )
+    def test_refuses_what_is_not_a_number(self, dims, spacing):
+        # int() and float() would take a bool or a string, and int() would
+        # truncate a dim of 4.7
+        with pytest.raises(ValueError):
+            Grid(dims, spacing)
+
+    def test_stores_plain_numbers(self):
+        g = Grid(np.array([4, 5, 6]), 1)
+        assert g.dims == (4, 5, 6) and all(type(n) is int for n in g.dims)
+        assert type(g.spacing) is float and g.spacing == 1.0
+        assert g == Grid((4, 5, 6), 1.0)
+        assert g.lengths == (4.0, 5.0, 6.0)
 
     def test_field_validation(self):
         g = Grid((3, 3, 3))
@@ -227,9 +246,18 @@ def test_stencils_match_roll_formulas(dims, spacing, rng):
 )
 def test_laplacian_symbol_matches_sum_over_stacked_symbols(dims, spacing):
     # (s0 + s1) + s2 from the 1D parts gives np.sum over the stacked |d_a|^2
-    # bit for bit, and fourier_symbol returns it beside d
+    # bit for bit
     g = Grid(dims, spacing)
-    d, sym = fourier_symbol(g)
+    d = np.stack(np.broadcast_arrays(*difference_symbols(g)))
     expect = np.sum(np.abs(d) ** 2, axis=0)
     assert laplacian_symbol(g).tobytes() == expect.tobytes()
-    assert sym.tobytes() == expect.tobytes()
+
+
+def test_difference_symbols_are_the_forward_differences(rng):
+    # rfftn(dplus(f, a)) = d_a rfftn(f) on the rfftn half grid
+    g = Grid((6, 5, 7), 0.37)
+    f = rng.standard_normal(g.dims)
+    fk = np.fft.rfftn(f)
+    for a, d_a in enumerate(difference_symbols(g)):
+        lhs = np.fft.rfftn(dplus(f, a, g.spacing))
+        assert np.abs(lhs - d_a * fk).max() <= 1e-12 * np.abs(lhs).max()

@@ -163,15 +163,25 @@ def test_descriptor_grammar_names_the_key(form, names):
         (Sphere((1, "1", 1), 1.0, 1.0, 2.0), "sphere center must be a number"),
         (EmptyCavity(Homogeneous(2.0), ((1, 1, 1),), "1"), "cavity radius must be a number"),
         (Homogeneous(True), "eps must be a number, got True"),
+        (SlabStack(({"thickness": 4.0, "eps": 2.0},)), "layer 0 must be a Layer, got {"),
+        (SlabStack(Layer(4.0, 2.0)), "slab layers must be a tuple of Layer, got Layer("),
+        (EmptyCavity(Homogeneous(2.0), None, 1.0), "cavity centers must be a tuple of points, got None"),
+        (Sphere(None, 1.0, 1.0, 2.0), "sphere center None needs three coordinates"),
     ],
     ids=["homogeneous-eps-str", "sphere-radius-str", "layer-eps-none", "center-str",
-         "cavity-radius-str", "eps-bool"],
+         "cavity-radius-str", "eps-bool", "layer-dict", "layers-not-a-tuple",
+         "cavity-centers-none", "sphere-center-none"],
 )
 def test_python_descriptor_of_wrong_type_names_the_key(desc, names):
-    # a descriptor built in Python meets the rules with ProfileError, not TypeError
+    # a descriptor built in Python meets the rules with ProfileError, not
+    # TypeError or AttributeError, when sampled and when only checked
+    grid = Grid((4, 4, 4))
     with pytest.raises(ProfileError) as err:
-        build_profile(desc, Grid((4, 4, 4)))
+        build_profile(desc, grid)
     assert names in str(err.value)
+    with pytest.raises(ProfileError) as checked:
+        check_descriptor(desc, grid)
+    assert str(checked.value) == str(err.value)
 
 
 @pytest.mark.parametrize(
