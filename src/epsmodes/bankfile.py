@@ -18,9 +18,10 @@ offset   content
 Dims or a spacing that make no grid are refused at their offset.  A JSON
 sidecar (same path plus ``.json``) stores the medium and mu
 descriptors, Gram/residual metadata and the solver seed.  A sidecar of
-another format or version, one that lacks a key, or one holding a
-descriptor that :mod:`epsmodes.medium` refuses is refused, and so is a bank
-whose magnetic flag disagrees with its sidecar's mu.  Round trips are
+another format or version, one that lacks a key or holds another, one
+whose values are not of their JSON type (one residual per mode), or one
+holding a descriptor that :mod:`epsmodes.medium` refuses is refused, and
+so is a bank whose magnetic flag disagrees with its sidecar's mu.  Round trips are
 bit-exact: the g fields, the only form a bank holds, are read back bitwise
 into the same C-ordered layout the solver produces, and eps and mu are
 rebuilt from the descriptors.
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BankFileError, ProfileError
+from .grammar import REQUIRED, array, enum, obj, value
 from .lattice import Grid
 from .medium import build_profile, descriptor_from_dict, descriptor_to_dict
 from .modes import ModeBank
@@ -109,6 +111,21 @@ def save_bank(bank: ModeBank, path) -> None:
     )
 
 
+def _read_sidecar(data, n_modes: int) -> dict:
+    """The sidecar's JSON, read by the readers of :mod:`epsmodes.grammar`;
+    its descriptors are read where the medium is built."""
+    return obj({
+        "format": (enum(SIDECAR_FORMAT), REQUIRED),
+        "version": (enum(VERSION), REQUIRED),
+        "medium": (value("object"), REQUIRED),
+        "mu": (value("object", "null"), REQUIRED),
+        "gram_defect": (value("number"), REQUIRED),
+        "residuals": (array(value("number"), n_modes, n_modes), REQUIRED),
+        "complete": (value("boolean"), REQUIRED),
+        "seed": (value("integer", "null"), REQUIRED),
+    })(data, "$")
+
+
 def load_bank(path) -> ModeBank:
     """Load a bank saved by :func:`save_bank`; bit-exact round trip."""
     path = Path(path)
@@ -143,25 +160,7 @@ def load_bank(path) -> ModeBank:
     if not sidecar_file.exists():
         raise BankFileError(f"missing sidecar {sidecar_file}")
     try:
-        sidecar = json.loads(sidecar_file.read_text())
-        if (sidecar["format"], sidecar["version"]) != (SIDECAR_FORMAT, VERSION):
-            raise BankFileError(
-                f"sidecar {sidecar_file} has format {sidecar['format']!r} version "
-                f"{sidecar['version']!r}, not {SIDECAR_FORMAT!r} version {VERSION}"
-            )
-        residuals = np.asarray(sidecar["residuals"], dtype=np.float64)
-        gram_defect = float(sidecar["gram_defect"])
-        complete, seed = sidecar["complete"], sidecar["seed"]
-        if not isinstance(complete, bool) or not (seed is None or type(seed) is int):
-            raise BankFileError(
-                f"sidecar {sidecar_file} has complete={complete!r} and seed={seed!r}, "
-                "not a boolean and an integer or null"
-            )
-        if residuals.shape != (n_modes,):
-            raise BankFileError(
-                f"sidecar {sidecar_file} holds {residuals.size} residuals for "
-                f"{n_modes} modes"
-            )
+        sidecar = _read_sidecar(json.loads(sidecar_file.read_text()), n_modes)
         mu = sidecar["mu"]
         if magnetic != int(mu is not None):
             raise BankFileError(
@@ -170,20 +169,20 @@ def load_bank(path) -> ModeBank:
             )
         # the medium's own rules judge the descriptors: a fault is the sidecar's
         medium = build_profile(
-            descriptor_from_dict(sidecar["medium"]),
+            descriptor_from_dict(sidecar["medium"], "$.medium"),
             grid,
-            None if mu is None else descriptor_from_dict(mu),
+            None if mu is None else descriptor_from_dict(mu, "$.mu"),
         )
-    except (ValueError, KeyError, TypeError, AttributeError, ProfileError) as exc:
-        raise BankFileError(f"malformed sidecar {sidecar_file}: {exc!r}") from exc
+    except (ValueError, ProfileError) as exc:
+        raise BankFileError(f"malformed sidecar {sidecar_file}: {exc}") from exc
 
     body = np.frombuffer(raw, body_dtype, count=n_modes, offset=_HEADER.size)
     return ModeBank(
         medium=medium,
         frequencies=np.array(body["freq"], dtype=np.float64),
         modes_g=np.array(body["g"].transpose(0, 1, 4, 3, 2), dtype=np.float64, order="C"),
-        residuals=residuals,
-        gram_defect=gram_defect,
-        complete=complete,
-        seed=seed,
+        residuals=np.asarray(sidecar["residuals"], dtype=np.float64),
+        gram_defect=float(sidecar["gram_defect"]),
+        complete=sidecar["complete"],
+        seed=sidecar["seed"],
     )

@@ -1,6 +1,6 @@
 """Config-driven pipeline runner.
 
-A run is described by one JSON file (schema below) listing tasks that
+A run is described by one JSON file (``read_config`` below) listing tasks that
 execute in order over a shared grid/medium: ``decompose``, ``modes``,
 ``verify``, ``ldos``, ``rate``, ``cavity-factor``.  Outputs are CSV for
 spectra and JSON for scalar summaries; every report embeds the
@@ -22,232 +22,73 @@ import os
 import sys
 from pathlib import Path
 
+from .grammar import OPTIONAL, REQUIRED, JsonError, array, enum, obj, value
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_INVARIANT = 4
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["grid", "medium", "tasks"],
-    "additionalProperties": False,
-    "properties": {
-        "grid": {
-            "type": "object",
-            "required": ["dims"],
-            "additionalProperties": False,
-            "properties": {
-                "dims": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "spacing": {"$ref": "#/$defs/positive"},
-            },
-        },
-        # a descriptor's grammar is epsmodes.medium's, which validate_config calls
-        "medium": {"type": "object"},
-        "mu": {"type": "object"},
-        "tasks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "enum": ["decompose", "modes", "verify", "ldos", "rate", "cavity-factor"]
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "poisson_tol": {"$ref": "#/$defs/positive"},
-                "eig_tol": {"$ref": "#/$defs/positive"},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-        },
-        "modes": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "count": {"type": "integer", "minimum": 1},
-                "bank_out": {"type": "string"},
-                "bank_in": {"type": "string"},
-            },
-        },
-        "atoms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["position", "levels", "dipoles"],
-                "additionalProperties": False,
-                "properties": {
-                    "position": {"$ref": "#/$defs/point"},
-                    "levels": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                    },
-                    "dipoles": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["levels", "moment"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "levels": {
-                                    "type": "array",
-                                    "items": {"type": "integer", "minimum": 0},
-                                    "minItems": 2,
-                                    "maxItems": 2,
-                                },
-                                "moment": {"$ref": "#/$defs/point"},
-                            },
-                        },
-                    },
-                    "cavity_radius": {"$ref": "#/$defs/positive"},
-                },
-            },
-        },
-        "ldos": {
-            "type": "object",
-            "required": ["omega_min", "omega_max", "count"],
-            "additionalProperties": False,
-            "properties": {
-                "omega_min": {"type": "number", "minimum": 0},
-                "omega_max": {"$ref": "#/$defs/positive"},
-                "count": {"type": "integer", "minimum": 2},
-                "position": {"$ref": "#/$defs/point"},
-                "orientation": {"$ref": "#/$defs/point"},
-                "eta": {"$ref": "#/$defs/positive"},
-            },
-        },
-        "rate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "atom": {"type": "integer", "minimum": 0},
-                "transition": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "eta": {"$ref": "#/$defs/positive"},
-                "local_field": {"type": "boolean"},
-                # emission.local_field_grid spans n radius / 4 for n < 40, and
-                # electrostatics.check_cavity_radius needs four radii: n >= 16
-                "factor_grid": {"type": "integer", "minimum": 16},
-            },
-        },
-        "cavity_factor": {
-            "type": "object",
-            "required": ["eps_out", "radius"],
-            "additionalProperties": False,
-            "properties": {
-                "eps_out": {"type": "number"},
-                "radius": {"$ref": "#/$defs/positive"},
-                "grid": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 2},
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "si": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"length_unit_m": {"$ref": "#/$defs/positive"}},
-        },
-    },
-    "$defs": {
-        "positive": {"type": "number", "exclusiveMinimum": 0},
-        "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
-    },
-}
+_POSITIVE = value("number", exclusive_minimum=0)
+_POINT = array(value("number"), 3, 3)
+_LEVEL_PAIR = array(value("integer", minimum=0), 2, 2)
 
-# the JSON Schema (draft 2020-12) keywords CONFIG_SCHEMA uses, all that
-# schema_error implements; "$defs" is read by "$ref"
-SCHEMA_KEYWORDS = frozenset({
-    "type", "enum", "minimum", "exclusiveMinimum", "minItems", "maxItems",
-    "items", "required", "properties", "additionalProperties", "$ref", "$defs",
+# The config's grammar, each key with its default (see epsmodes.grammar); a
+# default of None means "none": no bank file, the default broadening, no
+# cavity, no SI fields.  The defaults that depend on other values are set
+# by validate_config.
+read_config = obj({
+    "grid": (obj({
+        "dims": (array(value("integer", minimum=1), 3, 3), REQUIRED),
+        "spacing": (_POSITIVE, 1.0),
+    }), REQUIRED),
+    # a descriptor's grammar is epsmodes.medium's, which validate_config calls
+    "medium": (value("object"), REQUIRED),
+    "mu": (value("object"), OPTIONAL),
+    "tasks": (array(enum("decompose", "modes", "verify", "ldos", "rate", "cavity-factor"), 1),
+              REQUIRED),
+    "solver": (obj({
+        "poisson_tol": (_POSITIVE, 1e-10),
+        "eig_tol": (_POSITIVE, 1e-8),
+        "max_iter": (value("integer", minimum=1), 1000),
+    }), {}),
+    "modes": (obj({
+        "count": (value("integer", minimum=1), 12),
+        "bank_out": (value("string"), None),
+        "bank_in": (value("string"), None),
+    }), {}),
+    "atoms": (array(obj({
+        "position": (_POINT, REQUIRED),
+        "levels": (array(value("number"), 2), REQUIRED),
+        "dipoles": (array(obj({"levels": (_LEVEL_PAIR, REQUIRED),
+                               "moment": (_POINT, REQUIRED)})), REQUIRED),
+        "cavity_radius": (_POSITIVE, None),
+    })), []),
+    "ldos": (obj({
+        "omega_min": (value("number", minimum=0), REQUIRED),
+        "omega_max": (_POSITIVE, REQUIRED),
+        "count": (value("integer", minimum=2), REQUIRED),
+        "position": (_POINT, OPTIONAL),
+        "orientation": (_POINT, [0.0, 0.0, 1.0]),
+        "eta": (_POSITIVE, None),
+    }), OPTIONAL),
+    "rate": (obj({
+        "atom": (value("integer", minimum=0), 0),
+        "transition": (_LEVEL_PAIR, [1, 0]),
+        "eta": (_POSITIVE, None),
+        "local_field": (value("boolean"), False),
+        # emission.local_field_grid spans n radius / 4 for n < 40, and
+        # electrostatics.check_cavity_radius needs four radii: n >= 16
+        "factor_grid": (value("integer", minimum=16), OPTIONAL),
+    }), {}),
+    "cavity_factor": (obj({
+        "eps_out": (value("number"), REQUIRED),
+        "radius": (_POSITIVE, REQUIRED),
+        "grid": (array(value("integer", minimum=2), 3, 3), OPTIONAL),
+    }), OPTIONAL),
+    "seed": (value("integer", minimum=0), 0),
+    "si": (obj({"length_unit_m": (_POSITIVE, None)}), {}),
 })
-
-_JSON_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    # a JSON integer literal: unlike draft 2020-12, 4.0 is not an integer,
-    # since the tasks index and size arrays with these values
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    # RFC 8259 has no NaN or Infinity, which json.loads admits as floats
-    "number": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                         or isinstance(v, float) and math.isfinite(v)),
-}
-
-# numeric bounds: the comparison that violates each, and its message
-_BOUNDS = {
-    "minimum": (lambda x, b: x < b, "is less than the minimum of"),
-    "exclusiveMinimum": (lambda x, b: x <= b, "is less than or equal to the minimum of"),
-}
-
-
-def schema_error(instance, schema=CONFIG_SCHEMA, path="$"):
-    """The first violation of ``schema`` as ``(json_path, message)``, or None.
-
-    Paths and messages read as jsonschema's do (``$.atoms[0].position``,
-    ``'eps' is a required property``).  Keywords apply in the schema's
-    order, each only to the JSON types it constrains.
-    """
-    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
-    for key, value in schema.items():
-        message = None
-        children = ()  # the (instance, schema, path) triples the keyword descends into
-        if key == "type":
-            if not _JSON_TYPES[value](instance):
-                message = f"{instance!r} is not of type {value!r}"
-        elif key == "enum":
-            if instance not in value:
-                message = f"{instance!r} is not one of {value!r}"
-        elif key in _BOUNDS:
-            violates, text = _BOUNDS[key]
-            if _JSON_TYPES["number"](instance) and violates(instance, value):
-                message = f"{instance!r} {text} {value!r}"
-        elif key == "minItems":
-            if is_array and len(instance) < value:
-                short = "should be non-empty" if value == 1 else "is too short"
-                message = f"{instance!r} {short}"
-        elif key == "maxItems":
-            if is_array and len(instance) > value:
-                message = f"{instance!r} is too long"
-        elif key == "required":
-            missing = [name for name in value if name not in instance] if is_object else []
-            if missing:
-                message = f"{missing[0]!r} is a required property"
-        elif key == "additionalProperties":
-            # CONFIG_SCHEMA uses only additionalProperties: false
-            known = schema.get("properties", {})
-            extras = sorted((k for k in instance if k not in known), key=str) if is_object else []
-            if extras:
-                names = ", ".join(repr(name) for name in extras)
-                verb = "was" if len(extras) == 1 else "were"
-                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
-        elif key == "properties" and is_object:
-            children = [(instance[name], sub, f"{path}.{name}")
-                        for name, sub in value.items() if name in instance]
-        elif key == "items" and is_array:
-            children = [(item, value, f"{path}[{i}]") for i, item in enumerate(instance)]
-        elif key == "$ref":
-            children = [(instance, CONFIG_SCHEMA["$defs"][value.removeprefix("#/$defs/")], path)]
-        if message is not None:
-            return path, message
-        for child in children:
-            error = schema_error(*child)
-            if error is not None:
-                return error
-    return None
 
 
 _SPEED_OF_LIGHT = 299792458.0
@@ -577,30 +418,17 @@ def validate_config(config: dict) -> dict:
     """The run ``config`` describes, or ConfigError on a fault.
 
     The run is a deep copy of ``config`` with every optional key's default
-    filled in; ``config`` itself is left as it is.  The schema is checked
-    first, then each resolved value by the library rule of the task using it.
+    filled in; ``config`` itself is left as it is.  ``read_config`` checks
+    the grammar first, then each resolved value is checked by the library
+    rule of the task using it.
     """
     from .errors import ConfigError
 
-    error = schema_error(config)
-    if error is not None:
-        raise ConfigError(f"config schema violation at {error[0]}: {error[1]}")
-
-    resolved = copy.deepcopy(config)
-    # the default of each optional key; None where the key's absence means
-    # "none": no bank file, the default broadening, no cavity, no SI fields
-    resolved.setdefault("seed", 0)
-    for section, defaults in (
-        ("grid", {"spacing": 1.0}),
-        ("solver", {"poisson_tol": 1e-10, "eig_tol": 1e-8, "max_iter": 1000}),
-        ("modes", {"count": 12, "bank_in": None, "bank_out": None}),
-        ("rate", {"atom": 0, "transition": [1, 0], "eta": None, "local_field": False}),
-        ("si", {"length_unit_m": None}),
-    ):
-        resolved[section] = {**defaults, **resolved.get(section, {})}
-    atoms = resolved.setdefault("atoms", [])
-    for entry in atoms:
-        entry.setdefault("cavity_radius", None)
+    try:
+        resolved = read_config(copy.deepcopy(config), "$")
+    except JsonError as exc:
+        raise ConfigError(f"config schema violation at {exc.path}: {exc.message}") from exc
+    atoms = resolved["atoms"]
     dims, spacing = resolved["grid"]["dims"], resolved["grid"]["spacing"]
     rate, tasks = resolved["rate"], resolved["tasks"]
 
@@ -613,7 +441,7 @@ def validate_config(config: dict) -> dict:
     from .medium import check_permittivity, descriptor_from_dict
     from .modes import SOLVE_HELD_BLOCKS, lobpcg_block
 
-    grid = _rule(f"grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
+    grid = _rule(f"grid.dims={dims}, grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
     # the medium's grammar here, its values' rules where _Runner samples it
     medium = _rule("medium", descriptor_from_dict, resolved["medium"])
     if "mu" in resolved:
@@ -626,8 +454,9 @@ def validate_config(config: dict) -> dict:
               cavity["eps_out"])
         cavity_dims = cavity.setdefault("grid", list(dims))
         grids.append(("cavity_factor.grid", cavity_dims))
+        cavity_grid = _rule(f"cavity_factor.grid={cavity_dims}", Grid, tuple(cavity_dims), spacing)
         _rule(f"cavity_factor.radius={cavity['radius']!r} on cavity_factor.grid={cavity_dims}",
-              check_cavity_radius, Grid(tuple(cavity_dims), spacing), cavity["radius"])
+              check_cavity_radius, cavity_grid, cavity["radius"])
     if rate["local_field"]:
         n = rate.setdefault("factor_grid", emission.LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
@@ -644,11 +473,14 @@ def validate_config(config: dict) -> dict:
         arrays.append(("ldos.count", n, 8 * n * count,
                        f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum"))
     memory = _physical_memory()
-    for name, value, nbytes, what in arrays:
+    for name, size, nbytes, what in arrays:
         if memory is not None and nbytes > memory:
+            # in decimal, so that a size past the float range (10**400 cells) prints too
+            from decimal import Decimal
+
             raise ConfigError(
-                f"{name}={value}: {what} takes {nbytes / 2**30:.3g} GiB, "
-                f"more than the {memory / 2**30:.3g} GiB of physical memory"
+                f"{name}={size}: {what} takes {Decimal(nbytes) / 2**30:.3g} GiB, "
+                f"more than the {Decimal(memory) / 2**30:.3g} GiB of physical memory"
             )
 
     for task in tasks:
@@ -662,9 +494,8 @@ def validate_config(config: dict) -> dict:
 
     ldos = resolved.get("ldos")
     if ldos is not None:
-        ldos.setdefault("eta", None)
         lo, hi, n = ldos["omega_min"], ldos["omega_max"], ldos["count"]
-        orientation = ldos.setdefault("orientation", [0.0, 0.0, 1.0])
+        orientation = ldos["orientation"]
         # the grid task_ldos hands to emission.ldos_spectrum
         _rule(f"ldos.omega_min={lo!r}, ldos.omega_max={hi!r}, ldos.count={n}, "
               f"ldos.orientation={orientation}", emission.spectrum_probe,
@@ -714,7 +545,9 @@ def run(config_path, out_dir, threads: int = 0, verbosity: int = 1) -> int:
     out_dir = Path(out_dir)
     try:
         config = json.loads(config_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a JSON or UTF-8 fault, or an integer literal past
+        # Python's limit of 4300 digits
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

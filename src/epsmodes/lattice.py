@@ -19,6 +19,7 @@ and ``<grad phi, V> = -<phi, div V>`` holds exactly in exact arithmetic.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,13 @@ class Grid:
         if not (s > 0.0 and all(0.0 < v < np.inf for v in (1.0 / s / s, s * s * s))):
             raise ValueError(f"spacing {s!r} puts 1/spacing^2 or spacing^3 outside (0, inf)")
         object.__setattr__(self, "spacing", s)
+        # the box's lengths and volume are floats too; the cell count is
+        # compared as an integer first, since a count past the float range
+        # cannot even be converted
+        if not (self.ncells <= sys.float_info.max
+                and all(v < np.inf for v in (*self.lengths, self.volume))):
+            raise ValueError(f"dims {self.dims} with spacing {s!r} make a box length or "
+                             "volume that is not finite")
 
     @property
     def ncells(self) -> int:

@@ -7,21 +7,24 @@ permeability at the three face positions.  The descriptor is retained on
 the profile for provenance and persistence.
 
 This module holds the descriptors' only grammar, for configs, bank sidecars
-and Python alike: :func:`descriptor_from_dict` checks the JSON form's keys
-and types, and :func:`evaluate_descriptor` the values' rules, such as
-:func:`check_permittivity`, in the branch that samples each kind.
+and Python alike: :func:`read_descriptor` checks the JSON form's keys and
+types with the readers of :mod:`epsmodes.grammar`, the ones that read
+configs and sidecars, and :func:`descriptor_from_dict` builds the
+descriptor from it; :func:`evaluate_descriptor` checks the values' rules,
+such as :func:`check_permittivity`, in the branch that samples each kind.
 """
 
 from __future__ import annotations
 
+import copy
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import GridMismatchError, PlacementError, ProfileError
+from .grammar import REQUIRED, JsonError, array, enum, obj, value
 from .lattice import EDGE, FACE, Grid, VectorField
 
 
@@ -225,82 +228,67 @@ def descriptor_to_dict(desc: Descriptor) -> dict:
     raise ProfileError(f"cannot serialize descriptor {type(desc).__name__}")
 
 
-def _number(what: str, value, kind=float):
-    """A finite JSON number as ``kind``; a bool or a string, which Python
-    would coerce, is refused, and so is an integer past the float range."""
-    if (isinstance(value, bool) or not isinstance(value, (int, kind))
-            or kind is float and not abs(value) <= sys.float_info.max):
-        wanted = "an integer" if kind is int else "a finite number"
-        raise ProfileError(f"{what} must be {wanted}, got {value!r}")
-    return kind(value)
+_OBJECT, _NUMBER = value("object"), value("number")
+_POINT = array(_NUMBER)
+_KIND = enum("homogeneous", "slab-stack", "sphere", "empty-cavity")
 
 
-def _array(what: str, value) -> list:
-    if not isinstance(value, list):
-        raise ProfileError(f"{what} must be an array, got {value!r}")
-    return value
+def _kind(**keys):
+    return obj({"kind": (_KIND, REQUIRED), **keys})
 
 
-def _point(what: str, value) -> tuple:
-    return tuple(_number(what, x) for x in _array(what, value))
+def read_descriptor(data, path: str):
+    """Read a descriptor's JSON form (an :mod:`epsmodes.grammar` reader):
+    its kind first, then the keys of that kind."""
+    _OBJECT(data, path)
+    if "kind" not in data:
+        raise JsonError(path, "'kind' is a required property")
+    return _KIND_READERS[_KIND(data["kind"], f"{path}.kind")](data, path)
 
 
-def _keys(what: str, data, required, optional=()) -> dict:
-    """``data`` if it is an object with every ``required`` key and no other."""
-    if not isinstance(data, dict):
-        raise ProfileError(f"{what} must be an object, got {data!r}")
-    for key in required:
-        if key not in data:
-            raise ProfileError(f"{what}: {key!r} is a required property")
-    for key in data:
-        if key not in required and key not in optional:
-            raise ProfileError(f"{what}: unknown key {key!r}")
-    return data
-
-
-# each kind's required keys, then its optional ones
-_KIND_KEYS = {
-    "homogeneous": (("eps",), ()),
-    "slab-stack": (("layers",), ("axis",)),
-    "sphere": (("center", "radius", "eps_in", "eps_out"), ()),
-    "empty-cavity": (("host", "centers", "radius"), ()),
+_KIND_READERS = {
+    "homogeneous": _kind(eps=(_NUMBER, REQUIRED)),
+    "slab-stack": _kind(
+        layers=(array(obj({"thickness": (_NUMBER, REQUIRED), "eps": (_NUMBER, REQUIRED)})),
+                REQUIRED),
+        axis=(value("integer"), 0),
+    ),
+    "sphere": _kind(center=(_POINT, REQUIRED), radius=(_NUMBER, REQUIRED),
+                    eps_in=(_NUMBER, REQUIRED), eps_out=(_NUMBER, REQUIRED)),
+    "empty-cavity": _kind(host=(read_descriptor, REQUIRED), centers=(array(_POINT), REQUIRED),
+                          radius=(_NUMBER, REQUIRED)),
 }
 
 
-def descriptor_from_dict(data) -> Descriptor:
-    """The descriptor of a JSON form, or ProfileError naming the key at fault;
-    the values' rules are checked when it is sampled."""
-    # an object with a kind first: the kind decides which other keys belong
-    kind = _keys("descriptor", data, ("kind",), optional=data)["kind"]
-    if not (isinstance(kind, str) and kind in _KIND_KEYS):
-        raise ProfileError(f"unknown descriptor kind {kind!r}, not one of {list(_KIND_KEYS)}")
-    required, optional = _KIND_KEYS[kind]
-    _keys(kind, data, ("kind",) + required, optional)
+def descriptor_from_dict(data, path: str = "descriptor") -> Descriptor:
+    """The descriptor of a JSON form, or ProfileError naming the JSON path
+    of the fault (``descriptor.center[1]``, under ``path``); the values'
+    rules are checked when it is sampled."""
+    try:
+        # on a copy: the reader fills in a slab stack's axis
+        data = read_descriptor(copy.deepcopy(data), path)
+    except JsonError as exc:
+        raise ProfileError(str(exc)) from exc
+    kind = data["kind"]
     if kind == "homogeneous":
-        return Homogeneous(eps=_number("eps", data["eps"]))
+        return Homogeneous(eps=float(data["eps"]))
     if kind == "slab-stack":
-        layers = [_keys("layer", layer, ("thickness", "eps"))
-                  for layer in _array("layers", data["layers"])]
         return SlabStack(
-            layers=tuple(Layer(_number("layer thickness", layer["thickness"]),
-                               _number("layer eps", layer["eps"])) for layer in layers),
-            axis=_number("axis", data.get("axis", 0), int),
+            layers=tuple(Layer(float(layer["thickness"]), float(layer["eps"]))
+                         for layer in data["layers"]),
+            axis=data["axis"],
         )
     if kind == "sphere":
         return Sphere(
-            center=_point("center", data["center"]),
-            radius=_number("radius", data["radius"]),
-            eps_in=_number("eps_in", data["eps_in"]),
-            eps_out=_number("eps_out", data["eps_out"]),
+            center=tuple(map(float, data["center"])),
+            radius=float(data["radius"]),
+            eps_in=float(data["eps_in"]),
+            eps_out=float(data["eps_out"]),
         )
-    try:
-        host = descriptor_from_dict(data["host"])
-    except ProfileError as exc:
-        raise ProfileError(f"host: {exc}") from exc
     return EmptyCavity(
-        host=host,
-        centers=tuple(_point("centers", c) for c in _array("centers", data["centers"])),
-        radius=_number("radius", data["radius"]),
+        host=descriptor_from_dict(data["host"], f"{path}.host"),
+        centers=tuple(tuple(map(float, c)) for c in data["centers"]),
+        radius=float(data["radius"]),
     )
 
 

@@ -151,19 +151,37 @@ def _without(key):
                                  "medium": {"kind": "homogeneous", "eps": 1e8}}),
         lambda text: json.dumps({**json.loads(text),
                                  "medium": {"kind": "homogeneous", "eps": 2.0, "typo": 1}}),
+        # each value of its JSON type: Python would coerce these
+        lambda text: json.dumps({**json.loads(text), "gram_defect": "0"}),
+        lambda text: json.dumps({**json.loads(text), "gram_defect": True}),
+        lambda text: json.dumps({**json.loads(text), "residuals": [True] * 8}),
+        lambda text: json.dumps({**json.loads(text), "residuals": ["1e-9"] * 8}),
+        lambda text: json.dumps({**json.loads(text), "version": 1.0}),
+        lambda text: json.dumps({**json.loads(text), "residuals": [10**400] * 8}),
+        lambda text: json.dumps({**json.loads(text), "typo": 1}),
     ],
     ids=["invalid-json", "missing-key", "residual-count", "wrong-format", "wrong-version",
          "missing-mu", "missing-complete", "missing-seed", "string-complete", "string-seed",
          "medium-refused", "unknown-kind", "bool-eps", "string-eps", "bool-axis",
-         "nan-center", "eps-above-1e6", "descriptor-extra-key"],
+         "nan-center", "eps-above-1e6", "descriptor-extra-key", "string-gram-defect",
+         "bool-gram-defect", "bool-residuals", "string-residuals", "float-version",
+         "residual-past-float-range", "sidecar-extra-key"],
 )
-def test_malformed_sidecar_rejected(bank, tmp_path, corrupt):
+def test_malformed_sidecar_rejected(bank, tmp_path, capsys, corrupt):
     path = tmp_path / "bank.qmb"
     save_bank(bank, path)
     sidecar = path.with_name("bank.qmb.json")
     sidecar.write_text(corrupt(sidecar.read_text()))
     with pytest.raises(BankFileError):
         load_bank(path)
+    # read through modes.bank_in, the fault is a config error
+    config = {"grid": {"dims": list(bank.grid.dims), "spacing": bank.grid.spacing},
+              "medium": {"kind": "homogeneous", "eps": 2.0}, "tasks": ["verify"],
+              "modes": {"bank_in": str(path)}}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert run(tmp_path / "run.json", tmp_path / "out") == EXIT_CONFIG
+    stderr = capsys.readouterr().err
+    assert "malformed sidecar" in stderr and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize(

@@ -15,19 +15,18 @@ from hypothesis import strategies as st
 
 import epsmodes
 from epsmodes.cli import (
-    CONFIG_SCHEMA,
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_SOLVER,
-    SCHEMA_KEYWORDS,
     main,
+    read_config,
     run,
-    schema_error,
     validate_config,
 )
 from epsmodes.bankfile import load_bank, save_bank
 from epsmodes.errors import BankFileError, ConfigError, ProfileError
+from epsmodes.grammar import JsonError
 from epsmodes.lattice import Grid
 from epsmodes.medium import Homogeneous, build_profile, descriptor_from_dict
 from epsmodes.modes import QOperator, solve_modes
@@ -50,14 +49,169 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
+# The config's grammar in JSON Schema (draft 2020-12): the reference against
+# which cli.read_config, the grammar's only statement in the package, is
+# checked.  A descriptor's grammar is epsmodes.medium's (see
+# REFERENCE_DESCRIPTOR_DEFS below), so medium and mu are objects here.
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["grid", "medium", "tasks"],
+    "additionalProperties": False,
+    "properties": {
+        "grid": {
+            "type": "object",
+            "required": ["dims"],
+            "additionalProperties": False,
+            "properties": {
+                "dims": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 1},
+                    "minItems": 3,
+                    "maxItems": 3,
+                },
+                "spacing": {"$ref": "#/$defs/positive"},
+            },
+        },
+        "medium": {"type": "object"},
+        "mu": {"type": "object"},
+        "tasks": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "enum": ["decompose", "modes", "verify", "ldos", "rate", "cavity-factor"]
+            },
+        },
+        "solver": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "poisson_tol": {"$ref": "#/$defs/positive"},
+                "eig_tol": {"$ref": "#/$defs/positive"},
+                "max_iter": {"type": "integer", "minimum": 1},
+            },
+        },
+        "modes": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "count": {"type": "integer", "minimum": 1},
+                "bank_out": {"type": "string"},
+                "bank_in": {"type": "string"},
+            },
+        },
+        "atoms": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["position", "levels", "dipoles"],
+                "additionalProperties": False,
+                "properties": {
+                    "position": {"$ref": "#/$defs/point"},
+                    "levels": {
+                        "type": "array",
+                        "items": {"type": "number"},
+                        "minItems": 2,
+                    },
+                    "dipoles": {
+                        "type": "array",
+                        "items": {
+                            "type": "object",
+                            "required": ["levels", "moment"],
+                            "additionalProperties": False,
+                            "properties": {
+                                "levels": {
+                                    "type": "array",
+                                    "items": {"type": "integer", "minimum": 0},
+                                    "minItems": 2,
+                                    "maxItems": 2,
+                                },
+                                "moment": {"$ref": "#/$defs/point"},
+                            },
+                        },
+                    },
+                    "cavity_radius": {"$ref": "#/$defs/positive"},
+                },
+            },
+        },
+        "ldos": {
+            "type": "object",
+            "required": ["omega_min", "omega_max", "count"],
+            "additionalProperties": False,
+            "properties": {
+                "omega_min": {"type": "number", "minimum": 0},
+                "omega_max": {"$ref": "#/$defs/positive"},
+                "count": {"type": "integer", "minimum": 2},
+                "position": {"$ref": "#/$defs/point"},
+                "orientation": {"$ref": "#/$defs/point"},
+                "eta": {"$ref": "#/$defs/positive"},
+            },
+        },
+        "rate": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "atom": {"type": "integer", "minimum": 0},
+                "transition": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 0},
+                    "minItems": 2,
+                    "maxItems": 2,
+                },
+                "eta": {"$ref": "#/$defs/positive"},
+                "local_field": {"type": "boolean"},
+                "factor_grid": {"type": "integer", "minimum": 16},
+            },
+        },
+        "cavity_factor": {
+            "type": "object",
+            "required": ["eps_out", "radius"],
+            "additionalProperties": False,
+            "properties": {
+                "eps_out": {"type": "number"},
+                "radius": {"$ref": "#/$defs/positive"},
+                "grid": {
+                    "type": "array",
+                    "items": {"type": "integer", "minimum": 2},
+                    "minItems": 3,
+                    "maxItems": 3,
+                },
+            },
+        },
+        "seed": {"type": "integer", "minimum": 0},
+        "si": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"length_unit_m": {"$ref": "#/$defs/positive"}},
+        },
+    },
+    "$defs": {
+        "positive": {"type": "number", "exclusiveMinimum": 0},
+        "point": {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3},
+    },
+}
+
+
 def _reference_validator(schema=CONFIG_SCHEMA):
-    """jsonschema's draft 2020-12 validator with the walker's integer: no 4.0."""
+    """jsonschema's draft 2020-12 validator with the package's integer and
+    number: 4.0 is not an integer, and a number is finite as a float."""
     import jsonschema
 
     base = jsonschema.Draft202012Validator
-    checker = base.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    checker = base.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                and abs(v) <= sys.float_info.max),
+    })
     return jsonschema.validators.extend(base, type_checker=checker)(schema)
+
+
+def _read_error(config):
+    """``read_config``'s fault in ``config`` as ``(json_path, message)``, or None."""
+    try:
+        read_config(copy.deepcopy(config), "$")
+    except JsonError as exc:
+        return exc.path, exc.message
+    return None
 
 
 KINDS = ["homogeneous", "slab-stack", "sphere", "empty-cavity"]
@@ -167,36 +321,10 @@ class TestValidation:
         validate_config(base_config())
 
     def test_schema_is_valid(self):
-        # runs validate configs against the schema without checking it
+        # the reference validator checks configs against the schema without checking it
         import jsonschema
 
         jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
-
-    def test_schema_uses_only_walked_keywords(self):
-        # a keyword schema_error does not implement would be ignored silently,
-        # and one the schema does not use is a dead branch of the walker
-        used = set()
-
-        def walk(schema, where):
-            for key, value in schema.items():
-                assert key in SCHEMA_KEYWORDS, f"{where}: schema_error ignores {key!r}"
-                used.add(key)
-                if key in ("properties", "$defs"):
-                    for name, sub in value.items():
-                        walk(sub, f"{where}.{key}.{name}")
-                elif key == "items":
-                    walk(value, f"{where}.{key}")
-                elif key == "type":
-                    assert value in ("object", "array", "string", "boolean", "integer",
-                                     "number"), f"{where}: type {value!r}"
-                elif key == "additionalProperties":
-                    assert value is False, f"{where}: only additionalProperties false is walked"
-                elif key == "$ref":
-                    assert value.startswith("#/$defs/"), f"{where}: $ref {value!r}"
-                    assert value.removeprefix("#/$defs/") in CONFIG_SCHEMA["$defs"]
-
-        walk(CONFIG_SCHEMA, "$")
-        assert used == SCHEMA_KEYWORDS
 
     @settings(max_examples=20, deadline=None)
     @given(configs=mutated_configs())
@@ -204,9 +332,9 @@ class TestValidation:
         validator = _reference_validator()
         for config in configs:
             errors = {(e.json_path, e.message) for e in validator.iter_errors(config)}
-            found = schema_error(config)
+            found = _read_error(config)
             assert (found is None) == (not errors), (config, found, errors)
-            # the walker reports one of the violations, where and as jsonschema does
+            # the reader reports one of the violations, where and as jsonschema does
             assert found is None or found in errors, (config, found, errors)
 
     def test_resolves_defaults_on_a_copy(self):
@@ -424,6 +552,31 @@ class TestRun:
             modes={"count": 16},
             solver={"eig_tol": 3e-7},
             seed=5,
+        )
+        code = run(write_config(tmp_path, config), tmp_path, verbosity=0)
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks["bank_max_residual"]["value"] <= 1e-6
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("spacing", [
+        1.0,
+        pytest.param(0.1, marks=pytest.mark.xfail(strict=True, reason=(
+            "known fault: verify bounds the physical residual by a fixed 1e-6, which "
+            "ignores the 1/spacing^2 the residual carries; bank_max_residual 1.77e-6"))),
+        pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
+            "known fault: as at spacing 0.1; bank_max_residual 2.2e-4"))),
+    ])
+    def test_sphere_bank_passes_verify_at_any_spacing(self, tmp_path, spacing):
+        # a bank the solver reports as converged should pass verify whatever
+        # the spacing: a 6^3 box around an eps-4 sphere of radius 1.8 cells;
+        # spacing 1 ends at bank_max_residual 1.44e-8
+        config = base_config(
+            grid={"dims": [6, 6, 6], "spacing": spacing},
+            medium={"kind": "sphere", "center": [3 * spacing] * 3, "radius": 1.8 * spacing,
+                    "eps_in": 4.0, "eps_out": 1.0},
+            tasks=["modes", "verify"],
+            modes={"count": 8},
+            seed=0,
         )
         code = run(write_config(tmp_path, config), tmp_path, verbosity=0)
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
@@ -725,7 +878,7 @@ class TestRun:
               "mu": {"kind": "homogeneous", "eps": 2.0}},
              EXIT_CONFIG, "error: medium: eps must lie in (0, 1e+06]"),
             ({"medium": {"kind": "homogeneous", "eps": 2.0, "typo": 1}},
-             EXIT_CONFIG, "medium: homogeneous: unknown key 'typo'"),
+             EXIT_CONFIG, "medium: descriptor: Additional properties are not allowed ('typo' was"),
             ({"tasks": ["cavity-factor"], "cavity_factor": {"eps_out": 2e6, "radius": 2.0}},
              EXIT_CONFIG, "cavity_factor.eps_out=2000000.0: eps_out must lie in (0, 1e+06]"),
             ({"grid": {"dims": [6, 6, 6]}, "tasks": ["decompose", "modes", "cavity-factor"],
@@ -794,6 +947,58 @@ class TestRun:
         assert "Traceback" not in err and names in err
         # every fault is caught before any task writes a file
         assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+    HUGE = int("1" + "0" * 400)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid": {"dims": [4, 4, 4], "spacing": HUGE}},
+            {"solver": {"eig_tol": HUGE}},
+            {"tasks": ["modes", "ldos"],
+             "ldos": {"omega_min": 0.1, "omega_max": HUGE, "count": 5}},
+            {"atoms": [{"position": [HUGE, 1, 1], "levels": [0.0, 1.0],
+                        "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
+            {"si": {"length_unit_m": HUGE}},
+            {"tasks": ["modes", "ldos"],
+             "ldos": {"omega_min": 0.1, "omega_max": 0.5, "count": HUGE}},
+            {"tasks": ["modes", "rate"], "rate": {"local_field": True, "factor_grid": HUGE}},
+            {"tasks": ["cavity-factor"],
+             "cavity_factor": {"eps_out": 4.0, "radius": 2.0, "grid": [HUGE, 8, 8]}},
+            {"grid": {"dims": [HUGE] * 3}},
+            {"atoms": [{"position": [1, 1, 1], "levels": [0.0, HUGE],
+                        "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}]},
+        ],
+        ids=["grid-spacing", "solver-eig-tol", "ldos-omega-max", "atom-position",
+             "si-length-unit", "ldos-count", "rate-factor-grid", "cavity-factor-grid",
+             "grid-dims", "atom-levels"],
+    )
+    def test_integer_literal_past_float_range_exits_2(self, tmp_path, capsys, overrides):
+        # an integer literal of 401 digits: JSON has no number range, but the
+        # tasks compute in floats; past the float range it is refused at once
+        cfg = base_config(
+            grid={"dims": [4, 4, 4]},
+            modes={"count": 4},
+            atoms=[{"position": [1, 1, 1], "levels": [0.0, 1.0], "cavity_radius": 1.0,
+                    "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}],
+        )
+        cfg.update(overrides)
+        out = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_literal_past_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python's JSON parser refuses an integer literal of more than 4300
+        # digits with a ValueError that is no JSONDecodeError
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(base_config())[:-1] + ', "seed": ' + "1" * 5000 + "}")
+        out = tmp_path / "out"
+        assert run(path, out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_refused_medium_leaves_no_out_dir(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]},
@@ -1012,8 +1217,21 @@ def test_runtime_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    # nor is jsonschema: cli.schema_error validates the config
+    # nor is jsonschema: cli.read_config reads the config
     assert proc.stdout.split() == [str(EXIT_OK), "[]", "[]"], proc.stderr
+
+
+def test_cli_import_loads_no_numpy():
+    # --threads sets the BLAS thread variables, which numpy reads when it
+    # loads: the command line module and the readers it imports load none
+    script = ("import sys\n"
+              "import epsmodes.cli\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    src = str(Path(epsmodes.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_main_argparse(tmp_path, capsys):

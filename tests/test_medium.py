@@ -120,33 +120,50 @@ SPHERE = {"kind": "sphere", "center": [1.0, 1.0, 1.0], "radius": 1.0, "eps_in": 
 @pytest.mark.parametrize(
     "form, names",
     [
-        ([], "descriptor must be an object"),
-        ({"eps": 2.0}, "'kind' is a required property"),
-        ({"kind": "cube"}, "unknown descriptor kind 'cube'"),
-        ({"kind": ["sphere"]}, "unknown descriptor kind ['sphere']"),
-        ({k: v for k, v in SPHERE.items() if k != "eps_in"}, "'eps_in' is a required property"),
-        ({"kind": "sphere"}, "'center' is a required property"),
-        (dict(SPHERE, typo=1), "unknown key 'typo'"),
-        (dict(SPHERE, center=1.0), "center must be an array"),
-        (dict(SPHERE, center=[1.0, "1", 1.0]), "center must be a finite number"),
-        (dict(SPHERE, radius=float("nan")), "radius must be a finite number"),
-        (dict(SPHERE, eps_out=10**400), "eps_out must be a finite number"),
-        ({"kind": "homogeneous", "eps": True}, "eps must be a finite number"),
+        ([], "descriptor: [] is not of type 'object'"),
+        ({"eps": 2.0}, "descriptor: 'kind' is a required property"),
+        ({"kind": "cube"}, "descriptor.kind: 'cube' is not one of ['homogeneous', "),
+        ({"kind": ["sphere"]}, "descriptor.kind: ['sphere'] is not one of ['homogeneous', "),
+        ({k: v for k, v in SPHERE.items() if k != "eps_in"},
+         "descriptor: 'eps_in' is a required property"),
+        ({"kind": "sphere"}, "descriptor: 'center' is a required property"),
+        (dict(SPHERE, typo=1),
+         "descriptor: Additional properties are not allowed ('typo' was unexpected)"),
+        (dict(SPHERE, center=1.0), "descriptor.center: 1.0 is not of type 'array'"),
+        (dict(SPHERE, center=[1.0, "1", 1.0]), "descriptor.center[1]: '1' is not of type 'number'"),
+        (dict(SPHERE, radius=float("nan")), "descriptor.radius: nan is not of type 'number'"),
+        (dict(SPHERE, eps_out=10**400), f"descriptor.eps_out: {10**400} is not of type 'number'"),
+        ({"kind": "homogeneous", "eps": True}, "descriptor.eps: True is not of type 'number'"),
         ({"kind": "slab-stack", "layers": {"thickness": 1.0, "eps": 2.0}},
-         "layers must be an array"),
-        ({"kind": "slab-stack", "layers": [2.0]}, "layer must be an object"),
-        ({"kind": "slab-stack", "layers": [{"thickness": 1.0}]}, "'eps' is a required property"),
+         "descriptor.layers: {'thickness': 1.0, 'eps': 2.0} is not of type 'array'"),
+        ({"kind": "slab-stack", "layers": [2.0]},
+         "descriptor.layers[0]: 2.0 is not of type 'object'"),
+        ({"kind": "slab-stack", "layers": [{"thickness": 1.0}]},
+         "descriptor.layers[0]: 'eps' is a required property"),
         ({"kind": "slab-stack", "layers": [{"thickness": 1.0, "eps": 2.0, "mu": 1.0}]},
-         "unknown key 'mu'"),
+         "descriptor.layers[0]: Additional properties are not allowed ('mu' was unexpected)"),
         ({"kind": "slab-stack", "layers": [{"thickness": 1.0, "eps": 2.0}], "axis": 1.0},
-         "axis must be an integer"),
+         "descriptor.axis: 1.0 is not of type 'integer'"),
         ({"kind": "empty-cavity", "host": [], "centers": [], "radius": 1.0},
-         "host: descriptor must be an object"),
+         "descriptor.host: [] is not of type 'object'"),
         ({"kind": "empty-cavity", "host": {"kind": "homogeneous", "eps": 2.0, "typo": 1},
-          "centers": [], "radius": 1.0}, "host: homogeneous: unknown key 'typo'"),
+          "centers": [], "radius": 1.0},
+         "descriptor.host: Additional properties are not allowed ('typo' was unexpected)"),
         ({"kind": "empty-cavity", "host": {"kind": "homogeneous", "eps": 2.0},
-          "centers": [1.0, 1.0, 1.0], "radius": 1.0}, "centers must be an array"),
+          "centers": [1.0, 1.0, 1.0], "radius": 1.0},
+         "descriptor.centers[0]: 1.0 is not of type 'array'"),
     ],
+    # each id names its fault, and keeps the name the suite has printed for it
+    ids=["form0-descriptor must be an object", "form1-'kind' is a required property",
+         "form2-unknown descriptor kind 'cube'", "form3-unknown descriptor kind ['sphere']",
+         "form4-'eps_in' is a required property", "form5-'center' is a required property",
+         "form6-unknown key 'typo'", "form7-center must be an array",
+         "form8-center must be a finite number", "form9-radius must be a finite number",
+         "form10-eps_out must be a finite number", "form11-eps must be a finite number",
+         "form12-layers must be an array", "form13-layer must be an object",
+         "form14-'eps' is a required property", "form15-unknown key 'mu'",
+         "form16-axis must be an integer", "form17-host: descriptor must be an object",
+         "form18-host: homogeneous: unknown key 'typo'", "form19-centers must be an array"],
 )
 def test_descriptor_grammar_names_the_key(form, names):
     with pytest.raises(ProfileError) as err:
