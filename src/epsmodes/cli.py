@@ -525,6 +525,12 @@ def validate_config(config: dict) -> dict:
         if rate["local_field"]:
             _rule(f"rate.local_field for atoms[{i}] in medium.kind={resolved['medium']['kind']!r}",
                   emission.local_field_host_eps, atom, medium)
+    # a task that reads modes needs the 'modes' task before it or a bank to load
+    if not resolved["modes"]["bank_in"]:
+        for task in tasks[:tasks.index("modes")] if "modes" in tasks else tasks:
+            if task in ("ldos", "rate"):
+                raise ConfigError(f"task {task!r} needs a mode bank: run the 'modes' task "
+                                  "before it or set modes.bank_in")
     return resolved
 
 

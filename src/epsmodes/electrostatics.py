@@ -7,10 +7,20 @@ operator ``L = -div(eps grad .)`` is symmetric positive semidefinite
 with the constants as null space; the gauge is fixed by keeping chi
 zero-mean, the periodic analogue of a potential vanishing at infinity.
 Solutions come from conjugate gradients preconditioned by the exact
-inverse of ``mean(eps)`` times the periodic 7-point Laplacian, applied
-with a real FFT pair through a spectrum and an output buffer held for the
-solve (Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the
-iteration count then depends on the eps contrast, not on the grid size.
+inverse of ``c K``, where ``K = -div grad`` is the periodic 7-point
+Laplacian and ``c`` a reference permittivity, applied with a real FFT pair
+through a spectrum and an output buffer held for the solve (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the iteration count then
+depends on the eps contrast, not on the grid size.  ``c`` is the extreme
+of eps (min or max) that more edges hold, so ``delta = eps - c`` vanishes
+outside a *contrast box*, usually a small part of the grid.  With
+``L = c K + L_delta`` and ``z`` the preconditioned residual, ``c K z = r``
+gives ``L z = r + L_delta z`` (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1
+(1981); the reference-medium split of FFT homogenization, Zeman et al.,
+J. Comput. Phys. 229, 8065 (2010)): each iteration forms ``L p`` by a
+recurrence and applies the weighted Laplacian only to ``z`` and ``delta``
+on the box.  A box that is the whole grid gains nothing from the split, and
+there ``L z`` is applied as it stands.
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
@@ -61,16 +71,19 @@ def apply_weighted_laplacian(
     spacing: float,
     out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
+    add: bool = False,
 ) -> np.ndarray:
     """L chi = -div(eps * grad chi) for one (nx, ny, nz) field.
 
     ``out`` and the two ``work`` arrays, each of chi's shape and none
-    overlapping it, let repeated applies run without allocating.
+    overlapping it, let repeated applies run without allocating.  With
+    ``add``, ``L chi`` is added to what ``out`` holds instead of replacing it.
     """
     if out is None:
         out = np.empty_like(chi)
     flux, term = work if work is not None else (np.empty_like(chi), np.empty_like(chi))
-    out.fill(0.0)
+    if not add:
+        out.fill(0.0)
     for a in range(3):
         np.multiply(eps[a], dplus(chi, a, spacing, out=flux), out=flux)
         out -= dminus(flux, a, spacing, out=term)
@@ -99,6 +112,34 @@ def fourier_multiplier(symbol: np.ndarray, dims: tuple[int, int, int]):
     return apply
 
 
+def _reference_split(eps: np.ndarray) -> tuple[float, tuple[slice, slice, slice]]:
+    """``(c, box)``: the preconditioner's constant and the contrast box.
+
+    ``c`` is the extreme of ``eps`` (min or max) that more edges hold, the
+    minimum on a tie.  Per axis, ``box`` spans the cells where any component
+    of ``eps`` differs from ``c`` plus one plane on the high side, so that
+    ``eps - c`` is zero on the box's last plane and on every plane outside
+    it; it takes the whole axis when those cells reach the last plane, which
+    a support that wraps always does.  The periodic stencils of
+    :func:`apply_weighted_laplacian` on the sub-box then give
+    ``-div((eps - c) grad .)`` exactly, which is zero outside it.  All three
+    slices are empty when ``eps`` equals ``c`` everywhere.
+    """
+    lo, hi = eps.min(), eps.max()
+    c = hi if np.count_nonzero(eps == hi) > np.count_nonzero(eps == lo) else lo
+    differs = (eps != c).any(axis=0)
+    box = []
+    for a, n in enumerate(differs.shape):
+        planes = np.flatnonzero(differs.any(axis=tuple(b for b in range(3) if b != a)))
+        if planes.size == 0:
+            box.append(slice(0, 0))
+        elif planes[-1] == n - 1:
+            box.append(slice(0, n))
+        else:
+            box.append(slice(int(planes[0]), int(planes[-1]) + 2))
+    return float(c), tuple(box)
+
+
 def solve_poisson_block(
     rhs: np.ndarray,
     m: MediumProfile,
@@ -109,13 +150,24 @@ def solve_poisson_block(
 
     ``rhs`` has the grid's shape (nx, ny, nz).  Its mean is removed, since
     a periodic source must be neutral, so ``rhs`` and ``rhs + c`` give the
-    same chi; it is solved to relative residual ``tol``, judged on the
-    true residual after the CG run.  The preconditioner inverts ``mean(eps)
-    * (-div grad)`` in Fourier space with the k = 0 term set to zero, so its
-    output is zero-mean; it is an FFT pair through two buffers held for the
-    solve (:func:`fourier_multiplier`), and no iteration allocates.  Returns
-    (chi, relative residual, iterations); raises :class:`SolverError` on
-    stagnation and ``ValueError`` for any other rhs shape.
+    same chi; it is solved to relative residual ``tol``.  The preconditioner
+    inverts ``c K`` (``K = -div grad``, ``c`` from :func:`_reference_split`)
+    in Fourier space with the k = 0 term set to zero, so its output ``z`` is
+    zero-mean and ``c K z = r`` for the zero-mean residual ``r``; it is an
+    FFT pair through two buffers held for the solve
+    (:func:`fourier_multiplier`).  Since ``L z = r + L_delta z`` with
+    ``delta = eps - c``, the search direction ``p <- z + beta p`` has
+    ``L p <- r + beta L p + L_delta z``, and the one weighted-Laplacian
+    apply of an iteration runs on ``z`` and ``delta`` sliced to the contrast
+    box, adding into ``L p`` there through two box-sized work arrays; no
+    iteration allocates.  Where the box is the whole grid the apply adds
+    ``L z`` itself, with ``m.eps``, and ``r`` is not added: the same passes
+    as applying ``L`` to ``p``, and no copy of eps.  The stopping rule is
+    judged on the true residual after the CG run, formed with the full
+    weighted Laplacian of ``m.eps``, so a fault in the box or in the
+    recurrence cannot pass it.  Returns (chi, relative residual,
+    iterations); raises :class:`SolverError` on stagnation and
+    ``ValueError`` for any other rhs shape.
     """
     if rhs.shape != m.grid.dims:
         raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {m.grid.dims}")
@@ -127,9 +179,12 @@ def solve_poisson_block(
 
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
-    sym = laplacian_symbol(m.grid) * m.eps.mean()
+    c, box = _reference_split(m.eps)
+    sym = laplacian_symbol(m.grid) * c
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
     precondition = fourier_multiplier(inv_sym, m.grid.dims)
+    whole = all(s.stop - s.start == n for s, n in zip(box, m.grid.dims))
+    delta = m.eps if whole else m.eps[(slice(None),) + box] - c
 
     # x starts at zero, so the first residual is b, demeaned as every later one is
     x = np.zeros_like(b)
@@ -138,13 +193,19 @@ def solve_poisson_block(
     z = precondition(r)
     p = z.copy()
     rz = np.vdot(r, z)
-    # L p, the Laplacian's two work arrays and the scaled step live through the solve
-    ap, step = np.empty_like(b), np.empty_like(b)
-    work = (np.empty_like(b), np.empty_like(b))
+    # L p (zero before the first direction) and the scaled step live through the solve
+    ap, step = np.zeros_like(b), np.empty_like(b)
+    # the box Laplacian's two work arrays
+    work = (np.empty(delta.shape[1:]), np.empty(delta.shape[1:]))
+    beta = 0.0
     iterations = 0
     while iterations < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
         iterations += 1
-        apply_weighted_laplacian(p, m.eps, spacing, out=ap, work=work)
+        # L p <- r + beta L p + L_delta z, for p = z + beta p (L z for the whole grid)
+        ap *= beta
+        if not whole:
+            ap += r
+        apply_weighted_laplacian(z[box], delta, spacing, out=ap[box], work=work, add=True)
         pap = np.vdot(p, ap)
         if pap <= 0:
             break
@@ -154,12 +215,15 @@ def solve_poisson_block(
         r -= r.mean()
         z = precondition(r)
         rz_new = np.vdot(r, z)
+        beta = rz_new / rz
         # p <- z + beta p in place
-        p *= rz_new / rz
+        p *= beta
         p += z
         rz = rz_new
     x -= x.mean()
-    r_true = b - apply_weighted_laplacian(x, m.eps, spacing, out=ap, work=work)
+    # p and step are free now and serve as the full Laplacian's work arrays
+    r_true = np.subtract(b, apply_weighted_laplacian(x, m.eps, spacing, out=ap, work=(p, step)),
+                         out=ap)
     res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
         raise SolverError(

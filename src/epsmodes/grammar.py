@@ -20,6 +20,7 @@ sets the BLAS thread variables that numpy reads when it loads.
 from __future__ import annotations
 
 import copy
+import math
 import sys
 
 # an object key's default: the key must be present, or its absence stays
@@ -52,18 +53,36 @@ _KINDS = {
 }
 
 
+def _show(v) -> str:
+    """``repr(v)``; an int past Python's str-conversion limit, alone or in a
+    list or dict, is shown by its digit count."""
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_show, v)) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_show(k)}: {_show(x)}" for k, x in v.items()) + "}"
+    try:
+        return repr(v)
+    except ValueError:
+        if not isinstance(v, int):
+            raise
+        # 2**(b-1) <= |v| < 2**b leaves two digit counts, told apart by one power of ten
+        n = abs(v)
+        digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+        return f"<integer of {digits + (n >= 10**digits)} digits>"
+
+
 def value(*kinds: str, minimum=None, exclusive_minimum=None):
     """A JSON value of one of ``kinds``, at least ``minimum`` or above
     ``exclusive_minimum``; bounds go with the kinds "number" and "integer"."""
 
     def read(v, path):
         if not any(_KINDS[kind](v) for kind in kinds):
-            raise JsonError(path, f"{v!r} is not of type {', '.join(map(repr, kinds))}")
+            raise JsonError(path, f"{_show(v)} is not of type {', '.join(map(repr, kinds))}")
         if minimum is not None and v < minimum:
-            raise JsonError(path, f"{v!r} is less than the minimum of {minimum!r}")
+            raise JsonError(path, f"{_show(v)} is less than the minimum of {minimum!r}")
         if exclusive_minimum is not None and v <= exclusive_minimum:
             raise JsonError(
-                path, f"{v!r} is less than or equal to the minimum of {exclusive_minimum!r}")
+                path, f"{_show(v)} is less than or equal to the minimum of {exclusive_minimum!r}")
         return v
 
     return read
@@ -74,7 +93,7 @@ def enum(*values):
 
     def read(v, path):
         if not any(type(v) is type(x) and v == x for x in values):
-            raise JsonError(path, f"{v!r} is not one of {list(values)!r}")
+            raise JsonError(path, f"{_show(v)} is not one of {list(values)!r}")
         return v
 
     return read
@@ -88,9 +107,9 @@ def array(items, min_items: int = 0, max_items: int | None = None):
         is_array(v, path)
         if len(v) < min_items:
             short = "should be non-empty" if min_items == 1 else "is too short"
-            raise JsonError(path, f"{v!r} {short}")
+            raise JsonError(path, f"{_show(v)} {short}")
         if max_items is not None and len(v) > max_items:
-            raise JsonError(path, f"{v!r} is too long")
+            raise JsonError(path, f"{_show(v)} is too long")
         for i, item in enumerate(v):
             items(item, f"{path}[{i}]")
         return v
@@ -116,7 +135,7 @@ def obj(keys: dict):
                 raise JsonError(path, f"{key!r} is a required property")
         extras = sorted((key for key in v if key not in keys), key=str)
         if extras:
-            names = ", ".join(map(repr, extras))
+            names = ", ".join(map(_show, extras))
             verb = "was" if len(extras) == 1 else "were"
             raise JsonError(path,
                             f"Additional properties are not allowed ({names} {verb} unexpected)")

@@ -338,7 +338,7 @@ class TestValidation:
             assert found is None or found in errors, (config, found, errors)
 
     def test_resolves_defaults_on_a_copy(self):
-        config = base_config(tasks=["ldos"], grid={"dims": [4, 4, 2]},
+        config = base_config(tasks=["modes", "ldos"], grid={"dims": [4, 4, 2]},
                              ldos={"omega_min": 0.1, "omega_max": 0.5, "count": 3})
         before = copy.deepcopy(config)
         resolved = validate_config(config)
@@ -363,6 +363,20 @@ class TestValidation:
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(base_config(tasks=["ldos"]))
+
+    @pytest.mark.parametrize("tasks", [["ldos"], ["rate", "modes"], ["decompose", "ldos", "modes"]])
+    def test_mode_task_needs_modes_before_it_or_bank_in(self, tasks):
+        config = base_config(
+            tasks=tasks, grid={"dims": [4, 4, 4]}, modes={"count": 4},
+            ldos={"omega_min": 0.1, "omega_max": 0.5, "count": 3},
+            atoms=[{"position": [1, 1, 1], "levels": [0.0, 1.0],
+                    "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}])
+        task = tasks[0] if tasks[0] != "decompose" else tasks[1]
+        with pytest.raises(ConfigError, match=f"task '{task}' needs a mode bank.*modes.bank_in"):
+            validate_config(config)
+        # a bank to load, or the 'modes' task first, serves it
+        validate_config(dict(config, modes={"count": 4, "bank_in": "bank.qmb"}))
+        validate_config(dict(config, tasks=["modes"] + tasks))
 
 
 # The medium descriptor's grammar as the config schema once stated it, in
@@ -999,6 +1013,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read config: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_mode_task_before_modes_writes_nothing(self, tmp_path, capsys):
+        # refused by the plan, before decompose writes its report
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["decompose", "ldos", "modes"],
+                          modes={"count": 4},
+                          ldos={"omega_min": 0.1, "omega_max": 0.5, "count": 3})
+        out_dir = tmp_path / "fresh"
+        assert run(write_config(tmp_path, cfg), out_dir) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "task 'ldos' needs a mode bank" in err and "modes.bank_in" in err
+        assert not out_dir.exists()
 
     def test_refused_medium_leaves_no_out_dir(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]},

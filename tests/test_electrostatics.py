@@ -24,8 +24,9 @@ from epsmodes.lattice import (
     dplus,
     grad_raw,
     inner,
+    laplacian_symbol,
 )
-from epsmodes.medium import Homogeneous, Sphere, build_profile
+from epsmodes.medium import Homogeneous, Layer, SlabStack, Sphere, build_profile
 
 from conftest import (
     component_positions,
@@ -177,6 +178,122 @@ class TestSolvePoisson:
             solve_poisson_block(sigma, m, tol=1e-12, maxiter=3)
         assert err.value.residual is not None
         assert err.value.residual > 1e-12
+
+
+def reference_poisson(rhs, m, tol):
+    """CG preconditioned by mean(eps) times the FFT Laplacian inverse, with
+    the full weighted Laplacian applied to every search direction."""
+    s = m.grid.spacing
+    b = rhs - rhs.mean()
+    scale = np.linalg.norm(b) or 1.0
+    sym = laplacian_symbol(m.grid) * m.eps.mean()
+    inv = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
+
+    def precondition(r):
+        return np.fft.irfftn(np.fft.rfftn(r) * inv, s=m.grid.dims, axes=(0, 1, 2))
+
+    x, r = np.zeros_like(b), b.copy()
+    z = precondition(r)
+    p, rz = z.copy(), np.vdot(r, z)
+    iterations = 0
+    while np.linalg.norm(r) > 0.5 * tol * scale:
+        iterations += 1
+        ap = -div_raw(m.eps * grad_raw(p, s), s)
+        alpha = rz / np.vdot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        r -= r.mean()
+        z = precondition(r)
+        rz_new = np.vdot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x - x.mean(), iterations
+
+
+# media by the contrast box they give: part of the grid, part of the grid
+# across its periodic faces (the whole grid), the whole grid, or none
+POISSON_MEDIA = {
+    "sphere-off-centre": (Grid((16, 16, 16)), Sphere((6.3, 7.1, 5.2), 3.0, 1.0, 9.0), "part"),
+    "sphere-off-centre-eps-in-above": (Grid((16, 16, 16)), Sphere((9.3, 7.1, 8.2), 3.0, 9.0, 1.0),
+                                       "part"),
+    "sphere-at-corner": (Grid((16, 16, 16)), Sphere((0.5, 0.5, 0.5), 3.0, 1.0, 9.0), "whole"),
+    "slab-stack": (Grid((16, 8, 8)), SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0))), "whole"),
+    "random-per-cell": (Grid((8, 6, 7)), None, "whole"),
+    "homogeneous": (Grid((8, 8, 8)), Homogeneous(4.0), "empty"),
+    "6x5x7-spacing-0.37": (Grid((6, 5, 7), 0.37), Sphere((1.0, 0.9, 1.1), 0.6, 5.0, 1.0), "part"),
+    "48-cavity-spacing-0.5": (Grid((48, 48, 48), 0.5), Sphere((12.0, 12.0, 12.0), 3.0, 1.0, 4.0),
+                              "part"),
+}
+
+
+def poisson_medium(name, rng):
+    g, desc, _ = POISSON_MEDIA[name]
+    return random_medium(g, rng) if desc is None else build_profile(desc, g)
+
+
+class TestContrastBox:
+    @pytest.mark.parametrize("name", POISSON_MEDIA)
+    def test_box_kind(self, name, rng):
+        m = poisson_medium(name, rng)
+        c, box = electrostatics._reference_split(m.eps)
+        assert c in (m.eps.min(), m.eps.max())
+        cells = np.prod([sl.stop - sl.start for sl in box])
+        kind = {0: "empty", m.grid.ncells: "whole"}.get(cells, "part")
+        assert kind == POISSON_MEDIA[name][2]
+
+    @pytest.mark.parametrize("name", ["sphere-off-centre", "6x5x7-spacing-0.37",
+                                      "48-cavity-spacing-0.5"])
+    def test_box_apply_is_the_full_contrast_apply(self, name, rng):
+        # -div((eps - c) grad z) on the box equals the whole grid's, which is
+        # zero outside the box
+        m = poisson_medium(name, rng)
+        s = m.grid.spacing
+        c, box = electrostatics._reference_split(m.eps)
+        z = rng.standard_normal(m.grid.dims)
+        full = -div_raw((m.eps - c) * grad_raw(z, s), s)
+        on_box = apply_weighted_laplacian(z[box], m.eps[(slice(None),) + box] - c, s)
+        assert np.abs(on_box - full[box]).max() <= 1e-13 * np.abs(full).max()
+        full[box] = 0.0
+        assert np.all(full == 0.0)
+
+
+class TestSolvePoissonAgainstMeanEpsReference:
+    @pytest.mark.parametrize("name", POISSON_MEDIA)
+    def test_matches_reference(self, name, rng):
+        m = poisson_medium(name, rng)
+        rhs = rng.standard_normal(m.grid.dims)
+        tol = 1e-10
+        chi, res, iterations = solve_poisson_block(rhs, m, tol=tol)
+        expect, ref_iterations = reference_poisson(rhs, m, tol)
+        assert np.abs(chi - expect).max() <= 1e-9 * np.abs(expect).max()
+        assert abs(iterations - ref_iterations) <= 1
+        assert res <= tol
+        if POISSON_MEDIA[name][2] == "empty":
+            assert iterations == 1
+
+    def test_no_iteration_applies_the_full_grid(self, rng, monkeypatch):
+        # one box apply per iteration, and one full apply, with m.eps, for the
+        # true residual at the end
+        m = poisson_medium("sphere-off-centre", rng)
+        calls = []
+        apply = electrostatics.apply_weighted_laplacian
+
+        def record(chi, eps, *args, **kwargs):
+            calls.append((chi.shape, eps is m.eps))
+            return apply(chi, eps, *args, **kwargs)
+
+        monkeypatch.setattr(electrostatics, "apply_weighted_laplacian", record)
+        _, _, iterations = solve_poisson_block(rng.standard_normal(m.grid.dims), m)
+        assert len(calls) == iterations + 1
+        assert all(np.prod(shape) < m.grid.ncells and not full for shape, full in calls[:-1])
+        assert calls[-1] == (m.grid.dims, True)
+
+    def test_maxiter_raises_with_residual_and_iterations(self, rng):
+        m = poisson_medium("sphere-off-centre", rng)
+        with pytest.raises(SolverError) as err:
+            solve_poisson_block(rng.standard_normal(m.grid.dims), m, maxiter=3)
+        assert err.value.iterations == 3
+        assert err.value.residual > 1e-10
 
 
 class TestHelmholtzDecompose:

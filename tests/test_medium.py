@@ -171,6 +171,14 @@ def test_descriptor_grammar_names_the_key(form, names):
     assert names in str(err.value)
 
 
+def test_descriptor_grammar_names_an_integer_too_long_to_print():
+    # an int past Python's str-conversion limit is shown by its digit count,
+    # so the refusal stays a ProfileError naming the key
+    with pytest.raises(ProfileError) as err:
+        descriptor_from_dict({"kind": "homogeneous", "eps": 10**5000})
+    assert "descriptor.eps: <integer of 5001 digits> is not of type 'number'" in str(err.value)
+
+
 @pytest.mark.parametrize(
     "desc, names",
     [

@@ -52,6 +52,21 @@ from conftest import (
 )
 
 
+def half_trace(eps_cells, omega, spacing=1.0):
+    """Half the trace of the discrete 1D stack's per-period transfer matrix.
+
+    The cell matrix ``[[2 - s^2 w^2 e_i, -1], [1, 0]]`` maps ``(v[i], v[i-1])``
+    to ``(v[i+1], v[i])``; the product's four entries are carried as arrays,
+    so one call takes a whole grid of ``omega``.
+    """
+    omega = np.asarray(omega, dtype=float)
+    a, b, c, d = np.ones_like(omega), np.zeros_like(omega), np.zeros_like(omega), np.ones_like(omega)
+    for e in eps_cells:
+        t = 2 - spacing**2 * omega**2 * e
+        a, b, c, d = t * a - c, t * b - d, a, b
+    return (a + d) / 2
+
+
 def transfer_matrix_gap(eps_cells, spacing=1.0):
     """Gap edges of the discrete 1D stack from the cell transfer matrix.
 
@@ -59,50 +74,34 @@ def transfer_matrix_gap(eps_cells, spacing=1.0):
     have |trace of the per-period product| <= 2; the first band's top and
     the second band's bottom bracket the gap.
     """
-    def trace_half(omega):
-        m = np.eye(2)
-        for e in eps_cells:
-            t = np.array([[2 - spacing**2 * omega**2 * e, -1.0], [1.0, 0.0]])
-            m = t @ m
-        return np.trace(m) / 2
-
     from scipy.optimize import brentq
 
     omegas = np.linspace(1e-4, 0.6, 20001)
-    values = np.array([trace_half(w) for w in omegas])
-    crossings = []
-    for i in range(len(omegas) - 1):
-        if (abs(values[i]) - 1) * (abs(values[i + 1]) - 1) < 0:
-            crossings.append(
-                brentq(lambda w: abs(trace_half(w)) - 1, omegas[i], omegas[i + 1])
-            )
-    return crossings  # first two are the gap edges when starting inside band 1
+    f = np.abs(half_trace(eps_cells, omegas, spacing)) - 1
+    return [  # first two are the gap edges when starting inside band 1
+        brentq(lambda w: abs(half_trace(eps_cells, w, spacing)) - 1, omegas[i], omegas[i + 1])
+        for i in np.flatnonzero(f[:-1] * f[1:] < 0)
+    ]
 
 
 def discrete_bloch_frequencies(eps_cells, periods, spacing=1.0, band_max=0.6):
     """All 1D Bloch frequencies for the y/z-polarized sector, with multiplicity."""
     from scipy.optimize import brentq
 
-    def trace_half(omega):
-        m = np.eye(2)
-        for e in eps_cells:
-            t = np.array([[2 - spacing**2 * omega**2 * e, -1.0], [1.0, 0.0]])
-            m = t @ m
-        return np.trace(m) / 2
-
     freqs = []
     omegas = np.linspace(1e-6, band_max, 40001)
+    values = half_trace(eps_cells, omegas, spacing)
     for q in range(periods // 2 + 1):
         target = np.cos(2 * np.pi * q / periods)
-        f = [trace_half(w) - target for w in omegas]
-        for i in range(len(omegas) - 1):
-            if f[i] * f[i + 1] <= 0:
-                w = brentq(lambda x: trace_half(x) - target, omegas[i], omegas[i + 1])
-                # interior q: +-k pairs; q = 0 and q = periods/2 are single
-                mult = 2 if 0 < q < periods // 2 else 1
-                if q == 0 and w < 1e-8:
-                    continue  # zero modes excluded from solver banks
-                freqs += [w] * mult * 2  # two polarizations
+        f = values - target
+        for i in np.flatnonzero(f[:-1] * f[1:] <= 0):
+            w = brentq(lambda x: half_trace(eps_cells, x, spacing) - target,
+                       omegas[i], omegas[i + 1])
+            # interior q: +-k pairs; q = 0 and q = periods/2 are single
+            mult = 2 if 0 < q < periods // 2 else 1
+            if q == 0 and w < 1e-8:
+                continue  # zero modes excluded from solver banks
+            freqs += [w] * mult * 2  # two polarizations
     return np.sort(freqs)
 
 
