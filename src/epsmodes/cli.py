@@ -115,6 +115,7 @@ class _Runner:
 
     def __init__(self, config: dict, out_dir: Path, verbosity: int):
         from .emission import AtomSpec
+        from .errors import ConfigError
         from .lattice import Grid
         from .medium import build_profile, check_descriptor, descriptor_from_dict
 
@@ -130,6 +131,15 @@ class _Runner:
             _rule("mu", check_descriptor, mu_desc, self.grid)
         self.medium = _rule("medium", build_profile, desc, self.grid, mu_desc)
         self.atoms = [AtomSpec.from_dipoles(**entry) for entry in config["atoms"]]
+        if "rate" in config["tasks"]:
+            # no mode lies above sqrt(12 max(1/mu) / min(eps)) / s, the bound of |Q|
+            i, transition = config["rate"]["atom"], config["rate"]["transition"]
+            omega0 = self.atoms[i].transition_frequency(*transition)
+            m, s = self.medium, self.grid.spacing
+            top = math.sqrt(12 * (1.0 if m.mu is None else (1 / m.mu).max()) / m.eps.min()) / s
+            if not omega0 <= top:
+                raise ConfigError(f"rate.transition={transition} of atoms[{i}]: frequency "
+                                  f"{omega0!r} lies above {top!r}, the grid's highest")
         solver = config["solver"]
         self.poisson_tol = solver["poisson_tol"]
         self.eig_tol = solver["eig_tol"]
@@ -226,8 +236,8 @@ class _Runner:
         self.log(f"modes: {len(self.bank)} modes, gram defect {self.bank.gram_defect:.2e}")
 
     def _decompose(self, x):
-        """``helmholtz_decompose(x)`` with its reconstruction error and
-        ``|div(x1)|``, each relative to ``|x|``."""
+        """``helmholtz_decompose(x)`` with its reconstruction error and the
+        lattice-unit ``|div(x1)|``, each relative to ``|x|``."""
         import numpy as np
 
         # looked up at each call, so that a rebound name takes effect
@@ -236,8 +246,10 @@ class _Runner:
 
         result = helmholtz_decompose(x, self.medium, tol=self.poisson_tol)
         xnorm = np.linalg.norm(x.values)
-        recon = np.linalg.norm(x.values - (result.x1.values + result.x2.values)) / xnorm
-        div_rel = np.linalg.norm(div_raw(result.x1.values, self.grid.spacing)) / xnorm
+        # x - (x1 + x2) through one buffer
+        rest = result.x1.values + result.x2.values
+        recon = np.linalg.norm(np.subtract(x.values, rest, out=rest)) / xnorm
+        div_rel = np.linalg.norm(div_raw(result.x1.values)) / xnorm
         return result, float(recon), float(div_rel)
 
     def task_decompose(self):
@@ -262,8 +274,8 @@ class _Runner:
     def task_verify(self) -> bool:
         import numpy as np
 
-        from .lattice import EDGE, FACE, ScalarField, VectorField, adjoint_defect, curl, curl_t
-        from .lattice import div, grad
+        from .lattice import EDGE, VectorField, adjoint_defect, curl_raw, curl_t_raw
+        from .lattice import div_raw, grad_raw
         from .modes import STORED_MATCH_TOL, mode_residual_report
 
         if self.bank is None and self.config["modes"]["bank_in"]:
@@ -272,23 +284,22 @@ class _Runner:
         rng = np.random.default_rng(self.seed)
         checks = {}
 
-        phi = ScalarField(self.grid, rng.standard_normal(self.grid.dims))
-        v = VectorField(self.grid, EDGE, rng.standard_normal((3,) + self.grid.dims))
-        w = VectorField(self.grid, FACE, rng.standard_normal((3,) + self.grid.dims))
+        phi = rng.standard_normal(self.grid.dims)
+        v = rng.standard_normal((3,) + self.grid.dims)
+        w = rng.standard_normal((3,) + self.grid.dims)
 
         # each defect relative to the terms that cancel in it: for a chain
-        # identity, the inner field's largest value over the spacing
-        g_phi, ct_w = grad(phi), curl_t(w)
-        for name, out, inner_field in (("curl_grad_zero", curl(g_phi), g_phi),
-                                       ("div_curl_t_zero", div(ct_w), ct_w)):
-            scale = float(np.abs(inner_field.values).max()) / self.grid.spacing or 1.0
-            checks[name] = (float(np.abs(out.values).max()) / scale, 1e-14)
-        checks["grad_div_adjoint"] = (
-            adjoint_defect(g_phi.values, v.values, -phi.values, div(v).values), 1e-14)
-        checks["curl_adjoint"] = (
-            adjoint_defect(curl(v).values, w.values, v.values, ct_w.values), 1e-14)
+        # identity, the inner field's largest value; in lattice units, as the
+        # kernels work
+        g_phi, ct_w = grad_raw(phi), curl_t_raw(w)
+        for name, out, inner in (("curl_grad_zero", curl_raw(g_phi), g_phi),
+                                 ("div_curl_t_zero", div_raw(ct_w), ct_w)):
+            scale = float(np.abs(inner).max()) or 1.0
+            checks[name] = (float(np.abs(out).max()) / scale, 1e-14)
+        checks["grad_div_adjoint"] = (adjoint_defect(g_phi, v, -phi, div_raw(v)), 1e-14)
+        checks["curl_adjoint"] = (adjoint_defect(curl_raw(v), w, v, ct_w), 1e-14)
 
-        _, recon, div_rel = self._decompose(v)
+        _, recon, div_rel = self._decompose(VectorField(self.grid, EDGE, v))
         checks["decomposition_reconstruction"] = (recon, 1e-12)
         checks["decomposition_transversality"] = (div_rel, 1e-8)
 
@@ -525,12 +536,16 @@ def validate_config(config: dict) -> dict:
         if rate["local_field"]:
             _rule(f"rate.local_field for atoms[{i}] in medium.kind={resolved['medium']['kind']!r}",
                   emission.local_field_host_eps, atom, medium)
-    # a task that reads modes needs the 'modes' task before it or a bank to load
+    # a task that reads modes needs the 'modes' task before it or a bank to
+    # load, and a verify before 'modes' would check no bank
     if not resolved["modes"]["bank_in"]:
         for task in tasks[:tasks.index("modes")] if "modes" in tasks else tasks:
             if task in ("ldos", "rate"):
                 raise ConfigError(f"task {task!r} needs a mode bank: run the 'modes' task "
                                   "before it or set modes.bank_in")
+            if task == "verify" and "modes" in tasks:
+                raise ConfigError("task 'verify' comes before task 'modes' and would check "
+                                  "no mode bank: list 'modes' first or set modes.bank_in")
     return resolved
 
 

@@ -1,26 +1,18 @@
 """Generalized Poisson solver and the eps-weighted field decomposition.
 
 The central linear problem is ``div(eps * grad(chi)) = -sigma`` on the
-periodic lattice, solved for one right-hand side at a time by
-:func:`solve_poisson_block`, the one solver entry point.  The
-operator ``L = -div(eps grad .)`` is symmetric positive semidefinite
-with the constants as null space; the gauge is fixed by keeping chi
-zero-mean, the periodic analogue of a potential vanishing at infinity.
-Solutions come from conjugate gradients preconditioned by the exact
-inverse of ``c K``, where ``K = -div grad`` is the periodic 7-point
-Laplacian and ``c`` a reference permittivity, applied with a real FFT pair
-through a spectrum and an output buffer held for the solve (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1103 (1973)); the iteration count then
-depends on the eps contrast, not on the grid size.  ``c`` is the extreme
-of eps (min or max) that more edges hold, so ``delta = eps - c`` vanishes
-outside a *contrast box*, usually a small part of the grid.  With
-``L = c K + L_delta`` and ``z`` the preconditioned residual, ``c K z = r``
-gives ``L z = r + L_delta z`` (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1
-(1981); the reference-medium split of FFT homogenization, Zeman et al.,
-J. Comput. Phys. 229, 8065 (2010)): each iteration forms ``L p`` by a
-recurrence and applies the weighted Laplacian only to ``z`` and ``delta``
-on the box.  A box that is the whole grid gains nothing from the split, and
-there ``L z`` is applied as it stands.
+periodic lattice, solved in lattice units for one right-hand side at a time
+by :func:`solve_poisson_block`, the one solver entry point.  The operator
+``L = -div(eps grad .)`` is symmetric positive semidefinite with the
+constants as null space; the gauge is fixed by keeping chi zero-mean, the
+periodic analogue of a potential vanishing at infinity.  Conjugate
+gradients are preconditioned by the exact inverse of ``c K``, ``K = -div
+grad`` and ``c`` a reference permittivity, applied by a real FFT pair
+(Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)), so the iteration
+count depends on the eps contrast, not on the grid size.  Each iteration
+applies the medium only where eps differs from ``c`` (Eisenstat, SIAM J.
+Sci. Stat. Comput. 2, 1 (1981); the reference-medium split of FFT
+homogenization, Zeman et al., J. Comput. Phys. 229, 8065 (2010)).
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
@@ -68,12 +60,11 @@ class DecompositionResult:
 def apply_weighted_laplacian(
     chi: np.ndarray,
     eps: np.ndarray,
-    spacing: float,
     out: np.ndarray | None = None,
     work: tuple[np.ndarray, np.ndarray] | None = None,
     add: bool = False,
 ) -> np.ndarray:
-    """L chi = -div(eps * grad chi) for one (nx, ny, nz) field.
+    """L chi = -div(eps * grad chi) for one (nx, ny, nz) field, in lattice units.
 
     ``out`` and the two ``work`` arrays, each of chi's shape and none
     overlapping it, let repeated applies run without allocating.  With
@@ -85,8 +76,8 @@ def apply_weighted_laplacian(
     if not add:
         out.fill(0.0)
     for a in range(3):
-        np.multiply(eps[a], dplus(chi, a, spacing, out=flux), out=flux)
-        out -= dminus(flux, a, spacing, out=term)
+        np.multiply(eps[a], dplus(chi, a, out=flux), out=flux)
+        out -= dminus(flux, a, out=term)
     return out
 
 
@@ -146,7 +137,7 @@ def solve_poisson_block(
     tol: float = DEFAULT_TOL,
     maxiter: int | None = None,
 ) -> tuple[np.ndarray, float, int]:
-    """Preconditioned CG on ``L chi = rhs`` for one right-hand side.
+    """Preconditioned CG on ``L chi = rhs`` for one right-hand side, in lattice units.
 
     ``rhs`` has the grid's shape (nx, ny, nz).  Its mean is removed, since
     a periodic source must be neutral, so ``rhs`` and ``rhs + c`` give the
@@ -175,7 +166,6 @@ def solve_poisson_block(
         maxiter = max(1000, 40 * max(m.grid.dims))
     b = np.asarray(rhs, dtype=np.float64)
     b = b - b.mean()
-    spacing = m.grid.spacing
 
     bnorm = np.linalg.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
@@ -205,7 +195,7 @@ def solve_poisson_block(
         ap *= beta
         if not whole:
             ap += r
-        apply_weighted_laplacian(z[box], delta, spacing, out=ap[box], work=work, add=True)
+        apply_weighted_laplacian(z[box], delta, out=ap[box], work=work, add=True)
         pap = np.vdot(p, ap)
         if pap <= 0:
             break
@@ -222,7 +212,7 @@ def solve_poisson_block(
         rz = rz_new
     x -= x.mean()
     # p and step are free now and serve as the full Laplacian's work arrays
-    r_true = np.subtract(b, apply_weighted_laplacian(x, m.eps, spacing, out=ap, work=(p, step)),
+    r_true = np.subtract(b, apply_weighted_laplacian(x, m.eps, out=ap, work=(p, step)),
                          out=ap)
     res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
@@ -245,20 +235,21 @@ def helmholtz_decompose(
     problem with source ``-div(x)``.  ``x1`` is also the constrained
     functional derivative of ``integral(X . Y)`` in Y under
     generalized-transverse variations: transverse inputs pass through
-    unchanged and eps-weighted gradients map to zero.
+    unchanged and eps-weighted gradients map to zero.  The Poisson problem is
+    solved in lattice units, for ``chi / s``.
     """
     if x.placement != EDGE:
         raise PlacementError("decomposition expects an edge field")
     if x.grid != m.grid:
         raise GridMismatchError("field and medium grids differ")
-    sigma = -div_raw(x.values, m.grid.spacing)
-    chi, res, iterations = solve_poisson_block(sigma, m, tol=tol)
-    x2 = m.eps * grad_raw(chi, m.grid.spacing)
+    chi, res, iterations = solve_poisson_block(-div_raw(x.values), m, tol=tol)
+    x2 = grad_raw(chi)
+    x2 *= m.eps
     x1 = x.values - x2
     return DecompositionResult(
         x1=VectorField(m.grid, EDGE, x1),
         x2=VectorField(m.grid, EDGE, x2),
-        chi=ScalarField(m.grid, chi),
+        chi=ScalarField(m.grid, chi * m.grid.spacing),
         residual_norm=float(res),
         iterations=iterations,
     )
@@ -298,10 +289,9 @@ def cavity_field_factor(
     m = build_profile(Sphere(center, radius, 1.0, float(eps_out)), grid)
 
     # only the x components enter: div(eps * xhat) = dminus_x(eps_x), and
-    # the total field's x component is 1 - dplus_x(chi)
-    rhs = -dminus(m.eps[0], 0, grid.spacing)
-    chi, _, _ = solve_poisson_block(rhs, m, tol=tol)
-    total_x = 1.0 - dplus(chi, 0, grid.spacing)
+    # the total field's x component is 1 - dplus_x(chi), both in lattice units
+    chi, _, _ = solve_poisson_block(-dminus(m.eps[0], 0), m, tol=tol)
+    total_x = 1.0 - dplus(chi, 0)
 
     inside = in_balls(grid.component_axes(EDGE, 0), (center,),
                       radius - CAVITY_INTERIOR_MARGIN * grid.spacing, grid, "cavity interior")

@@ -169,7 +169,8 @@ BROADENING_LEVELS = 6
 
 def distinct_levels(frequencies: np.ndarray) -> np.ndarray:
     """Resonance frequencies, the first of each degenerate cluster as the bank
-    groups them (:func:`epsmodes.modes.degenerate_clusters`)."""
+    groups them (:func:`epsmodes.modes.degenerate_clusters`, which takes
+    lattice-unit frequencies)."""
     om = np.sort(np.asarray(frequencies))
     om = om[om > 0]
     if len(om) == 0:
@@ -183,22 +184,24 @@ def default_broadening(bank: ModeBank, omega0: float) -> float:
     Degenerate clusters count as one resonance (their members carry no
     independent spectral information).  On coarse grids the estimate is
     clamped to a quarter of the distance to either spectral edge so the
-    Lorentzian stays inside the band the bank resolves.
+    Lorentzian stays inside the band the bank resolves.  It is formed in
+    lattice units, where clusters are judged.
     """
-    lv = distinct_levels(bank.frequencies)
+    s = bank.grid.spacing
+    lv = distinct_levels(bank.frequencies * s)
     if len(lv) < 2:
         raise FeasibilityError("bank too small to estimate a mode spacing")
-    nearest = np.sort(lv[np.argsort(np.abs(lv - omega0))[:BROADENING_LEVELS]])
-    spacing = float(np.mean(np.diff(nearest)))
-    eta = 3.0 * spacing
-    margin = min(omega0 - lv[0], lv[-1] - omega0)
+    omega = omega0 * s
+    nearest = np.sort(lv[np.argsort(np.abs(lv - omega))[:BROADENING_LEVELS]])
+    eta = 3.0 * float(np.mean(np.diff(nearest)))
+    margin = min(omega - lv[0], lv[-1] - omega)
     if margin > 0:
         eta = min(eta, margin / 4.0)
     if eta <= 0:
         raise FeasibilityError(
             f"cannot pick a broadening for omega0={omega0:g} at the band edge"
         )
-    return eta
+    return eta / s
 
 
 def free_space_rate(omega0: float, mu: np.ndarray) -> float:

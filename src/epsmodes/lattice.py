@@ -14,6 +14,10 @@ centers, vector fields either on edges (E/A-like quantities) or faces
 two curls are exact adjoints of one another, so the chain identities
 ``curl(grad(.)) = 0`` and ``div(curl_t(.)) = 0`` hold to rounding error
 and ``<grad phi, V> = -<phi, div V>`` holds exactly in exact arithmetic.
+
+The raw kernels work in lattice units (``s = 1``): the medium is
+nondispersive, so the physics at spacing ``s`` is that of ``s = 1`` rescaled.
+The field-level operators divide by ``s`` once.
 """
 
 from __future__ import annotations
@@ -33,9 +37,18 @@ FACE = "face"
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+#: Powers of the spacing that physical values carry: squared positions
+#: (media are sampled in physical lengths), the cell volume, frequencies, a
+#: bank's stored g and an emission rate.
+SPACING_POWERS = (2, 3, -1, -1.5, -3)
+
+
 @dataclass(frozen=True)
 class Grid:
-    """Periodic cubic-cell lattice geometry."""
+    """Periodic cubic-cell lattice geometry.
+
+    Each power of the spacing in :data:`SPACING_POWERS` must be a normal float.
+    """
 
     dims: tuple[int, int, int]
     spacing: float = 1.0
@@ -53,10 +66,12 @@ class Grid:
         object.__setattr__(self, "dims", tuple(int(n) for n in dims))
         if isinstance(self.spacing, bool) or not isinstance(self.spacing, numbers.Real):
             raise ValueError(f"spacing must be a number, got {self.spacing!r}")
-        # stencils divide by spacing^2, sums weigh by spacing^3: both must stay in (0, inf)
         s = float(self.spacing)
-        if not (s > 0.0 and all(0.0 < v < np.inf for v in (1.0 / s / s, s * s * s))):
-            raise ValueError(f"spacing {s!r} puts 1/spacing^2 or spacing^3 outside (0, inf)")
+        with np.errstate(over="ignore", under="ignore"):
+            powers = np.float64(s) ** np.array(SPACING_POWERS) if s > 0.0 else np.zeros(1)
+        if not np.all((powers >= sys.float_info.min) & (powers <= sys.float_info.max)):
+            raise ValueError(f"spacing {s!r} puts a power of it in {SPACING_POWERS} "
+                             "outside the normal float range")
         object.__setattr__(self, "spacing", s)
         # the box's lengths and volume are floats too; the cell count is
         # compared as an integer first, since a count past the float range
@@ -166,64 +181,50 @@ def _wrap_slices(ndim: int, axis: int):
         slice(None, -1), slice(1, None), slice(None, 1), slice(-1, None)))
 
 
-def dplus(
-    arr: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Periodic forward difference ``(f[i+1] - f[i]) / s``.
+def dplus(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic forward difference ``f[i+1] - f[i]``.
 
     ``out``, when given, receives the result; it must not overlap ``arr``.
-    At ``s = 1`` the divide, which would change no bit, is skipped.
     """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
     if out is None:
-        out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+        out = np.empty_like(arr)
     np.subtract(arr[hi], arr[lo], out=out[lo])
     np.subtract(arr[first], arr[last], out=out[last])
-    if spacing != 1.0:
-        out /= spacing
     return out
 
 
-def dminus(
-    arr: np.ndarray, axis: int, spacing: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Periodic backward difference ``(f[i] - f[i-1]) / s``.
+def dminus(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic backward difference ``f[i] - f[i-1]``.
 
     ``out``, when given, receives the result; it must not overlap ``arr``.
-    At ``s = 1`` the divide, which would change no bit, is skipped.
     """
     lo, hi, first, last = _wrap_slices(arr.ndim, axis)
     if out is None:
-        out = np.empty_like(arr, dtype=np.result_type(arr, spacing))
+        out = np.empty_like(arr)
     np.subtract(arr[hi], arr[lo], out=out[hi])
     np.subtract(arr[first], arr[last], out=out[first])
-    if spacing != 1.0:
-        out /= spacing
     return out
 
 
-def grad_raw(phi: np.ndarray, spacing: float) -> np.ndarray:
-    return np.stack([dplus(phi, a, spacing) for a in range(3)])
+def grad_raw(phi: np.ndarray) -> np.ndarray:
+    return np.stack([dplus(phi, a) for a in range(3)])
 
 
-def div_raw(v: np.ndarray, spacing: float) -> np.ndarray:
-    return sum(dminus(v[a], a, spacing) for a in range(3))
+def div_raw(v: np.ndarray) -> np.ndarray:
+    return sum(dminus(v[a], a) for a in range(3))
 
 
-def curl_raw(v: np.ndarray, spacing: float) -> np.ndarray:
-    return np.stack(
-        [dplus(v[c], b, spacing) - dplus(v[b], c, spacing) for _, b, c in _CYCLIC]
-    )
+def curl_raw(v: np.ndarray) -> np.ndarray:
+    return np.stack([dplus(v[c], b) - dplus(v[b], c) for _, b, c in _CYCLIC])
 
 
-def curl_t_raw(w: np.ndarray, spacing: float) -> np.ndarray:
-    return np.stack(
-        [dminus(w[c], b, spacing) - dminus(w[b], c, spacing) for _, b, c in _CYCLIC]
-    )
+def curl_t_raw(w: np.ndarray) -> np.ndarray:
+    return np.stack([dminus(w[c], b) - dminus(w[b], c) for _, b, c in _CYCLIC])
 
 
 def difference_symbols(grid: Grid) -> list[np.ndarray]:
-    """``d_a = (e^(ik_a) - 1)/s`` on axis ``a`` of the rfftn half grid, shaped to broadcast.
+    """``d_a = e^(ik_a) - 1`` on axis ``a`` of the rfftn half grid, shaped to broadcast.
 
     ``rfftn(dplus(f, a)) = d_a rfftn(f)``.
     """
@@ -232,7 +233,7 @@ def difference_symbols(grid: Grid) -> list[np.ndarray]:
         k = 2 * np.pi * (np.fft.rfftfreq(npts) if a == 2 else np.fft.fftfreq(npts))
         shape_a = [1, 1, 1]
         shape_a[a] = len(k)
-        parts.append(((np.exp(1j * k) - 1.0) / grid.spacing).reshape(shape_a))
+        parts.append((np.exp(1j * k) - 1.0).reshape(shape_a))
     return parts
 
 
@@ -248,12 +249,12 @@ def laplacian_symbol(grid: Grid) -> np.ndarray:
     return (s0 + s1) + s2
 
 
-# Field-level operators.
+# Field-level operators, in physical units: each divides its kernel by the spacing.
 
 
 def grad(phi: ScalarField) -> VectorField:
     """Forward-difference gradient, cell centers to edges."""
-    return VectorField(phi.grid, EDGE, grad_raw(phi.values, phi.grid.spacing))
+    return VectorField(phi.grid, EDGE, grad_raw(phi.values) / phi.grid.spacing)
 
 
 def div(v: VectorField) -> ScalarField:
@@ -263,19 +264,19 @@ def div(v: VectorField) -> ScalarField:
     inner product.
     """
     _require_placement(v, EDGE, "div")
-    return ScalarField(v.grid, div_raw(v.values, v.grid.spacing))
+    return ScalarField(v.grid, div_raw(v.values) / v.grid.spacing)
 
 
 def curl(v: VectorField) -> VectorField:
     """Mimetic curl taking edge fields to face fields."""
     _require_placement(v, EDGE, "curl")
-    return VectorField(v.grid, FACE, curl_raw(v.values, v.grid.spacing))
+    return VectorField(v.grid, FACE, curl_raw(v.values) / v.grid.spacing)
 
 
 def curl_t(w: VectorField) -> VectorField:
     """Adjoint curl taking face fields back to edge fields."""
     _require_placement(w, FACE, "curl_t")
-    return VectorField(w.grid, EDGE, curl_t_raw(w.values, w.grid.spacing))
+    return VectorField(w.grid, EDGE, curl_t_raw(w.values) / w.grid.spacing)
 
 
 def inner(u, v) -> float:

@@ -7,18 +7,11 @@ the plain volume-weighted inner product and its eigenvalues are squared
 mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
 const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
 iterates on face fields with ``B B^T``, as MPB does (Johnson &
-Joannopoulos, Opt. Express 8, 173 (2001)): the nonzero spectrum is the
-same, and MPB's preconditioner maps exactly into its space, the range of
-B, so no Poisson solve or zero-mode deflation is needed.  That map is the
-solver's only one into the range, for every medium: it inverts the
-curls in Fourier space and multiplies by eps in real space, in two FFT
-pairs.  Each LOBPCG iteration runs it once, with one Rayleigh-Ritz step and
-two operator applications (the Ritz block and the new directions), and the
-start block is a seeded random draw passed through it.  For a homogeneous
-medium the map also drops every wave vector above the fewest lowest shells
-of the vacuum symbol ``|d|^2`` that hold the block, which span its lowest
-eigenspace exactly.  Any other medium starts from every shell.  The three
-zero-frequency modes of Q belong only to complete dense spectra.
+Joannopoulos, Opt. Express 8, 173 (2001)); see :func:`solve_modes`.  The
+three zero-frequency modes of Q belong only to complete dense spectra.
+
+Q, the solver and the bank invariants work in lattice units (``s = 1``); a
+bank holds the frequencies over ``s`` and ``g`` times ``s^(-3/2)``.
 
 Mode banks store each mode once, as ``g`` (orthonormal under the plain
 inner product).  The physical mode function is ``h = g / sqrt(eps)``,
@@ -85,7 +78,7 @@ class QOperator:
     """Curl-curl operator ``Q = B^T B``; ``B = w^(1/2) curl S`` maps edges to faces.
 
     ``w = 1/mu`` when the medium has a permeability, so the medium alone
-    decides whether the operator is magnetic.
+    decides whether the operator is magnetic.  Its eigenvalues are ``(omega s)^2``.
     """
 
     medium: MediumProfile
@@ -103,14 +96,14 @@ class QOperator:
 
     def b_raw(self, g: np.ndarray) -> np.ndarray:
         """``B g`` for raw (3, nx, ny, nz[, batch]) edge arrays; face output."""
-        y = curl_raw(_batched(self.inv_sqrt_eps, g) * g, self.grid.spacing)
+        y = curl_raw(_batched(self.inv_sqrt_eps, g) * g)
         return y if self.sqrt_w is None else _batched(self.sqrt_w, y) * y
 
     def bt_raw(self, y: np.ndarray) -> np.ndarray:
         """``B^T y`` for raw (3, nx, ny, nz[, batch]) face arrays; edge output."""
         if self.sqrt_w is not None:
             y = _batched(self.sqrt_w, y) * y
-        return _batched(self.inv_sqrt_eps, y) * curl_t_raw(y, self.grid.spacing)
+        return _batched(self.inv_sqrt_eps, y) * curl_t_raw(y)
 
     def apply_raw(self, g: np.ndarray) -> np.ndarray:
         """Operator application ``B^T (B g)`` on a raw (3, nx, ny, nz[, B]) array."""
@@ -123,7 +116,7 @@ def _batched(coeff: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 def apply_q(op: QOperator, g: VectorField) -> VectorField:
-    """Apply the mode operator to an edge field."""
+    """Apply the mode operator, in lattice units, to an edge field."""
     if g.placement != EDGE:
         raise PlacementError("apply_q expects an edge field")
     if g.grid != op.grid:
@@ -187,55 +180,51 @@ class ResidualReport:
         return self.stored_mismatch <= STORED_MATCH_TOL
 
 
-def _bank_invariants(op: QOperator, freqs: np.ndarray, g: np.ndarray,
+def _bank_invariants(op: QOperator, freqs: np.ndarray, g: np.ndarray, scale: float,
                      divergence: bool = False):
     """Gram defect, per-mode wave residuals and worst weighted divergence.
 
-    With ``h = g / sqrt(eps)`` the residual
+    Of the lattice-unit modes ``g * scale`` (a bank's ``g`` with
+    ``scale = s^(3/2)``, converted one mode at a time) and ``freqs``.  With
+    ``h = g / sqrt(eps)`` the residual
     ``||sqrt(eps) (Q g - omega^2 g)|| / ||h||`` equals
     ``||curl_t(w curl h) - eps omega^2 h|| / ||h||``, and
-    ``div(sqrt(eps) g) = div(eps h)``.  Modes are taken one at a time.
-    The divergence costs an extra stencil pass per mode, so it is computed
-    only when asked for and reported as 0 otherwise.
+    ``div(sqrt(eps) g) = div(eps h)``.  The divergence costs an extra
+    stencil pass per mode, so it is computed only when asked for and
+    reported as 0 otherwise.
     """
-    m = op.medium
     n = len(freqs)
     flat = g.reshape(n, -1)
-    gram = flat @ flat.T * m.grid.cell_volume
+    gram = flat @ flat.T * scale**2
     gram_defect = float(np.abs(gram - np.eye(n)).max())
-    sqrt_eps = np.sqrt(m.eps)
+    sqrt_eps = np.sqrt(op.medium.eps)
     residuals = np.empty(n)
     div_defect = 0.0
     for i, (gi, om) in enumerate(zip(g, freqs)):
+        gi = gi * scale
         h_norm = np.linalg.norm(op.inv_sqrt_eps * gi)
         residuals[i] = np.linalg.norm(sqrt_eps * (op.apply_raw(gi) - om**2 * gi)) / h_norm
         if divergence:
-            d = div_raw(sqrt_eps * gi, m.grid.spacing)
+            d = div_raw(sqrt_eps * gi)
             div_defect = max(div_defect, float(np.linalg.norm(d) / h_norm))
     return gram_defect, residuals, div_defect
 
 
 def mode_residual_report(bank: ModeBank) -> ResidualReport:
-    """Recompute bank invariants from scratch and compare with metadata."""
+    """Recompute the lattice-unit bank invariants and compare with metadata."""
     if len(bank) == 0:
         raise ValueError("empty mode bank")
+    s = bank.grid.spacing
     gram_defect, residuals, div_defect = _bank_invariants(
-        QOperator(bank.medium), bank.frequencies, bank.modes_g,
-        divergence=True,
-    )
+        QOperator(bank.medium), bank.frequencies * s, bank.modes_g, s**1.5, divergence=True)
     # NaN metadata propagates through max() and so fails the match
     gaps = np.append(np.abs(residuals - bank.residuals) / (1 + residuals),
                      abs(gram_defect - bank.gram_defect))
     return ResidualReport(residuals, gram_defect, div_defect, float(gaps.max()))
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    return -vec if vec[i] < 0 else vec
-
-
 def degenerate_clusters(freqs: np.ndarray) -> list[slice]:
-    """The degenerate clusters of ascending ``freqs``, as slices.
+    """The degenerate clusters of ascending lattice-unit ``freqs``, as slices.
 
     A cluster is a run whose consecutive gaps are at most
     ``DEGENERACY_RTOL * max(f_max, 1)``, so a chain of near-equal
@@ -287,7 +276,9 @@ def _canonicalize_clusters(vecs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
                 raise SolverError("degenerate cluster canonicalization failed")
             vecs[:, cluster] = v @ coeff.T
         else:
-            vecs[:, cluster.start] = _canonical_sign(vecs[:, cluster.start])
+            vec = vecs[:, cluster.start]          # a view: its largest entry made positive
+            if vec[np.argmax(np.abs(vec))] < 0:
+                vec *= -1
     return vecs
 
 
@@ -623,17 +614,17 @@ def solve_modes(
 def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:
     m = op.medium
     n = cols.shape[1]
+    s = m.grid.spacing
     # plain-orthonormal g scaled so that h = g/sqrt(eps) is eps-orthonormal
-    # with the volume weight included; C order makes a solved bank and one
-    # loaded from disk reduce in the same order, so their invariants agree
-    # bitwise
-    g = np.divide(cols.T, np.sqrt(m.grid.cell_volume), order="C")
-    g = g.reshape((n, 3) + m.grid.dims)
+    # with the volume weight s^3 included; C order, and invariants taken from
+    # it as mode_residual_report takes them, make a solved bank and one
+    # loaded from disk agree bitwise
+    g = np.multiply(cols.T, s**-1.5, order="C").reshape((n, 3) + m.grid.dims)
     freqs = np.asarray(freqs, dtype=np.float64)
-    gram_defect, residuals, _ = _bank_invariants(op, freqs, g)
+    gram_defect, residuals, _ = _bank_invariants(op, freqs, g, s**1.5)
     return ModeBank(
         medium=m,
-        frequencies=freqs,
+        frequencies=freqs / s,
         modes_g=g,
         residuals=residuals,
         gram_defect=gram_defect,
@@ -662,7 +653,7 @@ def transverse_subspace_basis(m: MediumProfile) -> np.ndarray:
     shape = (3,) + grid.dims
     ncells = grid.ncells
     unit_scalars = np.eye(ncells).reshape(grid.dims + (ncells,))
-    gradients = grad_raw(unit_scalars, grid.spacing)
+    gradients = grad_raw(unit_scalars)
     k = (np.sqrt(m.eps)[..., None] * gradients).reshape(dof, ncells)
     u, sing, _ = np.linalg.svd(k, full_matrices=True)
     rank = int(np.sum(sing > 1e-10 * sing.max()))

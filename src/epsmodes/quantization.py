@@ -127,7 +127,7 @@ def hamiltonian_energy(bank: ModeBank, coeffs: ModeCoefficients) -> EnergySplit:
     vol = m.grid.cell_volume
     pi = snap.conjugate_momentum.values
     electric = float(np.sum(pi * pi / m.eps)) * vol
-    b = curl_raw(snap.vector_potential.values, m.grid.spacing)
+    b = curl_raw(snap.vector_potential.values) / m.grid.spacing
     magnetic = float(np.sum(b * b if m.mu is None else b * b / m.mu)) * vol
     integral = 0.5 * (electric + magnetic)
     spectral = 0.5 * float(np.sum(coeffs.p**2 + bank.frequencies**2 * coeffs.q**2))

@@ -31,7 +31,7 @@ def range_defect(op, y):
     over its largest entry.
     """
     v = y if op.sqrt_w is None else y / op.sqrt_w[..., None]
-    div_face = sum(dplus(v[a], a, op.grid.spacing) for a in range(3))
+    div_face = sum(dplus(v[a], a) for a in range(3))
     mean = v.mean(axis=(1, 2, 3))
     return max(np.abs(div_face).max(), np.abs(mean).max()) / np.abs(v).max()
 

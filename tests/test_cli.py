@@ -49,6 +49,26 @@ def write_config(tmp_path, config, name="run.json"):
     return path
 
 
+def accepted_edge(dims, refused):
+    """The spacing nearest ``refused`` that ``Grid(dims, .)`` accepts.
+
+    Positive floats order as their bit patterns, and the accepted spacings
+    form one interval around 1, so bisection on the patterns finds it.
+    """
+    def accepts(bits):
+        try:
+            Grid(dims, float(np.int64(bits).view(np.float64)))
+        except ValueError:
+            return False
+        return True
+
+    inside, outside = int(np.float64(1.0).view(np.int64)), int(np.float64(refused).view(np.int64))
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        inside, outside = (mid, outside) if accepts(mid) else (inside, mid)
+    return float(np.int64(inside).view(np.float64))
+
+
 # The config's grammar in JSON Schema (draft 2020-12): the reference against
 # which cli.read_config, the grammar's only statement in the package, is
 # checked.  A descriptor's grammar is epsmodes.medium's (see
@@ -378,6 +398,18 @@ class TestValidation:
         validate_config(dict(config, modes={"count": 4, "bank_in": "bank.qmb"}))
         validate_config(dict(config, tasks=["modes"] + tasks))
 
+    def test_verify_before_modes_refused(self):
+        # it would check no bank, while the 'modes' task after it solves one
+        config = base_config(tasks=["decompose", "verify", "modes"], grid={"dims": [4, 4, 4]},
+                             modes={"count": 4})
+        with pytest.raises(ConfigError,
+                           match="task 'verify' comes before task 'modes'.*modes.bank_in"):
+            validate_config(config)
+        # verify after 'modes', verify alone, or verify of a bank to load
+        validate_config(dict(config, tasks=["modes", "verify"]))
+        validate_config(dict(config, tasks=["verify"]))
+        validate_config(dict(config, modes={"count": 4, "bank_in": "bank.qmb"}))
+
 
 # The medium descriptor's grammar as the config schema once stated it, in
 # JSON Schema: the reference against which epsmodes.medium, the grammar's
@@ -572,18 +604,12 @@ class TestRun:
         assert checks["bank_max_residual"]["value"] <= 1e-6
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("spacing", [
-        1.0,
-        pytest.param(0.1, marks=pytest.mark.xfail(strict=True, reason=(
-            "known fault: verify bounds the physical residual by a fixed 1e-6, which "
-            "ignores the 1/spacing^2 the residual carries; bank_max_residual 1.77e-6"))),
-        pytest.param(0.01, marks=pytest.mark.xfail(strict=True, reason=(
-            "known fault: as at spacing 0.1; bank_max_residual 2.2e-4"))),
-    ])
+    @pytest.mark.parametrize("spacing", [1.0, 0.1, 0.01])
     def test_sphere_bank_passes_verify_at_any_spacing(self, tmp_path, spacing):
         # a bank the solver reports as converged should pass verify whatever
         # the spacing: a 6^3 box around an eps-4 sphere of radius 1.8 cells;
-        # spacing 1 ends at bank_max_residual 1.44e-8
+        # spacing 1 ends at bank_max_residual 1.44e-8, and verify bounds the
+        # lattice-unit residual, which carries no power of the spacing
         config = base_config(
             grid={"dims": [6, 6, 6], "spacing": spacing},
             medium={"kind": "sphere", "center": [3 * spacing] * 3, "radius": 1.8 * spacing,
@@ -1025,6 +1051,61 @@ class TestRun:
         assert "task 'ldos' needs a mode bank" in err and "modes.bank_in" in err
         assert not out_dir.exists()
 
+    def test_verify_before_modes_writes_nothing(self, tmp_path, capsys):
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["verify", "modes"],
+                          modes={"count": 4})
+        out_dir = tmp_path / "fresh"
+        assert run(write_config(tmp_path, cfg), out_dir) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "task 'verify' comes before task 'modes'" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_rate_above_the_grid_band_refused_before_the_solve(self, tmp_path, capsys):
+        # no frequency of the grid exceeds sqrt(12 max(1/mu) / min(eps)) / s,
+        # here sqrt(12) / 0.5 = 6.93: a transition above it is refused with no
+        # out-dir, and one below it passes to the check against the bank's band
+        def config(omega0):
+            return base_config(
+                grid={"dims": [4, 4, 4], "spacing": 0.5}, tasks=["modes", "rate"],
+                modes={"count": 4},
+                atoms=[{"position": [1, 1, 1], "levels": [0.0, omega0],
+                        "dipoles": [{"levels": [0, 1], "moment": [0, 0, 1]}]}])
+
+        for omega0 in (1e300, 7.0):
+            out_dir = tmp_path / "fresh"
+            assert run(write_config(tmp_path, config(omega0)), out_dir) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: rate.transition=[1, 0] of atoms[0]: frequency ")
+            assert "the grid's highest" in err and not out_dir.exists()
+        out_dir = tmp_path / "solved"
+        assert run(write_config(tmp_path, config(6.9)), out_dir) == EXIT_CONFIG
+        assert "error in task 'rate'" in capsys.readouterr().err
+        assert (out_dir / "modes.json").exists()
+
+    @pytest.mark.parametrize("spacing", [1e9, 2.0**30])
+    def test_default_broadening_scales_with_the_spacing(self, tmp_path, spacing):
+        # the degenerate clusters behind the default eta are judged in lattice
+        # units: at spacing 1e9 every frequency lies below the clusters' floor
+        # of 1, and the bank once made one cluster ("bank too small to
+        # estimate a mode spacing", exit 2).  At a power of two the eta scales
+        # bit for bit.
+        etas = {}
+        for s in (1.0, spacing):
+            cfg = base_config(
+                grid={"dims": [6, 6, 6], "spacing": s},
+                medium={"kind": "sphere", "center": [3 * s] * 3, "radius": 1.8 * s,
+                        "eps_in": 4.0, "eps_out": 1.0},
+                tasks=["modes", "ldos"], modes={"count": 12}, seed=0,
+                ldos={"omega_min": 0.3 / s, "omega_max": 0.6 / s, "count": 5})
+            out = tmp_path / repr(s)
+            assert run(write_config(tmp_path, cfg), out, verbosity=0) == EXIT_OK
+            lines = (out / "ldos.csv").read_text().splitlines()
+            etas[s] = float(next(line for line in lines if line.startswith("# eta="))[6:])
+        if spacing == 2.0**30:
+            assert etas[spacing] == etas[1.0] / spacing
+        else:
+            assert etas[spacing] * spacing == pytest.approx(etas[1.0], rel=1e-6)
+
     def test_refused_medium_leaves_no_out_dir(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]},
                           medium={"kind": "sphere", "center": [2, 2, 2], "radius": 3.0,
@@ -1085,16 +1166,16 @@ class TestRun:
 
         original = getattr(lattice, stencil)
 
-        def broken(arr, spacing):
+        def broken(arr):
             # component 0 with its sign flipped, on the side of the stencil that
             # meets the other operator of its chain identity
             if side == "output":
-                out = original(arr, spacing)
+                out = original(arr)
                 out[0] *= -1
                 return out
             flipped = arr.copy()
             flipped[0] *= -1
-            return original(flipped, spacing)
+            return original(flipped)
 
         monkeypatch.setattr(lattice, stencil, broken)
         cfg = base_config(grid={"dims": [4, 4, 4]}, seed=0)
@@ -1129,6 +1210,59 @@ class TestRun:
         assert run(path, tmp_path / "tampered") == EXIT_INVARIANT
         checks = json.loads((tmp_path / "tampered" / "verify.json").read_text())["checks"]
         assert [name for name, c in checks.items() if not c["pass"]] == ["bank_stored_metadata"]
+
+    @pytest.mark.parametrize("spacing", [0.01, 1.0, 1e30])
+    def test_perturbed_bank_rejected_at_any_spacing(self, tmp_path, spacing):
+        # verify bounds lattice-unit quantities, so a perturbation it catches
+        # at spacing 1 it catches at any spacing
+        cfg = base_config(grid={"dims": [4, 4, 4], "spacing": spacing}, tasks=["modes", "verify"],
+                          modes={"count": 4, "bank_out": "bank.qmb"})
+        assert run(write_config(tmp_path, cfg), tmp_path / "write") == EXIT_OK
+        bank_file = tmp_path / "write" / "bank.qmb"
+        sidecar = tmp_path / "write" / "bank.qmb.json"
+        pristine = json.loads(sidecar.read_text())
+        cfg.update(tasks=["verify"], modes={"bank_in": str(bank_file)})
+        path = write_config(tmp_path, cfg, "reuse.json")
+        assert run(path, tmp_path / "reuse") == EXIT_OK
+
+        def failed(name):
+            assert run(path, tmp_path / name) == EXIT_INVARIANT
+            checks = json.loads((tmp_path / name / "verify.json").read_text())["checks"]
+            return {check for check, c in checks.items() if not c["pass"]}
+
+        for key, value in (("residuals", [0.5] * 4), ("gram_defect", 0.25)):
+            sidecar.write_text(json.dumps(dict(pristine, **{key: value})))
+            assert failed(key) == {"bank_stored_metadata"}
+        # a mode doubled, or a frequency moved, in the bank's body; save_bank
+        # writes the stored metadata back unchanged
+        sidecar.write_text(json.dumps(pristine))
+        body = bank_file.read_bytes()
+        for name, caught in (("mode", "bank_gram_defect"), ("frequency", "bank_max_residual")):
+            bank_file.write_bytes(body)
+            bank = load_bank(bank_file)
+            if name == "mode":
+                bank.modes_g[2] *= 2.0
+            else:
+                bank.frequencies[1] *= 1.01
+            save_bank(bank, bank_file)
+            assert {caught, "bank_stored_metadata"} <= failed(name)
+
+    @pytest.mark.parametrize("spacing", [1e-100, 1e-60, 1e-30, 0.01, 0.1, 1.0, 1e30, 1e60, 1e100,
+                                         "smallest", "largest"])
+    def test_spacing_sweep_passes_verify(self, tmp_path, spacing):
+        # the modes at spacing s are those of s = 1 with omega / s: a 4^3 eps-4
+        # sphere (centre 2s, radius 1.2s) in vacuum passes every check at any
+        # spacing the grid accepts, the extremes included
+        if isinstance(spacing, str):
+            spacing = accepted_edge((4, 4, 4), 1e-300 if spacing == "smallest" else 1e300)
+        s = spacing
+        cfg = base_config(grid={"dims": [4, 4, 4], "spacing": s},
+                          medium={"kind": "sphere", "center": [2 * s] * 3, "radius": 1.2 * s,
+                                  "eps_in": 4.0, "eps_out": 1.0},
+                          tasks=["modes", "verify", "decompose"], modes={"count": 6})
+        assert run(write_config(tmp_path, cfg), tmp_path, verbosity=0) == EXIT_OK
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert all(check["pass"] for check in checks.values())
 
     @pytest.mark.parametrize(
         "dims, medium, corrupt",

@@ -38,11 +38,11 @@ from conftest import (
 
 
 def dense_weighted_laplacian(m):
-    """Dense matrix of -div(eps grad .) built from unit scalar fields."""
+    """Dense lattice-unit matrix of -div(eps grad .) built from unit scalar fields."""
     g = m.grid
     n = g.ncells
     basis = np.eye(n).reshape(g.dims + (n,))
-    cols = -div_raw(m.eps[..., None] * grad_raw(basis, g.spacing), g.spacing)
+    cols = -div_raw(m.eps[..., None] * grad_raw(basis))
     return cols.reshape(n, n)
 
 
@@ -56,9 +56,9 @@ def test_weighted_laplacian_buffers_give_the_same_bits(dims, rng):
     for chi in (rng.standard_normal(dims), np.full(dims, 2.5)):
         expect = np.zeros(dims)
         for a in range(3):
-            expect -= dminus(m.eps[a] * dplus(chi, a, g.spacing), a, g.spacing)
-        assert apply_weighted_laplacian(chi, m.eps, g.spacing).tobytes() == expect.tobytes()
-        got = apply_weighted_laplacian(chi, m.eps, g.spacing, out=out, work=work)
+            expect -= dminus(m.eps[a] * dplus(chi, a), a)
+        assert apply_weighted_laplacian(chi, m.eps).tobytes() == expect.tobytes()
+        got = apply_weighted_laplacian(chi, m.eps, out=out, work=work)
         assert got is out
         assert out.tobytes() == expect.tobytes()
 
@@ -129,8 +129,8 @@ class TestSolvePoisson:
                              ids=["one-mode", "three-modes"])
     def test_homogeneous_fourier_modes_match_analytic(self, wavevectors):
         # past the dense limit: on a homogeneous 32^3 grid each lattice
-        # Fourier mode is an eigenvector of L with eigenvalue
-        # eps * sum_a 4 sin^2(pi k_a / n) / s^2, which the FFT
+        # Fourier mode is an eigenvector of the lattice-unit L with eigenvalue
+        # eps * sum_a 4 sin^2(pi k_a / n), whatever the spacing, which the FFT
         # preconditioner inverts exactly, so CG needs one iteration for
         # any mix of modes
         g = Grid((32, 32, 32), 0.5)
@@ -141,7 +141,7 @@ class TestSolvePoisson:
         exact = np.zeros(g.dims)
         for k in np.array(wavevectors):
             mode = np.cos(2 * np.pi * np.tensordot(k, idx, axes=1) / 32 + 0.3)
-            lam = np.sum(4 * np.sin(np.pi * k / 32) ** 2) / g.spacing**2
+            lam = np.sum(4 * np.sin(np.pi * k / 32) ** 2)
             sigma += mode
             exact += mode / (eps * lam)
         chi, res, iterations = solve_poisson_block(sigma, m)
@@ -183,7 +183,6 @@ class TestSolvePoisson:
 def reference_poisson(rhs, m, tol):
     """CG preconditioned by mean(eps) times the FFT Laplacian inverse, with
     the full weighted Laplacian applied to every search direction."""
-    s = m.grid.spacing
     b = rhs - rhs.mean()
     scale = np.linalg.norm(b) or 1.0
     sym = laplacian_symbol(m.grid) * m.eps.mean()
@@ -198,7 +197,7 @@ def reference_poisson(rhs, m, tol):
     iterations = 0
     while np.linalg.norm(r) > 0.5 * tol * scale:
         iterations += 1
-        ap = -div_raw(m.eps * grad_raw(p, s), s)
+        ap = -div_raw(m.eps * grad_raw(p))
         alpha = rz / np.vdot(p, ap)
         x += alpha * p
         r -= alpha * ap
@@ -247,11 +246,10 @@ class TestContrastBox:
         # -div((eps - c) grad z) on the box equals the whole grid's, which is
         # zero outside the box
         m = poisson_medium(name, rng)
-        s = m.grid.spacing
         c, box = electrostatics._reference_split(m.eps)
         z = rng.standard_normal(m.grid.dims)
-        full = -div_raw((m.eps - c) * grad_raw(z, s), s)
-        on_box = apply_weighted_laplacian(z[box], m.eps[(slice(None),) + box] - c, s)
+        full = -div_raw((m.eps - c) * grad_raw(z))
+        on_box = apply_weighted_laplacian(z[box], m.eps[(slice(None),) + box] - c)
         assert np.abs(on_box - full[box]).max() <= 1e-13 * np.abs(full).max()
         full[box] = 0.0
         assert np.all(full == 0.0)
@@ -302,7 +300,7 @@ class TestHelmholtzDecompose:
         m = smooth_medium(g)
         from epsmodes.lattice import curl_t_raw
 
-        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims), g.spacing))
+        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims)))
         res = helmholtz_decompose(x, m, tol=1e-11)
         scale = np.abs(x.values).max()
         assert np.abs(res.x1.values - x.values).max() <= 1e-9 * scale
@@ -312,7 +310,7 @@ class TestHelmholtzDecompose:
         g = Grid((6, 6, 6))
         m = smooth_medium(g)
         psi = rng.standard_normal(g.dims)
-        x = VectorField(g, EDGE, m.eps * grad_raw(psi, g.spacing))
+        x = VectorField(g, EDGE, m.eps * grad_raw(psi))
         res = helmholtz_decompose(x, m, tol=1e-11)
         assert np.abs(res.x1.values).max() <= 1e-9 * np.abs(x.values).max()
 
@@ -324,14 +322,14 @@ class TestHelmholtzDecompose:
         # exact reconstruction by construction
         assert np.abs(x.values - res.x1.values - res.x2.values).max() < 1e-12
         # x2 is eps * grad(chi) exactly
-        rebuilt = m.eps * grad_raw(res.chi.values, g.spacing)
+        rebuilt = m.eps * grad_raw(res.chi.values)
         assert np.array_equal(res.x2.values, rebuilt)
         # transversality
         xnorm = np.linalg.norm(x.values)
         assert np.linalg.norm(div(res.x1).values) <= 1e-9 * xnorm
         # orthogonality against a probe set of gradients
         for _ in range(5):
-            probe = VectorField(g, EDGE, grad_raw(rng.standard_normal(g.dims), g.spacing))
+            probe = VectorField(g, EDGE, grad_raw(rng.standard_normal(g.dims)))
             overlap = inner(res.x1, probe)
             assert abs(overlap) <= 1e-8 * xnorm * np.linalg.norm(probe.values)
 
@@ -350,7 +348,7 @@ class TestHelmholtzDecompose:
         m = smooth_medium(g)
         x = random_vector(g, rng)
         res = helmholtz_decompose(x, m, tol=1e-11)
-        grad_chi = VectorField(g, EDGE, grad_raw(res.chi.values, g.spacing))
+        grad_chi = VectorField(g, EDGE, grad_raw(res.chi.values))
         cross = inner(res.x1, grad_chi)
         bound = 1e-10 * np.linalg.norm(x.values) * max(np.linalg.norm(grad_chi.values), 1e-30)
         assert abs(cross) <= max(bound, 1e-13)
@@ -372,7 +370,7 @@ class TestConstrainedDerivative:
         m = smooth_medium(g)
         from epsmodes.lattice import curl_t_raw
 
-        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims), g.spacing))
+        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims)))
         out = helmholtz_decompose(x, m, tol=1e-11).x1
         assert np.abs(out.values - x.values).max() <= 1e-9 * np.abs(x.values).max()
 
@@ -380,7 +378,7 @@ class TestConstrainedDerivative:
         g = Grid((6, 6, 6))
         m = smooth_medium(g)
         psi = rng.standard_normal(g.dims)
-        x = VectorField(g, EDGE, m.eps * grad_raw(psi, g.spacing))
+        x = VectorField(g, EDGE, m.eps * grad_raw(psi))
         out = helmholtz_decompose(x, m, tol=1e-11).x1
         assert np.abs(out.values).max() <= 1e-9 * np.abs(x.values).max()
 
@@ -404,9 +402,9 @@ class TestCavityFieldFactor:
         m = build_profile(Sphere(center, 6.0, 1.0, 4.0), g)
         applied = np.zeros((3,) + g.dims)
         applied[0] = 1.0
-        rhs = -div_raw(m.eps * applied, g.spacing)
+        rhs = -div_raw(m.eps * applied)
         chi, _, _ = solve_poisson_block(rhs, m, tol=1e-10)
-        total = applied - grad_raw(chi, g.spacing)
+        total = applied - grad_raw(chi)
         pts = component_positions(g, EDGE, 0)
         r = np.linalg.norm(pts - np.array(center), axis=-1)
         interior = total[0][r <= 4.0]

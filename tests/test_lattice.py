@@ -223,19 +223,27 @@ def test_identities_hold_with_unit_dims(rng):
 @pytest.mark.parametrize("spacing", [1.0, 0.37])
 def test_stencils_match_roll_formulas(dims, spacing, rng):
     # the slice-based stencils give the np.roll formulas bit for bit on a
-    # batched array, along every axis, including the trailing batch axis
+    # batched array, along every axis, including the trailing batch axis;
+    # they work in lattice units, and the field-level operators divide by
+    # the spacing once
     arr = rng.standard_normal(dims + (7,))
     for axis in range(arr.ndim):
-        forward = (np.roll(arr, -1, axis=axis) - arr) / spacing
-        backward = (arr - np.roll(arr, 1, axis=axis)) / spacing
-        assert np.array_equal(dplus(arr, axis, spacing), forward)
-        assert np.array_equal(dminus(arr, axis, spacing), backward)
+        forward = np.roll(arr, -1, axis=axis) - arr
+        backward = arr - np.roll(arr, 1, axis=axis)
+        assert np.array_equal(dplus(arr, axis), forward)
+        assert np.array_equal(dminus(arr, axis), backward)
         # a given out array is filled and returned, every sample overwritten
         out = np.full_like(arr, np.nan)
-        assert dplus(arr, axis, spacing, out=out) is out
+        assert dplus(arr, axis, out=out) is out
         assert np.array_equal(out, forward)
-        assert dminus(arr, axis, spacing, out=out) is out
+        assert dminus(arr, axis, out=out) is out
         assert np.array_equal(out, backward)
+    phi = ScalarField(Grid(dims, spacing), arr[..., 0])
+    forward = np.stack([np.roll(phi.values, -1, axis=a) - phi.values for a in range(3)])
+    assert np.array_equal(grad(phi).values, forward / spacing)
+    v = VectorField(phi.grid, EDGE, forward)
+    backward = sum(forward[a] - np.roll(forward[a], 1, axis=a) for a in range(3))
+    assert np.array_equal(div(v).values, backward / spacing)
 
 
 @pytest.mark.parametrize(
@@ -259,5 +267,5 @@ def test_difference_symbols_are_the_forward_differences(rng):
     f = rng.standard_normal(g.dims)
     fk = np.fft.rfftn(f)
     for a, d_a in enumerate(difference_symbols(g)):
-        lhs = np.fft.rfftn(dplus(f, a, g.spacing))
+        lhs = np.fft.rfftn(dplus(f, a))
         assert np.abs(lhs - d_a * fk).max() <= 1e-12 * np.abs(lhs).max()

@@ -128,7 +128,8 @@ class TestApplyQ:
         vals[1] = np.cos(k * np.arange(8)[:, None, None] * 0.5 * np.ones(g.dims))
         field = VectorField(g, EDGE, vals)
         out = apply_q(op, field)
-        expected = 4 * np.sin(k * 0.5 / 2) ** 2 / 0.5**2
+        # the lattice-unit operator's eigenvalue, (omega s)^2
+        expected = 4 * np.sin(k * 0.5 / 2) ** 2
         ratio = out.values[1][np.abs(vals[1]) > 0.3] / vals[1][np.abs(vals[1]) > 0.3]
         assert np.abs(ratio - expected).max() < 1e-12
 
@@ -137,7 +138,7 @@ class TestApplyQ:
         m = smooth_medium(g)
         op = QOperator(m)
         psi = rng.standard_normal(g.dims)
-        gfield = VectorField(g, EDGE, np.sqrt(m.eps) * grad_raw(psi, g.spacing))
+        gfield = VectorField(g, EDGE, np.sqrt(m.eps) * grad_raw(psi))
         out = apply_q(op, gfield)
         assert np.abs(out.values).max() <= 1e-12 * np.abs(gfield.values).max()
 
@@ -196,7 +197,7 @@ class TestProjectTransverse:
     def test_fixed_point(self, rng):
         g = Grid((6, 6, 6))
         m = smooth_medium(g)
-        w = curl_t_raw(rng.standard_normal((3,) + g.dims), g.spacing)
+        w = curl_t_raw(rng.standard_normal((3,) + g.dims))
         gvals = w / np.sqrt(m.eps)
         out = transverse_part(gvals, m, tol=1e-11)
         assert np.abs(out - gvals).max() <= 1e-9 * np.abs(w).max()
@@ -205,7 +206,7 @@ class TestProjectTransverse:
         g = Grid((6, 6, 6))
         m = smooth_medium(g)
         psi = rng.standard_normal(g.dims)
-        gvals = np.sqrt(m.eps) * grad_raw(psi, g.spacing)
+        gvals = np.sqrt(m.eps) * grad_raw(psi)
         out = transverse_part(gvals, m, tol=1e-11)
         assert np.abs(out).max() <= 1e-9 * np.abs(gvals).max()
 
@@ -216,7 +217,7 @@ class TestProjectTransverse:
         once = transverse_part(x, m, tol=1e-10)
         twice = transverse_part(once, m, tol=1e-10)
         assert np.abs(twice - once).max() <= 2e-10 * np.abs(x).max()
-        d = div_raw(np.sqrt(m.eps) * once, g.spacing)
+        d = div_raw(np.sqrt(m.eps) * once)
         assert np.linalg.norm(d) <= 1e-9 * np.linalg.norm(once)
 
 
@@ -251,16 +252,15 @@ class TestRangeProjector:
         # B v and w^(1/2) curl v lie in the range, and the map keeps them there
         precondition, _ = _preconditioner(op)
         v = rng.standard_normal((3,) + op.grid.dims + (3,))
-        for y in (op.b_raw(v), self.sqrt_w(op) * curl_raw(v, op.grid.spacing)):
+        for y in (op.b_raw(v), self.sqrt_w(op) * curl_raw(v)):
             assert range_defect(op, y) <= 1e-13
             assert range_defect(op, precondition(y)) <= 1e-13
 
     def test_annihilates_constants_and_dual_gradients(self, op, rng):
         precondition, _ = _preconditioner(op)
-        s = op.grid.spacing
         phi = rng.standard_normal(op.grid.dims + (2,))
         # the dual gradient is the adjoint of the face divergence sum_a dplus_a
-        dual_grad = -np.stack([dminus(phi, a, s) for a in range(3)])
+        dual_grad = -np.stack([dminus(phi, a) for a in range(3)])
         const = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * np.ones(op.grid.dims + (1,))
         for v in (dual_grad, const):
             y = self.sqrt_w(op) * v
@@ -280,14 +280,14 @@ class TestRangeProjector:
         # per component
         precondition, sym = _preconditioner(op)
         inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)[..., None]
-        axes, s = (1, 2, 3), op.grid.spacing
+        axes = (1, 2, 3)
 
         def inv_laplacian(f):
             return np.fft.irfftn(np.fft.rfftn(f, axes=axes) * inv_sym, s=op.grid.dims, axes=axes)
 
         y = rng.standard_normal((3,) + op.grid.dims + (3,))
-        u = inv_laplacian(curl_t_raw(y / self.sqrt_w(op), s))
-        ref = self.sqrt_w(op) * curl_raw(inv_laplacian(op.medium.eps[..., None] * u), s)
+        u = inv_laplacian(curl_t_raw(y / self.sqrt_w(op)))
+        ref = self.sqrt_w(op) * curl_raw(inv_laplacian(op.medium.eps[..., None] * u))
         out = precondition(y)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -718,7 +718,7 @@ class TestCompleteness:
         g = Grid((4, 4, 4), 1.0)
         m = smooth_medium(g, seed=2)
         bank = dense_transverse_spectrum(QOperator(m))
-        x = curl_t_raw(rng.standard_normal((3,) + g.dims), 1.0)
+        x = curl_t_raw(rng.standard_normal((3,) + g.dims))
         n = len(bank)
         flat_h = np.stack([bank.mode_h(i).values for i in range(n)]).reshape(n, -1)
         coef = flat_h @ x.ravel() * g.cell_volume
@@ -759,6 +759,28 @@ def test_dense_paths_refuse_past_limit(dense_path):
     assert 3 * m.grid.ncells > DENSE_DOF_LIMIT
     with pytest.raises(FeasibilityError, match="5184"):
         dense_path(m)
+
+
+@pytest.mark.parametrize("k", [-40, -3, 1, 40])
+def test_power_of_two_spacing_scales_exactly(k):
+    # the kernels work in lattice units, so at s = 2^k, where every scaling
+    # is exact, the medium and the lattice-unit bank are those of s = 1 bit
+    # for bit: eps, omega s, and (at s = 4^(k/2)) g s^(3/2) with the
+    # residuals and Gram defect computed from it
+    def bank_at(s):
+        m = build_profile(Sphere((2 * s,) * 3, 1.2 * s, 4.0, 1.0), Grid((4, 4, 4), s))
+        return m, solve_modes(QOperator(m), 6, tol=1e-10)
+
+    s = 2.0**k
+    m1, b1 = bank_at(1.0)
+    ms, bs = bank_at(s)
+    assert ms.eps.tobytes() == m1.eps.tobytes()
+    assert (bs.frequencies * s).tobytes() == b1.frequencies.tobytes()
+    if k % 2 == 0:
+        assert (bs.modes_g * s**1.5).tobytes() == b1.modes_g.tobytes()
+        assert bs.residuals.tobytes() == b1.residuals.tobytes()
+        assert bs.gram_defect == b1.gram_defect
+    assert mode_residual_report(bs).matches_stored
 
 
 class TestResidualReport:

@@ -125,14 +125,14 @@ class TestHamiltonian:
 class TestProjector:
     def test_identity_on_transverse(self, small_bank, rng):
         g = small_bank.grid
-        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims), 1.0))
+        x = VectorField(g, EDGE, curl_t_raw(rng.standard_normal((3,) + g.dims)))
         out = TransverseProjector(small_bank).apply(x)
         assert np.abs(out.values - x.values).max() <= 1e-8 * np.abs(x.values).max()
 
     def test_annihilates_weighted_gradients(self, small_bank, rng):
         g = small_bank.grid
         m = small_bank.medium
-        x = VectorField(g, EDGE, m.eps * grad_raw(rng.standard_normal(g.dims), 1.0))
+        x = VectorField(g, EDGE, m.eps * grad_raw(rng.standard_normal(g.dims)))
         out = TransverseProjector(small_bank).apply(x)
         assert np.abs(out.values).max() <= 1e-8 * np.abs(x.values).max()
 
@@ -164,7 +164,7 @@ class TestProjector:
         out = (k @ x).reshape((3,) + small_bank.grid.dims)
         from epsmodes.lattice import div_raw
 
-        d = div_raw(m.eps * out, 1.0)
+        d = div_raw(m.eps * out)
         assert np.abs(d).max() <= 1e-8 * np.abs(out).max()
 
 
@@ -217,7 +217,7 @@ class TestCommutator:
         g = small_bank.grid
         ncells = g.ncells
         basis = np.eye(ncells).reshape(g.dims + (ncells,))
-        grads = grad_raw(basis, g.spacing).reshape(3 * ncells, ncells)
+        grads = grad_raw(basis).reshape(3 * ncells, ncells)
         gw = grads * m.eps.reshape(3 * ncells)[:, None]
         gram = grads.T @ gw
         proj = gw @ np.linalg.pinv(gram, rcond=1e-12) @ grads.T
@@ -247,7 +247,7 @@ class TestCommutator:
         bank = dense_transverse_spectrum(QOperator(m))
         ncells = g.ncells
         basis = np.eye(ncells).reshape(g.dims + (ncells,))
-        grads = grad_raw(basis, g.spacing).reshape(3 * ncells, ncells)
+        grads = grad_raw(basis).reshape(3 * ncells, ncells)
         gw = grads * m.eps.reshape(3 * ncells)[:, None]
         gram = grads.T @ gw
         proj = gw @ np.linalg.pinv(gram, rcond=1e-12) @ grads.T
