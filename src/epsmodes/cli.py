@@ -340,7 +340,9 @@ class _Runner:
         omegas = np.linspace(cfg["omega_min"], cfg["omega_max"], cfg["count"])
         position, orientation, eta = cfg["position"], cfg["orientation"], cfg["eta"]
         if eta is None:
-            eta = default_broadening(bank, float(np.median(omegas)))
+            # the median of the ascending grid, without np.median's import of numpy.ma
+            n = len(omegas)
+            eta = default_broadening(bank, float(0.5 * (omegas[(n - 1) // 2] + omegas[n // 2])))
         om, values = ldos_spectrum(bank, position, orientation, omegas, eta)
         params = self._params(
             eta=eta,

@@ -9,10 +9,17 @@ periodic analogue of a potential vanishing at infinity.  Conjugate
 gradients are preconditioned by the exact inverse of ``c K``, ``K = -div
 grad`` and ``c`` a reference permittivity, applied by a real FFT pair
 (Concus & Golub, SIAM J. Numer. Anal. 10, 1103 (1973)), so the iteration
-count depends on the eps contrast, not on the grid size.  Each iteration
-applies the medium only where eps differs from ``c`` (Eisenstat, SIAM J.
-Sci. Stat. Comput. 2, 1 (1981); the reference-medium split of FFT
-homogenization, Zeman et al., J. Comput. Phys. 229, 8065 (2010)).
+count depends on the eps contrast, not on the grid size.  The medium is
+applied only where eps differs from ``c`` (Eisenstat, SIAM J. Sci. Stat.
+Comput. 2, 1 (1981); the reference-medium split of FFT homogenization,
+Zeman et al., J. Comput. Phys. 229, 8065 (2010)).  Started at the
+preconditioned source, CG keeps its residual on that contrast box, so each
+iteration works on box-sized arrays and maps the box through a zero-padded
+FFT convolution with the preconditioner's kernel; the full grid is mapped at
+the start and at the end.  This is the capacitance-matrix idea
+(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 722 (1971)),
+evaluated as in the James/Hockney free-space Poisson solvers (Hockney &
+Eastwood, *Computer Simulation Using Particles*, 1988).
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
@@ -131,6 +138,66 @@ def _reference_split(eps: np.ndarray) -> tuple[float, tuple[slice, slice, slice]
     return float(c), tuple(box)
 
 
+def _smooth_size(k: int) -> int:
+    """The smallest integer ``>= max(k, 1)`` with no prime factor above 5."""
+    n = max(k, 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def box_green_multiplier(inv_sym: np.ndarray, dims: tuple[int, int, int],
+                         shape: tuple[int, int, int], periodic):
+    """The map ``r -> (G r)|_box`` for ``r`` held on a box of ``shape`` and zero outside it.
+
+    ``G`` is the periodic convolution on ``dims`` whose rfftn symbol is
+    ``inv_sym``, with the kernel ``g = irfftn(inv_sym)``, and ``periodic``
+    is its full-grid map (:func:`fourier_multiplier` of ``inv_sym``); the
+    box may sit anywhere on the grid, since ``G`` commutes with shifts.  Box values meet
+    only across displacements ``|d_a| < m_a``, ``m_a`` the box length on
+    axis ``a``, so the map is a linear convolution with ``g`` on that
+    window.  It runs as a circular one of size ``P_a``: the smallest
+    2·3·5-smooth size ``>= 2 m_a - 1`` where that is below ``n_a`` (zero
+    padding, as in the James/Hockney free-space Poisson solvers, Hockney &
+    Eastwood, *Computer Simulation Using Particles*, 1988), else ``n_a``,
+    where the axis keeps the periodic kernel (a box that wraps takes the
+    whole axis, so it lands here).  The padded kernel holds ``g`` at ``d mod
+    n_a`` for each signed displacement ``d`` of the circular index; the taps
+    that no pair of box cells uses meet only the padding.  Where ``P`` is
+    ``dims`` on every axis the map is ``periodic`` itself and no kernel is
+    formed.  The pair runs through :func:`fourier_multiplier`'s buffers and
+    one padded source array, so no call allocates; each call overwrites and
+    returns the same box-shaped array (``periodic``'s output where the box
+    is the whole grid).
+    """
+    pads = tuple(n if (p := _smooth_size(2 * m - 1)) >= n else p for m, n in zip(shape, dims))
+    if pads == dims:
+        convolve = periodic
+    else:
+        taps = []
+        for m, n, p in zip(shape, dims, pads):
+            d = np.arange(p)
+            taps.append(np.where(d < m, d, d - p) % n)
+        g = np.fft.irfftn(inv_sym, s=dims, axes=(0, 1, 2))
+        convolve = fourier_multiplier(np.fft.rfftn(g[np.ix_(*taps)], axes=(0, 1, 2)), pads)
+    if pads == shape:
+        return convolve
+    region = tuple(slice(0, m) for m in shape)
+    padded, z = np.zeros(pads), np.empty(shape)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        padded[region] = r
+        np.copyto(z, convolve(padded)[region])
+        return z
+
+    return apply
+
+
 def solve_poisson_block(
     rhs: np.ndarray,
     m: MediumProfile,
@@ -142,28 +209,41 @@ def solve_poisson_block(
     ``rhs`` has the grid's shape (nx, ny, nz).  Its mean is removed, since
     a periodic source must be neutral, so ``rhs`` and ``rhs + c`` give the
     same chi; it is solved to relative residual ``tol``.  The preconditioner
-    inverts ``c K`` (``K = -div grad``, ``c`` from :func:`_reference_split`)
-    in Fourier space with the k = 0 term set to zero, so its output ``z`` is
-    zero-mean and ``c K z = r`` for the zero-mean residual ``r``; it is an
-    FFT pair through two buffers held for the solve
-    (:func:`fourier_multiplier`).  Since ``L z = r + L_delta z`` with
-    ``delta = eps - c``, the search direction ``p <- z + beta p`` has
-    ``L p <- r + beta L p + L_delta z``, and the one weighted-Laplacian
-    apply of an iteration runs on ``z`` and ``delta`` sliced to the contrast
-    box, adding into ``L p`` there through two box-sized work arrays; no
-    iteration allocates.  Where the box is the whole grid the apply adds
-    ``L z`` itself, with ``m.eps``, and ``r`` is not added: the same passes
-    as applying ``L`` to ``p``, and no copy of eps.  The stopping rule is
-    judged on the true residual after the CG run, formed with the full
-    weighted Laplacian of ``m.eps``, so a fault in the box or in the
-    recurrence cannot pass it.  Returns (chi, relative residual,
-    iterations); raises :class:`SolverError` on stagnation and
+    ``G`` inverts ``c K`` (``K = -div grad``, ``c`` from
+    :func:`_reference_split`) in Fourier space with the k = 0 term set to
+    zero, so ``G`` maps onto the zero-mean fields and ``c K G r = r`` for a
+    zero-mean ``r``.
+
+    CG starts at ``x0 = G b`` instead of zero.  With ``L = c K + L_delta``,
+    ``delta = eps - c``, the first residual ``r0 = b - L x0 = -L_delta x0``
+    vanishes outside the contrast box, and by induction so do every later
+    residual and every ``L p``: for ``p <- z + beta p`` with ``z = G r``,
+    ``L p <- r + beta L p + L_delta z``.  The iteration therefore keeps only
+    the box values of ``r``, ``L p``, ``p`` and ``x``, forms ``z`` on the
+    box by :func:`box_green_multiplier` (a zero-padded FFT convolution), and
+    applies the weighted Laplacian on the box alone; no iteration allocates,
+    and none touches more than the box and the padded pair's buffers, which
+    are grid-sized only where the padding reaches the grid.  This is the
+    capacitance-matrix idea of a fast periodic solver plus a correction
+    where the medium differs (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+    Anal. 8, 722 (1971)).  The full grid is mapped twice: once for ``G b``,
+    and once at the end for ``x = G(b - r - L_delta x)``, whose source
+    differs from ``b`` only on the box.  Where the box is the whole grid,
+    ``x`` is chi and needs no final map, and the iteration adds ``L z``
+    itself, with ``m.eps``, instead of ``r + L_delta z``: the same passes as
+    applying ``L`` to ``p``, and no copy of eps.  For homogeneous eps the
+    box is empty and ``G b`` is exact, with no iteration.  The stopping
+    rule is judged on the true residual after the CG run, formed with the
+    full weighted Laplacian of ``m.eps``, so a fault in the box, the kernel
+    window or the recurrence cannot pass it.  Returns (chi, relative
+    residual, iterations); raises :class:`SolverError` on stagnation and
     ``ValueError`` for any other rhs shape.
     """
-    if rhs.shape != m.grid.dims:
-        raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {m.grid.dims}")
+    dims = m.grid.dims
+    if rhs.shape != dims:
+        raise ValueError(f"rhs shape {rhs.shape} differs from the grid dims {dims}")
     if maxiter is None:
-        maxiter = max(1000, 40 * max(m.grid.dims))
+        maxiter = max(1000, 40 * max(dims))
     b = np.asarray(rhs, dtype=np.float64)
     b = b - b.mean()
 
@@ -172,48 +252,60 @@ def solve_poisson_block(
     c, box = _reference_split(m.eps)
     sym = laplacian_symbol(m.grid) * c
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
-    precondition = fourier_multiplier(inv_sym, m.grid.dims)
-    whole = all(s.stop - s.start == n for s, n in zip(box, m.grid.dims))
+    precondition = fourier_multiplier(inv_sym, dims)
+    shape = tuple(s.stop - s.start for s in box)
+    # where the box is the whole grid the loop applies L itself, with m.eps and no copy
+    whole = shape == dims
     delta = m.eps if whole else m.eps[(slice(None),) + box] - c
+    work = (np.empty(shape), np.empty(shape))
 
-    # x starts at zero, so the first residual is b, demeaned as every later one is
-    x = np.zeros_like(b)
-    r = b - b.mean()
-    # z is the preconditioner's output buffer, rewritten every iteration
-    z = precondition(r)
-    p = z.copy()
-    rz = np.vdot(r, z)
-    # L p (zero before the first direction) and the scaled step live through the solve
-    ap, step = np.zeros_like(b), np.empty_like(b)
-    # the box Laplacian's two work arrays
-    work = (np.empty(delta.shape[1:]), np.empty(delta.shape[1:]))
-    beta = 0.0
+    # chi is the preconditioner's output buffer: G b now, rewritten by the final map
+    chi = precondition(b)
+    x = chi[box].copy()
+    r = apply_weighted_laplacian(x, delta, work=work)
+    if whole:
+        np.subtract(b, r, out=r)
+    else:
+        np.negative(r, out=r)
+    green = box_green_multiplier(inv_sym, dims, shape, precondition) if r.size else None
+    # p and L p start at zero, so the first beta drops them; step is the scaled update
+    p, ap, step = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    rz = 1.0
     iterations = 0
     while iterations < maxiter and np.linalg.norm(r) > 0.5 * tol * scale:
+        # z is the box multiplier's output buffer, rewritten every iteration
+        z = green(r)
+        rz_new = np.vdot(r, z)
+        beta = rz_new / rz if iterations else 0.0
+        rz = rz_new
         iterations += 1
-        # L p <- r + beta L p + L_delta z, for p = z + beta p (L z for the whole grid)
+        # p <- z + beta p and L p <- r + beta L p + L_delta z, in place
+        p *= beta
+        p += z
         ap *= beta
         if not whole:
             ap += r
-        apply_weighted_laplacian(z[box], delta, out=ap[box], work=work, add=True)
+        apply_weighted_laplacian(z, delta, out=ap, work=work, add=True)
         pap = np.vdot(p, ap)
         if pap <= 0:
             break
         alpha = rz / pap
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
-        r -= r.mean()
-        z = precondition(r)
-        rz_new = np.vdot(r, z)
-        beta = rz_new / rz
-        # p <- z + beta p in place
-        p *= beta
-        p += z
-        rz = rz_new
-    x -= x.mean()
-    # p and step are free now and serve as the full Laplacian's work arrays
-    r_true = np.subtract(b, apply_weighted_laplacian(x, m.eps, out=ap, work=(p, step)),
-                         out=ap)
+    if whole:
+        # x is chi; the full-grid p, L p and step are free for L chi
+        chi, out, full_work = x, ap, (p, step)
+    else:
+        # the final map's source, then L chi
+        out, full_work = np.empty(dims), None
+        if iterations:
+            # c K x = b - r - L_delta x, which differs from b only on the box
+            np.copyto(out, b)
+            out[box] -= r
+            out[box] -= apply_weighted_laplacian(x, delta, out=ap, work=work)
+            precondition(out)
+    r_true = np.subtract(b, apply_weighted_laplacian(chi, m.eps, out=out, work=full_work),
+                         out=out)
     res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
         raise SolverError(
@@ -222,7 +314,7 @@ def solve_poisson_block(
             residual=res,
             iterations=iterations,
         )
-    return x, res, iterations
+    return chi, res, iterations
 
 
 def helmholtz_decompose(
@@ -246,10 +338,14 @@ def helmholtz_decompose(
     x2 = grad_raw(chi)
     x2 *= m.eps
     x1 = x.values - x2
+    chi *= m.grid.spacing
+    # nothing else holds the three arrays: frozen, the fields take them without a copy
+    for arr in (x1, x2, chi):
+        arr.setflags(write=False)
     return DecompositionResult(
         x1=VectorField(m.grid, EDGE, x1),
         x2=VectorField(m.grid, EDGE, x2),
-        chi=ScalarField(m.grid, chi * m.grid.spacing),
+        chi=ScalarField(m.grid, chi),
         residual_norm=float(res),
         iterations=iterations,
     )

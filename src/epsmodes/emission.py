@@ -142,6 +142,18 @@ def sample_permittivity(m: MediumProfile, position) -> float:
     return float((weights * m.eps[index]).sum(axis=0).mean())
 
 
+def _lattice_couplings(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.ndarray:
+    """:func:`coupling_strengths` in lattice units, ``|g_l|^2 s^4``, from ``w_l s``
+    and ``h_l s^(3/2)``.
+
+    ``|g_l|^2`` itself carries ``s^-4``, past the float range at spacings
+    a grid accepts, while each factor stays inside it.
+    """
+    s = bank.grid.spacing
+    proj = (sample_mode_fields(bank, atom.position) @ atom.dipoles[k, kp]) * s**1.5
+    return 0.5 * (bank.frequencies * s) * proj**2
+
+
 def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.ndarray:
     """|g_l|^2 per mode, g_l = -i sqrt(w_l/2) mu . h_l(R) in natural units.
 
@@ -150,9 +162,8 @@ def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.nd
     eps factor cancels, leaving the mode functions h at the atom), not
     the electric or bare displacement field.
     """
-    mu = atom.dipoles[k, kp]
-    proj = sample_mode_fields(bank, atom.position) @ mu
-    return 0.5 * bank.frequencies * proj**2
+    s = bank.grid.spacing
+    return _lattice_couplings(bank, atom, k, kp) * s**-3 / s
 
 
 def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
@@ -221,6 +232,9 @@ def emission_rate(
     The transition frequency must sit inside the band the bank resolves
     (two broadening widths away from either spectral end); otherwise the
     estimate would silently depend on missing modes and the call fails.
+    The sum is formed in lattice units (frequencies and eta times ``s``)
+    and scaled by ``s^-3`` once, so it stays finite at every spacing a grid
+    accepts; at ``s = 1`` the bits are those of the physical sum.
     """
     k, kp = transition
     omega0 = atom.transition_frequency(k, kp)
@@ -233,8 +247,9 @@ def emission_rate(
             f"transition frequency {omega0:g} (eta={eta:g}) is outside the "
             f"reliable band [{lo:g}, {hi:g}] of the bank"
         )
-    weights = coupling_strengths(bank, atom, k, kp)
-    rate = float(2 * np.pi * np.sum(weights * lorentzian(omega0 - om, eta)))
+    s = bank.grid.spacing
+    weights = _lattice_couplings(bank, atom, k, kp)
+    rate = float(2 * np.pi * np.sum(weights * lorentzian(omega0 * s - om * s, eta * s))) * s**-3
     gamma0 = free_space_rate(omega0, atom.dipoles[k, kp])
     return EmissionReport(
         rate=rate,

@@ -120,13 +120,20 @@ class Grid:
 
 
 def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 array of ``shape`` with finite entries.
+
+    A read-only C-ordered array that owns its data is taken as it is, since
+    nothing writes it without first setting the flag back; any other array,
+    a caller's writable one or a view of one, is copied.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{what} values must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} values contain non-finite entries")
-    arr = arr.copy()
-    arr.setflags(write=False)
+    if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 

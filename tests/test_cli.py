@@ -1264,6 +1264,29 @@ class TestRun:
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert all(check["pass"] for check in checks.values())
 
+    @pytest.mark.parametrize("spacing", [1e-90, "smallest"])
+    def test_rate_is_finite_at_small_spacings(self, tmp_path, spacing):
+        # |g_l|^2 carries s^-4, past the float range at these spacings, while
+        # the rate carries s^-3: the golden-rule sum is formed in lattice
+        # units.  A 6^3 vacuum with 30 modes and a transition at 1.05 / s
+        # gives the rate of spacing 1 times s^-3, and its ratio
+        if spacing == "smallest":
+            spacing = accepted_edge((6, 6, 6), 1e-300)
+        reports = {}
+        for s in (1.0, spacing):
+            cfg = base_config(
+                grid={"dims": [6, 6, 6], "spacing": s}, tasks=["modes", "rate"],
+                modes={"count": 30}, seed=0,
+                atoms=[{"position": [2.3 * s, 2.9 * s, 3.1 * s], "levels": [0.0, 1.05 / s],
+                        "dipoles": [{"levels": [0, 1], "moment": [0.4, 0.5, 0.3]}]}])
+            out = tmp_path / repr(s)
+            assert run(write_config(tmp_path, cfg), out, verbosity=0) == EXIT_OK
+            reports[s] = json.loads((out / "rate.json").read_text())
+        small, unit = reports[spacing], reports[1.0]
+        assert np.isfinite([small["rate"], small["rate_free_space"], small["ratio"]]).all()
+        assert small["rate"] * spacing**3 == pytest.approx(unit["rate"], rel=1e-9)
+        assert small["ratio"] == pytest.approx(unit["ratio"], rel=1e-9)
+
     @pytest.mark.parametrize(
         "dims, medium, corrupt",
         [
@@ -1378,6 +1401,45 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # nor is jsonschema: cli.read_config reads the config
     assert proc.stdout.split() == [str(EXIT_OK), "[]", "[]"], proc.stderr
+
+
+@pytest.mark.parametrize("count", [5, 6])
+def test_default_broadening_loads_no_numpy_ma(tmp_path, count):
+    # the default eta is taken at the middle of the ascending omega grid
+    # without np.median, whose NaN check imports numpy.ma; ldos.csv is byte
+    # for byte the one a run that takes np.median of the grid writes
+    cfg = base_config(
+        grid={"dims": [6, 6, 6]},
+        medium={"kind": "sphere", "center": [3, 3, 3], "radius": 1.8,
+                "eps_in": 4.0, "eps_out": 1.0},
+        tasks=["modes", "ldos"], modes={"count": 12}, seed=0,
+        ldos={"omega_min": 0.3, "omega_max": 0.6, "count": count})
+    path = write_config(tmp_path, cfg)
+    median = (
+        "import numpy as np\n"
+        "from epsmodes import emission\n"
+        "default = emission.default_broadening\n"
+        f"omega0 = float(np.median(np.linspace(0.3, 0.6, {count})))\n"
+        "emission.default_broadening = lambda bank, _: default(bank, omega0)\n"
+    )
+    src = str(Path(epsmodes.__file__).resolve().parents[1])
+    outputs = []
+    for name, prelude in (("midpoint", ""), ("median", median)):
+        out = tmp_path / name
+        script = (
+            "import sys\n" + prelude
+            + "from epsmodes.cli import main\n"
+            f"code = main(['--config', {str(path)!r}, '--out-dir', {str(out)!r},"
+            " '--threads', '1', '--verbosity', '0'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout.split(), (out / "ldos.csv").read_bytes()))
+    assert outputs[0][0] == [str(EXIT_OK), "False"]
+    assert outputs[1][0] == [str(EXIT_OK), "True"]
+    assert outputs[0][1] == outputs[1][1]
 
 
 def test_cli_import_loads_no_numpy():

@@ -5,6 +5,7 @@ from epsmodes import electrostatics
 from epsmodes.electrostatics import (
     CAVITY_INTERIOR_MARGIN,
     apply_weighted_laplacian,
+    box_green_multiplier,
     cavity_field_factor,
     check_cavity_radius,
     fourier_multiplier,
@@ -131,8 +132,8 @@ class TestSolvePoisson:
         # past the dense limit: on a homogeneous 32^3 grid each lattice
         # Fourier mode is an eigenvector of the lattice-unit L with eigenvalue
         # eps * sum_a 4 sin^2(pi k_a / n), whatever the spacing, which the FFT
-        # preconditioner inverts exactly, so CG needs one iteration for
-        # any mix of modes
+        # preconditioner inverts exactly, so the start G b is the answer and
+        # CG runs no iteration for any mix of modes
         g = Grid((32, 32, 32), 0.5)
         eps = 4.0
         m = build_profile(Homogeneous(eps), g)
@@ -145,7 +146,7 @@ class TestSolvePoisson:
             sigma += mode
             exact += mode / (eps * lam)
         chi, res, iterations = solve_poisson_block(sigma, m)
-        assert iterations == 1
+        assert iterations == 0
         assert np.abs(chi - exact).max() <= 1e-12 * np.abs(exact).max()
         assert res <= 1e-12
 
@@ -210,7 +211,10 @@ def reference_poisson(rhs, m, tol):
 
 
 # media by the contrast box they give: part of the grid, part of the grid
-# across its periodic faces (the whole grid), the whole grid, or none
+# across its periodic faces (the whole grid), the whole grid, or none.  The
+# box multiplier pads every axis of the off-centre spheres and the 48^3
+# cavity, only the long axis of the 64x16x16 sphere, and no axis of the
+# 64^3 sphere whose box is wider than half the grid.
 POISSON_MEDIA = {
     "sphere-off-centre": (Grid((16, 16, 16)), Sphere((6.3, 7.1, 5.2), 3.0, 1.0, 9.0), "part"),
     "sphere-off-centre-eps-in-above": (Grid((16, 16, 16)), Sphere((9.3, 7.1, 8.2), 3.0, 9.0, 1.0),
@@ -222,6 +226,9 @@ POISSON_MEDIA = {
     "6x5x7-spacing-0.37": (Grid((6, 5, 7), 0.37), Sphere((1.0, 0.9, 1.1), 0.6, 5.0, 1.0), "part"),
     "48-cavity-spacing-0.5": (Grid((48, 48, 48), 0.5), Sphere((12.0, 12.0, 12.0), 3.0, 1.0, 4.0),
                               "part"),
+    "64x16x16-sphere": (Grid((64, 16, 16)), Sphere((30.0, 8.0, 8.0), 5.0, 1.0, 9.0), "part"),
+    "64-sphere-past-half": (Grid((64, 64, 64)), Sphere((30.3, 33.1, 29.7), 20.0, 1.0, 9.0),
+                            "part"),
 }
 
 
@@ -255,6 +262,41 @@ class TestContrastBox:
         assert np.all(full == 0.0)
 
 
+class TestBoxGreenMultiplier:
+    @pytest.mark.parametrize("dims, shape, pads", [
+        ((32, 32, 32), (9, 10, 11), (18, 20, 24)),
+        ((64, 16, 16), (11, 11, 11), (24, 16, 16)),
+        ((16, 16, 16), (10, 9, 12), (16, 16, 16)),
+        ((12, 10, 8), (12, 10, 8), (12, 10, 8)),
+    ], ids=["padded", "mixed", "periodic", "whole"])
+    def test_matches_full_grid_map_on_the_box(self, dims, shape, pads, rng):
+        # (G r)|_box for random r on a box at a random offset, against the
+        # full-grid FFT pair of the embedded r
+        assert tuple(n if (p := electrostatics._smooth_size(2 * k - 1)) >= n else p
+                     for k, n in zip(shape, dims)) == pads
+        sym = laplacian_symbol(Grid(dims)) * 2.5
+        inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
+        periodic = fourier_multiplier(inv_sym, dims)
+        apply = box_green_multiplier(inv_sym, dims, shape, periodic)
+        first = None
+        for _ in range(3):
+            offset = [int(rng.integers(0, n - k + 1)) for n, k in zip(dims, shape)]
+            box = tuple(slice(o, o + k) for o, k in zip(offset, shape))
+            r = rng.standard_normal(shape)
+            full = np.zeros(dims)
+            full[box] = r
+            expect = np.fft.irfftn(np.fft.rfftn(full) * inv_sym, s=dims, axes=(0, 1, 2))[box]
+            got = apply(r)
+            assert got.shape == shape
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+            first = got if first is None else first
+            assert got is first
+
+    def test_smooth_sizes(self):
+        assert [electrostatics._smooth_size(k) for k in (-1, 1, 7, 13, 17, 35, 49, 97)] == \
+            [1, 1, 8, 15, 18, 36, 50, 100]
+
+
 class TestSolvePoissonAgainstMeanEpsReference:
     @pytest.mark.parametrize("name", POISSON_MEDIA)
     def test_matches_reference(self, name, rng):
@@ -267,11 +309,13 @@ class TestSolvePoissonAgainstMeanEpsReference:
         assert abs(iterations - ref_iterations) <= 1
         assert res <= tol
         if POISSON_MEDIA[name][2] == "empty":
-            assert iterations == 1
+            # the start G b is exact
+            assert iterations == 0
 
     def test_no_iteration_applies_the_full_grid(self, rng, monkeypatch):
-        # one box apply per iteration, and one full apply, with m.eps, for the
-        # true residual at the end
+        # box applies only: the start residual, one per iteration and the
+        # final map's source; then one full apply, with m.eps, for the true
+        # residual at the end
         m = poisson_medium("sphere-off-centre", rng)
         calls = []
         apply = electrostatics.apply_weighted_laplacian
@@ -282,9 +326,41 @@ class TestSolvePoissonAgainstMeanEpsReference:
 
         monkeypatch.setattr(electrostatics, "apply_weighted_laplacian", record)
         _, _, iterations = solve_poisson_block(rng.standard_normal(m.grid.dims), m)
-        assert len(calls) == iterations + 1
+        assert iterations > 0
+        assert len(calls) == iterations + 3
         assert all(np.prod(shape) < m.grid.ncells and not full for shape, full in calls[:-1])
         assert calls[-1] == (m.grid.dims, True)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    def test_two_full_grid_fft_pairs_per_solve(self, tol, rng, monkeypatch):
+        # whatever the iteration count, the full grid is transformed for G b
+        # and for the final map, plus one inverse transform for the padded
+        # kernel; every iteration's pair runs on the padded box
+        m = poisson_medium("sphere-off-centre", rng)
+        dims = m.grid.dims
+        counts = {"forward": 0, "inverse": 0, "kernel": 0, "padded": 0}
+        rfftn, irfft, irfftn = np.fft.rfftn, np.fft.irfft, np.fft.irfftn
+
+        def forward(a, *args, **kwargs):
+            counts["forward" if a.shape == dims else "padded"] += 1
+            return rfftn(a, *args, **kwargs)
+
+        def inverse(a, *args, n=None, **kwargs):
+            counts["inverse"] += n == dims[2] and a.shape[:2] == dims[:2]
+            return irfft(a, *args, n=n, **kwargs)
+
+        def kernel(a, *args, s=None, **kwargs):
+            counts["kernel"] += tuple(s) == dims
+            return irfftn(a, *args, s=s, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", forward)
+        monkeypatch.setattr(np.fft, "irfft", inverse)
+        monkeypatch.setattr(np.fft, "irfftn", kernel)
+        _, _, iterations = solve_poisson_block(rng.standard_normal(dims), m, tol=tol)
+        assert iterations > 0
+        assert (counts["forward"], counts["inverse"], counts["kernel"]) == (2, 2, 1)
+        # the kernel's spectrum and one pair per iteration
+        assert counts["padded"] == iterations + 1
 
     def test_maxiter_raises_with_residual_and_iterations(self, rng):
         m = poisson_medium("sphere-off-centre", rng)
@@ -353,6 +429,26 @@ class TestHelmholtzDecompose:
         bound = 1e-10 * np.linalg.norm(x.values) * max(np.linalg.norm(grad_chi.values), 1e-30)
         assert abs(cross) <= max(bound, 1e-13)
 
+
+    def test_fields_take_the_results_without_a_copy(self, rng, monkeypatch):
+        # x1, x2 and chi are fresh arrays that nothing else holds: frozen,
+        # each field takes its array as it is
+        from epsmodes import lattice
+
+        m = smooth_medium(Grid((6, 6, 6)))
+        x = random_vector(m.grid, rng)
+        adopted, check = [], lattice._check_values
+
+        def record(values, *args):
+            out = check(values, *args)
+            adopted.append(out is values)
+            return out
+
+        monkeypatch.setattr(lattice, "_check_values", record)
+        res = helmholtz_decompose(x, m)
+        assert adopted == [True, True, True]
+        for field in (res.x1, res.x2, res.chi):
+            assert not field.values.flags.writeable
 
     def test_refuses_a_field_on_another_grid(self, rng):
         # a grid mismatch is the same error here as in apply_q, inner and eps_inner

@@ -85,6 +85,36 @@ class TestGrid:
             VectorField(g, "corner", np.zeros((3,) + g.dims))
 
 
+    def test_field_values_are_read_only_and_private(self):
+        # a caller's writable array, or a view of any array, is copied; a
+        # read-only C-ordered array that owns its data is taken as it is
+        g = Grid((3, 4, 5))
+        writable = np.arange(60.0).reshape(g.dims)
+        field = ScalarField(g, writable)
+        assert field.values is not writable and not field.values.flags.writeable
+        writable[0, 0, 0] = -1.0
+        assert field.values[0, 0, 0] == 0.0
+        view = writable[...]
+        view.setflags(write=False)
+        field = ScalarField(g, view)
+        assert field.values is not view
+        writable[0, 0, 0] = -2.0
+        assert field.values[0, 0, 0] == -1.0
+        fortran = np.asfortranarray(np.ones(g.dims))
+        fortran.setflags(write=False)
+        field = ScalarField(g, fortran)
+        assert field.values is not fortran and field.values.flags.c_contiguous
+        for shape, make in (((3, 4, 5), ScalarField), ((3, 3, 4, 5), VectorField)):
+            frozen = np.ones(shape)
+            frozen.setflags(write=False)
+            field = make(g, frozen) if make is ScalarField else make(g, EDGE, frozen)
+            assert field.values is frozen
+        frozen = np.full(g.dims, np.inf)
+        frozen.setflags(write=False)
+        with pytest.raises(ValueError):
+            ScalarField(g, frozen)
+
+
 class TestGrad:
     def test_constant_is_zero(self):
         g = Grid((5, 4, 3))
