@@ -14,12 +14,12 @@ applied only where eps differs from ``c`` (Eisenstat, SIAM J. Sci. Stat.
 Comput. 2, 1 (1981); the reference-medium split of FFT homogenization,
 Zeman et al., J. Comput. Phys. 229, 8065 (2010)).  Started at the
 preconditioned source, CG keeps its residual on that contrast box, so each
-iteration works on box-sized arrays and maps the box through a zero-padded
-FFT convolution with the preconditioner's kernel; the full grid is mapped at
-the start and at the end.  This is the capacitance-matrix idea
-(Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 722 (1971)),
-evaluated as in the James/Hockney free-space Poisson solvers (Hockney &
-Eastwood, *Computer Simulation Using Particles*, 1988).
+iteration works on box-sized arrays and maps the box through an FFT
+convolution with the preconditioner's kernel, zero-padded where the box is
+small enough; the full grid is mapped at the start and at the end.  This is
+the capacitance-matrix idea (Buzbee, Dorr, George & Golub, SIAM J. Numer.
+Anal. 8, 722 (1971)), evaluated as in the James/Hockney free-space Poisson
+solvers (Hockney & Eastwood, *Computer Simulation Using Particles*, 1988).
 
 On top of the solver sits the unique decomposition of an arbitrary edge
 field X into a divergence-free part X1 and a part X2 = eps * grad(chi),
@@ -228,12 +228,10 @@ def solve_poisson_block(
     where the medium differs (Buzbee, Dorr, George & Golub, SIAM J. Numer.
     Anal. 8, 722 (1971)).  The full grid is mapped twice: once for ``G b``,
     and once at the end for ``x = G(b - r - L_delta x)``, whose source
-    differs from ``b`` only on the box.  Where the box is the whole grid,
-    ``x`` is chi and needs no final map, and the iteration adds ``L z``
-    itself, with ``m.eps``, instead of ``r + L_delta z``: the same passes as
-    applying ``L`` to ``p``, and no copy of eps.  For homogeneous eps the
-    box is empty and ``G b`` is exact, with no iteration.  The stopping
-    rule is judged on the true residual after the CG run, formed with the
+    differs from ``b`` only on the box.  A box that covers the whole grid
+    runs the same iteration.  For homogeneous eps the box is empty and
+    ``G b`` is exact, with no iteration and no final map.  The stopping rule
+    is judged on the true residual after the CG run, formed with the
     full weighted Laplacian of ``m.eps``, so a fault in the box, the kernel
     window or the recurrence cannot pass it.  Returns (chi, relative
     residual, iterations); raises :class:`SolverError` on stagnation and
@@ -254,19 +252,14 @@ def solve_poisson_block(
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
     precondition = fourier_multiplier(inv_sym, dims)
     shape = tuple(s.stop - s.start for s in box)
-    # where the box is the whole grid the loop applies L itself, with m.eps and no copy
-    whole = shape == dims
-    delta = m.eps if whole else m.eps[(slice(None),) + box] - c
+    delta = m.eps[(slice(None),) + box] - c
     work = (np.empty(shape), np.empty(shape))
 
-    # chi is the preconditioner's output buffer: G b now, rewritten by the final map
+    # chi is the preconditioner's output buffer: G b until the final map
     chi = precondition(b)
     x = chi[box].copy()
     r = apply_weighted_laplacian(x, delta, work=work)
-    if whole:
-        np.subtract(b, r, out=r)
-    else:
-        np.negative(r, out=r)
+    np.negative(r, out=r)
     green = box_green_multiplier(inv_sym, dims, shape, precondition) if r.size else None
     # p and L p start at zero, so the first beta drops them; step is the scaled update
     p, ap, step = np.zeros(shape), np.zeros(shape), np.empty(shape)
@@ -283,8 +276,7 @@ def solve_poisson_block(
         p *= beta
         p += z
         ap *= beta
-        if not whole:
-            ap += r
+        ap += r
         apply_weighted_laplacian(z, delta, out=ap, work=work, add=True)
         pap = np.vdot(p, ap)
         if pap <= 0:
@@ -292,20 +284,16 @@ def solve_poisson_block(
         alpha = rz / pap
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, ap, out=step)
-    if whole:
-        # x is chi; the full-grid p, L p and step are free for L chi
-        chi, out, full_work = x, ap, (p, step)
-    else:
-        # the final map's source, then L chi
-        out, full_work = np.empty(dims), None
-        if iterations:
-            # c K x = b - r - L_delta x, which differs from b only on the box
-            np.copyto(out, b)
-            out[box] -= r
-            out[box] -= apply_weighted_laplacian(x, delta, out=ap, work=work)
-            precondition(out)
-    r_true = np.subtract(b, apply_weighted_laplacian(chi, m.eps, out=out, work=full_work),
-                         out=out)
+    # the final map's source, then L chi
+    out = np.empty(dims)
+    if iterations:
+        # c K x = b - r - L_delta x, which differs from b only on the box; z
+        # may share the preconditioner's buffer, so chi is the map's return
+        np.copyto(out, b)
+        out[box] -= r
+        out[box] -= apply_weighted_laplacian(x, delta, out=ap, work=work)
+        chi = precondition(out)
+    r_true = np.subtract(b, apply_weighted_laplacian(chi, m.eps, out=out), out=out)
     res = float(np.linalg.norm(r_true)) / scale
     if not res <= tol:
         raise SolverError(

@@ -20,7 +20,7 @@ from .electrostatics import cavity_field_factor
 from .errors import BandCoverageError, FeasibilityError, ProfileError
 from .lattice import EDGE, Grid
 from .medium import Homogeneous, MediumProfile
-from .modes import ModeBank, degenerate_clusters
+from .modes import DEGENERACY_RTOL, ModeBank, degenerate_clusters
 
 
 @dataclass(frozen=True)
@@ -166,11 +166,36 @@ def coupling_strengths(bank: ModeBank, atom: AtomSpec, k: int, kp: int) -> np.nd
     return _lattice_couplings(bank, atom, k, kp) * s**-3 / s
 
 
+_FLOAT = np.finfo(np.float64)
+
+
 def lorentzian(x: np.ndarray, eta: float) -> np.ndarray:
-    """Unit-area Lorentzian of half-width eta, which must be positive."""
+    """Unit-area Lorentzian of half-width eta, which must be positive.
+
+    The value is ``(eta / pi) / (x*x + eta*eta)`` wherever that denominator
+    and ``eta / pi`` are normal floats.  Elsewhere (arguments past 1e154,
+    or widths and offsets below 1e-154) it is formed on arguments scaled by
+    a power of two, so it raises no floating-point warning, keeps a few ulps
+    wherever the exact value is a normal float, and stays finite (the
+    largest float stands for a value past the range).
+    """
     if not eta > 0:
         raise ValueError(f"broadening {eta!r} must be positive")
-    return (eta / np.pi) / (x * x + eta * eta)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        den = x * x + eta * eta
+        out = (eta / np.pi) / den
+    odd = ~((den >= _FLOAT.tiny) & (den <= _FLOAT.max)) | (eta / np.pi < _FLOAT.tiny)
+    if odd.any():
+        # on x / k and eta / k, k = 2^e just above max(|x|, eta), the denominator
+        # lies in [1/4, 2); with eta = m 2^f the value is m / (pi den) 2^(f - 2e),
+        # and only that last scaling can leave the normal range
+        m, f = np.frexp(eta)
+        _, e = np.frexp(np.maximum(np.abs(x[odd]), eta))
+        with np.errstate(over="ignore", under="ignore"):
+            xs, es = np.ldexp(x[odd], -e), np.ldexp(eta, -e)
+            value = np.ldexp(m / (np.pi * (xs * xs + es * es)), f - 2 * e)
+        out[odd] = np.minimum(value, _FLOAT.max)
+    return out
 
 
 #: Distinct resonances nearest the transition whose mean spacing sets the
@@ -195,18 +220,21 @@ def default_broadening(bank: ModeBank, omega0: float) -> float:
     Degenerate clusters count as one resonance (their members carry no
     independent spectral information).  On coarse grids the estimate is
     clamped to a quarter of the distance to either spectral edge so the
-    Lorentzian stays inside the band the bank resolves.  It is formed in
-    lattice units, where clusters are judged.
+    Lorentzian stays inside the band the bank resolves; a distance within
+    the clusters' tolerance puts the probe on the edge resonance, which
+    takes the unclamped width.  It is formed in lattice units, where
+    clusters are judged.
     """
     s = bank.grid.spacing
-    lv = distinct_levels(bank.frequencies * s)
+    om = bank.frequencies * s
+    lv = distinct_levels(om)
     if len(lv) < 2:
         raise FeasibilityError("bank too small to estimate a mode spacing")
     omega = omega0 * s
     nearest = np.sort(lv[np.argsort(np.abs(lv - omega))[:BROADENING_LEVELS]])
     eta = 3.0 * float(np.mean(np.diff(nearest)))
     margin = min(omega - lv[0], lv[-1] - omega)
-    if margin > 0:
+    if margin > DEGENERACY_RTOL * max(float(om.max()), 1.0):
         eta = min(eta, margin / 4.0)
     if eta <= 0:
         raise FeasibilityError(

@@ -1106,6 +1106,16 @@ class TestRun:
         else:
             assert etas[spacing] * spacing == pytest.approx(etas[1.0], rel=1e-6)
 
+    def test_ldos_grid_out_to_1e300(self, tmp_path):
+        # omega - w_l squared overflows past 1e154: the Lorentzian there is
+        # zero, with no overflow warning (an error in this suite)
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes", "ldos"], modes={"count": 6},
+                          ldos={"omega_min": 0.0, "omega_max": 1e300, "count": 3, "eta": 0.1})
+        assert run(write_config(tmp_path, cfg), tmp_path / "out", verbosity=0) == EXIT_OK
+        rows = (tmp_path / "out" / "ldos.csv").read_text().splitlines()
+        values = [float(row.split(",")[1]) for row in rows[rows.index("omega,value") + 1:]]
+        assert values[0] > 0 and values[1:] == [0.0, 0.0]
+
     def test_refused_medium_leaves_no_out_dir(self, tmp_path, capsys):
         cfg = base_config(grid={"dims": [4, 4, 4]},
                           medium={"kind": "sphere", "center": [2, 2, 2], "radius": 3.0,

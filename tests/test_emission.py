@@ -14,6 +14,7 @@ from epsmodes.emission import (
     emission_rate,
     free_space_rate,
     ldos_spectrum,
+    lorentzian,
     local_field_corrected_rate,
     sample_mode_fields,
     sample_permittivity,
@@ -199,6 +200,23 @@ class TestDefaultBroadening:
         eta = default_broadening(vacuum8, float(vacuum8.frequencies[0]))
         assert eta > 1e-3
 
+    @pytest.mark.parametrize("edge, offset", [(0, -1.4e-15), (-1, 1.4e-15)],
+                             ids=["lowest", "highest"])
+    def test_probe_a_rounding_step_off_an_edge_resonance(self, vacuum8, edge, offset):
+        # the edge resonance sits a few ulps from the probe at 1.0, inside the
+        # band: the margin is rounding noise, not a distance to clamp to, so
+        # the width is the one an exact hit gets (it once came out ~1e-16)
+        import dataclasses
+
+        lv = distinct_levels(vacuum8.frequencies)
+        bank = dataclasses.replace(
+            vacuum8, frequencies=vacuum8.frequencies * ((1.0 + offset) / lv[edge]))
+        level = distinct_levels(bank.frequencies)[edge]
+        assert 0 < (1.0 - level) * np.sign(-offset) < 1e-14
+        eta = default_broadening(bank, 1.0)
+        assert eta == default_broadening(bank, float(level))
+        assert eta > 1e-3
+
     def test_levels_merge_clusters_as_the_bank_does(self):
         # gaps of 0.8e-8 chain three frequencies into one cluster, though
         # its ends lie 1.6e-8 apart, above the 1e-8 tolerance
@@ -225,6 +243,25 @@ class TestLocalFieldRate:
         atom = two_level_atom((4, 4, 4), 1.0, (0, 0, 0.8))
         with pytest.raises(ValueError):
             local_field_corrected_rate(4.0, atom)
+
+
+class TestLorentzian:
+    @pytest.mark.parametrize("x, eta, expect", [
+        (1e300, 0.1, 0.0),                      # x*x overflows; the exact value underflows
+        (1.0, 1e200, 3.1830988618379067e-201),  # eta*eta overflows
+        (1e-170, 1e-200, 3.183098861837907e139),  # x*x + eta*eta underflows to zero
+    ])
+    def test_extreme_arguments(self, x, eta, expect):
+        # RuntimeWarnings are errors in this suite, so each case is also warning-free
+        got = lorentzian(np.array([x, -x]), eta)
+        assert np.all(np.isfinite(got))
+        assert got[0] == got[1]
+        assert abs(got[0] - expect) <= 4 * np.spacing(expect)
+
+    def test_normal_denominators_keep_the_plain_formula(self, rng):
+        x = rng.standard_normal(200) * 10.0 ** rng.integers(-100, 100, 200)
+        for eta in (1e-3, 0.06, 2.5, 1e50):
+            assert np.array_equal(lorentzian(x, eta), (eta / np.pi) / (x * x + eta * eta))
 
 
 class TestLdos:
