@@ -451,14 +451,13 @@ def validate_config(config: dict) -> dict:
     from . import emission
     from .electrostatics import check_cavity_radius
     from .lattice import Grid
-    from .medium import check_permittivity, descriptor_from_dict
-    from .modes import SOLVE_HELD_BLOCKS, lobpcg_block
+    from .medium import Homogeneous, check_permittivity, descriptor_from_dict
+    from .modes import SOLVE_HELD_BLOCKS, lobpcg_block, shell_directions
 
     grid = _rule(f"grid.dims={dims}, grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
     # the medium's grammar here, its values' rules where _Runner samples it
     medium = _rule("medium", descriptor_from_dict, resolved["medium"])
-    if "mu" in resolved:
-        _rule("mu", descriptor_from_dict, resolved["mu"])
+    mu = _rule("mu", descriptor_from_dict, resolved["mu"]) if "mu" in resolved else None
     # every grid a task samples fields on, checked before any is allocated
     grids = [("grid.dims", dims)]
     cavity = resolved.get("cavity_factor")
@@ -473,20 +472,9 @@ def validate_config(config: dict) -> dict:
     if rate["local_field"]:
         n = rate.setdefault("factor_grid", emission.LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
-    arrays = [(name, g, 3 * 8 * math.prod(g), "one three-component float64 field")
-              for name, g in grids]
-    count = resolved["modes"]["count"]
-    if "modes" in tasks:
-        block = _rule(f"modes.count={count}", lobpcg_block, grid, count)
-        arrays.append(("modes.count", count, SOLVE_HELD_BLOCKS * 8 * 3 * grid.ncells * block,
-                       f"the mode solve's {SOLVE_HELD_BLOCKS} float64 blocks of {block} columns"))
-    if "ldos" in resolved:
-        # emission.ldos_spectrum's (count, modes) Lorentzian matrix
-        n = resolved["ldos"]["count"]
-        arrays.append(("ldos.count", n, 8 * n * count,
-                       f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum"))
     memory = _physical_memory()
-    for name, size, nbytes, what in arrays:
+
+    def within_memory(name, size, nbytes, what):
         if memory is not None and nbytes > memory:
             # in decimal, so that a size past the float range (10**400 cells) prints too
             from decimal import Decimal
@@ -495,6 +483,23 @@ def validate_config(config: dict) -> dict:
                 f"{name}={size}: {what} takes {Decimal(nbytes) / 2**30:.3g} GiB, "
                 f"more than the {Decimal(memory) / 2**30:.3g} GiB of physical memory"
             )
+
+    for name, g in grids:
+        within_memory(name, g, 3 * 8 * math.prod(g), "one three-component float64 field")
+    count = resolved["modes"]["count"]
+    if "modes" in tasks:
+        block = _rule(f"modes.count={count}", lobpcg_block, grid, count)
+        # a uniform medium's solve draws the closed shells that hold count
+        # modes, counted on the grid's symbol, which fits where a field does
+        if all(isinstance(d, Homogeneous) for d in (medium, mu) if d is not None):
+            block = max(block, shell_directions(grid, count))
+        within_memory("modes.count", count, SOLVE_HELD_BLOCKS * 8 * 3 * grid.ncells * block,
+                      f"the mode solve's {SOLVE_HELD_BLOCKS} float64 blocks of {block} columns")
+    if "ldos" in resolved:
+        # emission.ldos_spectrum's (count, modes) Lorentzian matrix
+        n = resolved["ldos"]["count"]
+        within_memory("ldos.count", n, 8 * n * count,
+                      f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum")
 
     for task in tasks:
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)

@@ -7,8 +7,10 @@ the plain volume-weighted inner product and its eigenvalues are squared
 mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
 const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
 iterates on face fields with ``B B^T``, as MPB does (Johnson &
-Joannopoulos, Opt. Express 8, 173 (2001)); see :func:`solve_modes`.  The
-three zero-frequency modes of Q belong only to complete dense spectra.
+Joannopoulos, Opt. Express 8, 173 (2001)); a uniform medium takes one
+Rayleigh-Ritz step over the closed lowest shells of the vacuum symbol
+instead; see :func:`solve_modes`.  The three zero-frequency modes of Q
+belong only to complete dense spectra.
 
 Q, the solver and the bank invariants work in lattice units (``s = 1``); a
 bank holds the frequencies over ``s`` and ``g`` times ``s^(-3/2)``.
@@ -361,8 +363,8 @@ def _preconditioner(op: QOperator):
     ``precondition(y, cutoff=c)`` also zeroes every wave vector whose
     ``|d|^2`` exceeds ``c`` in its first spectrum.  When eps and mu are both
     uniform the map does not mix wave vectors, so its output stays in the
-    shells at or below ``c``: the start block of such a medium
-    (:func:`_start_cutoff`).
+    shells at or below ``c``: the closed-shell draw of such a medium
+    (:func:`_closed_shells`).
 
     Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
     the rfftn half grid (:func:`laplacian_symbol`).
@@ -398,16 +400,17 @@ def _preconditioner(op: QOperator):
     return precondition, sym
 
 
-def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
-    """Smallest ``|d|^2`` whose shells and those below hold ``block`` range directions.
+def _closed_shells(sym: np.ndarray, nz: int, n_modes: int) -> tuple[float, int]:
+    """The fewest lowest shells of ``|d|^2`` that hold ``n_modes`` range directions.
 
-    Each nonzero wave vector carries two directions of the range of B, so
-    the cutoff is the smallest value of ``sym`` (the rfftn half-grid
-    symbol of :func:`_preconditioner`) at which the nonzero wave vectors
-    with ``sym <= cutoff`` number at least ``ceil(block / 2)``.  They are
-    counted on ``sym`` itself, so the count and the preconditioner's mask
-    agree exactly: an interior rfft plane stands for two wave vectors, the
-    self-conjugate planes ``kz = 0`` and ``kz = nz/2`` (nz even) for one.
+    Returns ``(cutoff, directions)``.  Each nonzero wave vector carries two
+    directions of the range of B, so the cutoff is the smallest value of
+    ``sym`` (the rfftn half-grid symbol of :func:`_preconditioner`) at which
+    the nonzero wave vectors with ``sym <= cutoff`` number at least
+    ``ceil(n_modes / 2)``, and ``directions`` is twice their number.  They
+    are counted on ``sym`` itself, so the count and the preconditioner's
+    mask agree exactly: an interior rfft plane stands for two wave vectors,
+    the self-conjugate planes ``kz = 0`` and ``kz = nz/2`` (nz even) for one.
     """
     weight = np.full(sym.shape[-1], 2)
     weight[0] = 1
@@ -417,8 +420,15 @@ def _start_cutoff(sym: np.ndarray, nz: int, block: int) -> float:
     nonzero = sym > 0
     values, counts = sym[nonzero], weight[nonzero]
     order = np.argsort(values, kind="stable")
-    held = np.cumsum(counts[order])
-    return float(values[order][np.searchsorted(held, -(-block // 2))])
+    values, held = values[order], np.cumsum(counts[order])
+    cutoff = values[np.searchsorted(held, -(-n_modes // 2))]
+    # the cutoff's whole shell, whose equal values sort together
+    return float(cutoff), 2 * int(held[np.searchsorted(values, cutoff, side="right") - 1])
+
+
+def shell_directions(grid: Grid, n_modes: int) -> int:
+    """Columns of :func:`solve_modes`' closed-shell draw for a uniform medium."""
+    return _closed_shells(laplacian_symbol(grid), grid.dims[2], n_modes)[1]
 
 
 def _projected_matrix(gram, widths):
@@ -438,7 +448,10 @@ def _projected_matrix(gram, widths):
 
 
 #: dof x block float64 arrays every :func:`solve_modes` run holds at once:
-#: its first residual ``A x - x theta`` next to ``x``, ``A x`` and ``x theta``.
+#: its first residual ``A x - x theta`` next to ``x``, ``A x`` and ``x theta``,
+#: or, for a uniform medium, the draw through the preconditioner's spectra.
+#: The block is :func:`lobpcg_block`, or for a uniform medium the larger of
+#: it and :func:`shell_directions`.
 SOLVE_HELD_BLOCKS = 4
 
 
@@ -467,12 +480,28 @@ def solve_modes(
 ) -> ModeBank:
     """Lowest nonzero-frequency eigenmodes via blocked Rayleigh-Ritz.
 
-    LOBPCG-style iteration on face fields ``y`` with ``B B^T``, which has
-    Q's nonzero spectrum and is positive definite on the range of B: the
-    search subspace is spanned by the current Ritz block, preconditioned
-    residuals and the previous update directions.  Modes map back as
-    ``g = B^T y / omega``, plain-orthonormal with ``div(sqrt(eps) g) = 0``
-    by construction.  Deterministic for a fixed seed.
+    Both paths work on face fields ``y`` with ``B B^T``, which has Q's
+    nonzero spectrum and is positive definite on the range of B.  Modes map
+    back as ``g = B^T y / omega``, plain-orthonormal with
+    ``div(sqrt(eps) g) = 0`` by construction.  Deterministic for a fixed
+    seed.
+
+    When eps and mu are both uniform the modes are plane waves, and the
+    fewest lowest shells of the vacuum symbol ``|d|^2`` that hold
+    ``n_modes`` range directions (:func:`_closed_shells`) span an invariant
+    subspace of ``B B^T`` (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
+    The solver draws exactly that many seeded columns through the
+    preconditioner with every wave vector above the shells dropped
+    (:func:`_preconditioner`, which mixes no wave vectors for such a
+    medium), orthonormalizes them, applies ``B B^T`` once and keeps the
+    lowest ``n_modes`` of one Rayleigh-Ritz step.  Where ``n_modes`` splits
+    a degenerate shell the whole shell enters the step, and the bank holds a
+    seeded subspace of that cluster.  The residuals are reported once, as
+    iteration 0, and judged as the iteration judges them.
+
+    Any other medium runs a LOBPCG-style iteration: the search subspace is
+    spanned by the current Ritz block, preconditioned residuals and the
+    previous update directions.
 
     The residuals are preconditioned into the range by MPB's map in two FFT
     pairs (:func:`_preconditioner`), then orthonormalized once against
@@ -498,23 +527,16 @@ def solve_modes(
     applied to ``x``, whose image the residual needs, and to ``w``.
 
     The start block is a seeded random draw passed through the same map,
-    which puts it in the range.  When eps and mu are both uniform, the map
-    also drops every wave vector above :func:`_start_cutoff` from its first
-    spectrum; it mixes no wave vectors for such a medium, so the block lies
-    in the fewest lowest shells of the vacuum symbol ``|d|^2`` that hold it.
-    The modes of such a medium are plane waves, so those shells span its
-    lowest ``block`` eigenpairs exactly and the solve takes two iterations
-    instead of about seven (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
-    Any other medium starts from every shell: a symmetry of the medium (a
-    period that tiles the box more than once, a mirror plane) splits the
+    which puts it in the range, over every shell: a symmetry of the medium
+    (a period that tiles the box more than once, a mirror plane) splits the
     range into subspaces the iteration never mixes, and one that misses
     the lowest shells can still hold wanted modes, which a start confined
-    to those shells would never find.  A block of all ``2 ncells - 2``
-    range directions keeps every shell.
+    to those shells would never find.
 
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
-    smaller.
+    smaller.  ``maxiter`` bounds the iteration; the closed-shell step of a
+    uniform medium ignores it.
     """
     m = op.medium
     grid = m.grid
@@ -529,12 +551,19 @@ def solve_modes(
     def apply_cols(mat):
         return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
+    def to_bank(y, theta):
+        # orthonormal Ritz vectors y of B B^T give those of Q as B^T y / omega
+        freqs = np.sqrt(theta)
+        g = op.bt_raw(to_block(y)).reshape(dof, -1) / freqs
+        g = _canonicalize_clusters(g, freqs)
+        return _assemble_bank(op, freqs, g, complete=False, seed=seed)
+
     rng = np.random.default_rng(seed)
-    homogeneous = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
-    cutoff = _start_cutoff(sym, grid.dims[2], block) if homogeneous else None
-    x = precondition(to_block(rng.standard_normal((dof, block))), cutoff).reshape(dof, -1)
+    uniform = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
+    cutoff, width = _closed_shells(sym, grid.dims[2], n_modes) if uniform else (None, block)
+    x = precondition(to_block(rng.standard_normal((dof, width))), cutoff).reshape(dof, -1)
     x = _orthonormalize(x, [])
-    if x.shape[1] < block:
+    if x.shape[1] < width:
         raise SolverError("failed to build an independent starting block")
 
     # residuals are judged against the operator scale as well as the Ritz
@@ -542,6 +571,31 @@ def solve_modes(
     # tol * theta for theta far below ||Q|| can never be met
     inv_mu = 1.0 if op.sqrt_w is None else op.sqrt_w**2
     op_scale = 0.1 * float(sym.max() * np.max(1.0 / m.eps) * np.max(inv_mu))
+
+    if uniform:
+        # one Rayleigh-Ritz step over the closed shells; the Ritz block's
+        # image is the basis image times the kept coefficients
+        ax = apply_cols(x)
+        t = x.T @ ax
+        evals, evecs = np.linalg.eigh((t + t.T) / 2)
+        theta, c = evals[:n_modes], evecs[:, :n_modes]
+        resid = ax @ c
+        del ax
+        x = x @ c
+        resid -= x * theta
+        rnorm = np.linalg.norm(resid, axis=0)
+        del resid
+        if on_iteration is not None:
+            on_iteration(0, theta, rnorm)
+        if not np.all(rnorm <= tol * np.maximum(theta, op_scale)):
+            worst = float(rnorm.max())
+            raise SolverError(
+                f"closed-shell Rayleigh-Ritz step missed tol (worst residual {worst:.3e})",
+                residual=worst,
+                iterations=1,
+            )
+        return to_bank(x, theta)
+
     parts = (x,)
     gram = {(0, 0): x.T @ apply_cols(x)}
     converged = False
@@ -603,12 +657,7 @@ def solve_modes(
             residual=float(rnorm[:n_modes].max()),
             iterations=maxiter,
         )
-
-    # orthonormal Ritz vectors y of B B^T give those of Q as B^T y / omega
-    freqs = np.sqrt(theta[:n_modes])
-    g = op.bt_raw(to_block(x[:, :n_modes])).reshape(dof, -1) / freqs
-    g = _canonicalize_clusters(g, freqs)
-    return _assemble_bank(op, freqs, g, complete=False, seed=seed)
+    return to_bank(x[:, :n_modes], theta[:n_modes])
 
 
 def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:

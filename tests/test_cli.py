@@ -1138,8 +1138,10 @@ class TestRun:
         import epsmodes.cli as cli_mod
         from epsmodes.modes import SOLVE_HELD_BLOCKS
 
-        # 4^3 and 4 modes: blocks of 192 dof and 10 columns
-        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4})
+        # 4^3 and 4 modes in a medium with contrast: blocks of 192 dof and 10 columns
+        cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4},
+                          medium={"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
+                                  "eps_in": 4.0, "eps_out": 1.0})
         held = SOLVE_HELD_BLOCKS * 8 * 192 * 10
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held)
         validate_config(cfg)
@@ -1150,6 +1152,24 @@ class TestRun:
         cfg = base_config(grid={"dims": [64, 64, 64]}, tasks=["modes"], modes={"count": 2000})
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * 2**30)
         with pytest.raises(ConfigError, match=r"^modes\.count=2000: "):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("mu", [None, {"kind": "homogeneous", "eps": 2.0}],
+                             ids=["plain", "uniform-mu"])
+    def test_closed_shells_checked_against_memory(self, monkeypatch, mu):
+        import epsmodes.cli as cli_mod
+        from epsmodes.modes import SOLVE_HELD_BLOCKS
+
+        # a uniform 8^3 medium and 1 mode: the solve draws the 12 directions
+        # of the lowest shell, more than the 7 columns of lobpcg_block
+        cfg = base_config(tasks=["modes"], modes={"count": 1})
+        if mu is not None:
+            cfg["mu"] = mu
+        held = SOLVE_HELD_BLOCKS * 8 * 1536 * 12
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held)
+        validate_config(cfg)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held - 1)
+        with pytest.raises(ConfigError, match=r"^modes\.count=1: .* blocks of 12 columns"):
             validate_config(cfg)
 
     @pytest.mark.parametrize(

@@ -30,14 +30,15 @@ from epsmodes.modes import (
     ModeBank,
     QOperator,
     _canonicalize_clusters,
+    _closed_shells,
     _orthonormalize,
     _preconditioner,
-    _start_cutoff,
     apply_q,
     dense_q_matrix,
     dense_transverse_spectrum,
     lobpcg_block,
     mode_residual_report,
+    shell_directions,
     solve_modes,
     transverse_subspace_basis,
 )
@@ -302,12 +303,12 @@ class TestRangeProjector:
 
 
 class TestStartBlock:
-    """The solver's start block: random inside the lowest shells of ``|d|^2``
-    for a homogeneous medium, over every shell for any other."""
+    """The solver's first block: for a uniform medium, exactly the closed
+    lowest shells of ``|d|^2``; over every shell for any other medium."""
 
     @staticmethod
     def start_block(op, n_modes, monkeypatch):
-        """The preconditioned start block ``solve_modes`` orthonormalizes first."""
+        """The preconditioned block ``solve_modes`` orthonormalizes first, and the bank."""
         seen = []
 
         def spy(block, against, drop_abs=0.0):
@@ -316,13 +317,14 @@ class TestStartBlock:
             return _orthonormalize(block, against, drop_abs)
 
         monkeypatch.setattr(modes, "_orthonormalize", spy)
-        solve_modes(op, n_modes, tol=1e-6, seed=0)
-        return seen[0].reshape((3,) + op.grid.dims + (-1,))
+        bank = solve_modes(op, n_modes, tol=1e-6, seed=0)
+        return seen[0].reshape((3,) + op.grid.dims + (-1,)), bank
 
     @pytest.mark.parametrize(
         "make_op, n_modes",
         [
-            (lambda: QOperator(build_profile(Homogeneous(1.0), Grid((2, 2, 2)))), 8),
+            # 13 of the 14 range directions split the top shell's pair
+            (lambda: QOperator(build_profile(Homogeneous(1.0), Grid((2, 2, 2)))), 13),
             (lambda: QOperator(build_profile(Homogeneous(4.0), Grid((64, 1, 1)))), 16),
             (lambda: QOperator(build_profile(Homogeneous(2.0), Grid((5, 3, 1)))), 10),
             (lambda: QOperator(build_profile(Homogeneous(2.0), Grid((6, 6, 6)),
@@ -334,23 +336,25 @@ class TestStartBlock:
                                                            monkeypatch):
         op = make_op()
         grid = op.grid
-        block = lobpcg_block(grid, n_modes)
-        y = self.start_block(op, n_modes, monkeypatch)
-        assert y.shape[-1] == block
+        y, bank = self.start_block(op, n_modes, monkeypatch)
+        precondition, sym = _preconditioner(op)
+        cutoff, width = _closed_shells(sym, grid.dims[2], n_modes)
+        assert width == shell_directions(grid, n_modes) >= n_modes
+        assert y.shape[-1] == width
         # independent columns
-        sv = np.linalg.svd(y.reshape(-1, block), compute_uv=False)
+        sv = np.linalg.svd(y.reshape(-1, width), compute_uv=False)
         assert sv.min() > 1e-3 * sv.max()
         # the seeded draw through the preconditioner with the shell mask, so
         # in the range of B
-        precondition, sym = _preconditioner(op)
-        cutoff = _start_cutoff(sym, grid.dims[2], block)
-        draw = np.random.default_rng(0).standard_normal((3 * grid.ncells, block))
+        draw = np.random.default_rng(0).standard_normal((3 * grid.ncells, width))
         assert np.array_equal(y, precondition(draw.reshape(y.shape), cutoff))
         assert range_defect(op, y) <= 1e-13
         # no wave vector of the full grid above the cutoff, which is the
-        # smallest |d|^2 whose shells and those below hold ceil(block / 2) of
-        # the nonzero wave vectors; the full-grid symbol is formed here
-        # apart from the solver's, so both sides get a rounding margin
+        # smallest |d|^2 whose shells and those below hold ceil(n_modes / 2)
+        # of the nonzero wave vectors, and the draw is exactly two
+        # directions per wave vector of those shells; the full-grid symbol
+        # is formed here apart from the solver's, so both sides get a
+        # rounding margin
         n = np.indices(grid.dims)
         dims = np.array(grid.dims)[:, None, None, None]
         full_sym = 4 / grid.spacing**2 * np.sum(np.sin(np.pi * n / dims) ** 2, axis=0)
@@ -358,11 +362,16 @@ class TestStartBlock:
         yk = np.abs(np.fft.fftn(y / sqrt_w, axes=(1, 2, 3))).max(axis=(0, -1))
         assert yk[full_sym > cutoff * (1 + 1e-12)].max(initial=0.0) <= 1e-12 * yk.max()
         nonzero = full_sym > 0
-        need = -(-block // 2)
-        assert np.count_nonzero(nonzero & (full_sym <= cutoff * (1 + 1e-12))) >= need
+        need = -(-n_modes // 2)
+        held = np.count_nonzero(nonzero & (full_sym <= cutoff * (1 + 1e-12)))
+        assert held >= need and width == 2 * held
         assert np.count_nonzero(nonzero & (full_sym < cutoff * (1 - 1e-12))) < need
-        if block == 2 * grid.ncells - 2:
+        if width == 2 * grid.ncells - 2:
             assert cutoff == sym.max()
+        # the lowest n_modes of the plane-wave spectrum
+        mu = 1.0 if op.medium.mu is None else op.medium.mu.flat[0]
+        ref = homogeneous_frequencies(grid, op.medium.eps.flat[0] * mu)[:n_modes]
+        assert np.abs(bank.frequencies - ref).max() <= 1e-12 * ref.max()
 
     @pytest.mark.parametrize(
         "make_op, n_modes",
@@ -377,7 +386,7 @@ class TestStartBlock:
         # the seeded draw through the preconditioner with no wave vector dropped
         op = make_op()
         block = lobpcg_block(op.grid, n_modes)
-        y = self.start_block(op, n_modes, monkeypatch)
+        y, _ = self.start_block(op, n_modes, monkeypatch)
         draw = np.random.default_rng(0).standard_normal((3 * op.grid.ncells, block))
         precondition, _ = _preconditioner(op)
         assert np.array_equal(y, precondition(draw.reshape(y.shape)))
@@ -406,17 +415,39 @@ class TestStartBlock:
         assert np.abs(bank.frequencies - ref).max() <= 1e-10 * ref.max()
 
     def test_closed_shells_converge_in_one_step(self):
-        # 4^3, 6 modes: the block of 12 is exactly the six wave vectors of
+        # 4^3, 6 modes: the draw of 12 is exactly the six wave vectors of
         # the lowest shell, the eigenspace of a homogeneous medium, so the
-        # first Rayleigh-Ritz step solves it
+        # one Rayleigh-Ritz step solves it
         g = Grid((4, 4, 4))
         iterations = []
         bank = solve_modes(QOperator(build_profile(Homogeneous(2.0), g)), 6, tol=1e-10,
                            seed=0, on_iteration=lambda i, theta, rnorm: iterations.append(i))
-        assert lobpcg_block(g, 6) == 12
+        assert shell_directions(g, 6) == 12
         assert iterations == [0]
         ref = homogeneous_frequencies(g, 2.0)[:6]
         assert np.abs(bank.frequencies - ref).max() <= 1e-12 * ref.max()
+
+    def test_uniform_solve_applies_the_operator_once(self, monkeypatch):
+        # the emission-bulk shape: one B B^T apply over the 112 counted
+        # columns, one report of the residuals, and no iteration
+        op = QOperator(build_profile(Homogeneous(4.0), Grid((12, 12, 12), 1.0)))
+        applied = []
+        b_raw = QOperator.b_raw
+
+        def counted(self, g):
+            if g.ndim == 5:
+                applied.append(g.shape[-1])
+            return b_raw(self, g)
+
+        monkeypatch.setattr(QOperator, "b_raw", counted)
+        reports = []
+        bank = solve_modes(op, 112, tol=1e-6, seed=0,
+                           on_iteration=lambda i, theta, rnorm: reports.append((i, rnorm)))
+        assert applied == [shell_directions(op.grid, 112)] == [112]
+        assert [i for i, _ in reports] == [0]
+        rnorm = reports[0][1]
+        assert rnorm.shape == (112,) and rnorm.max() <= 1e-12
+        assert bank.residuals.max() <= 1e-12
 
 
 def homogeneous_frequencies(grid, eps):
@@ -439,16 +470,34 @@ class TestSolveModes:
         ids=["8^3-vacuum", "16^3-eps4", "32^3-eps4"],
     )
     def test_vacuum_lowest_band(self, dims, spacing, eps, n_modes):
-        # homogeneous analytic oracle; 8^3 holds the first shell (3 axes x
-        # 2 polarizations x 2 real combinations), 16^3 and 32^3 are past the
-        # dense limit and hold two closed shells
+        # homogeneous analytic oracle, |d(k)|^2 / eps; 8^3 holds the first
+        # shell (3 axes x 2 polarizations x 2 real combinations), 16^3 and
+        # 32^3 are past the dense limit and hold two closed shells, which the
+        # solver's one Rayleigh-Ritz step resolves to rounding
         g = Grid(dims, spacing)
         expected = homogeneous_frequencies(g, eps)
         assert expected[n_modes] - expected[n_modes - 1] > 1e-3 * expected[n_modes]
         bank = solve_modes(QOperator(build_profile(Homogeneous(eps), g)), n_modes, tol=1e-10)
-        assert np.abs(bank.frequencies - expected[:n_modes]).max() < 1e-9
-        assert bank.gram_defect <= 1e-8
-        assert bank.residuals.max() <= 1e-6
+        assert np.abs(bank.frequencies - expected[:n_modes]).max() <= 1e-13 * expected[n_modes]
+        assert bank.gram_defect <= 1e-13
+        assert bank.residuals.max() <= 1e-12
+
+    def test_split_shell_keeps_the_lowest(self):
+        # 16^3 and 280 modes split a degenerate shell: all 292 directions of
+        # the closed shells enter the Rayleigh-Ritz step, the bank keeps the
+        # lowest 280 (a seeded subspace of the split cluster), and a rerun
+        # with the same seed is byte-identical
+        g = Grid((16, 16, 16))
+        op = QOperator(build_profile(Homogeneous(2.25), g))
+        assert shell_directions(g, 280) == 292
+        expected = homogeneous_frequencies(g, 2.25)
+        assert np.ptp(expected[279:292]) <= 1e-13 * expected[279] < expected[292] - expected[291]
+        banks = [solve_modes(op, 280, tol=1e-8, seed=3) for _ in range(2)]
+        assert np.abs(banks[0].frequencies - expected[:280]).max() <= 1e-13 * expected[279]
+        assert banks[0].gram_defect <= 1e-13
+        assert banks[0].residuals.max() <= 1e-12
+        for name in ("frequencies", "modes_g", "residuals"):
+            assert getattr(banks[0], name).tobytes() == getattr(banks[1], name).tobytes()
 
     def test_homogeneous_scaling_law(self):
         g = Grid((8, 8, 8), 1.0)
@@ -557,7 +606,7 @@ class TestSolveModes:
         import tracemalloc
 
         g = Grid((8, 8, 8))
-        op = QOperator(build_profile(Homogeneous(2.0), g))
+        op = QOperator(build_profile(Sphere((4.0, 4.0, 4.0), 2.0, 1.0, 4.0), g))
         held = SOLVE_HELD_BLOCKS * 8 * 3 * g.ncells * lobpcg_block(g, 40)
         tracemalloc.start()
         try:
@@ -568,11 +617,37 @@ class TestSolveModes:
             tracemalloc.stop()
         assert peak >= held
 
+    def test_closed_shell_solve_holds_the_counted_blocks(self):
+        # the same for a uniform medium, whose block the CLI counts as the
+        # larger of lobpcg_block and the closed shells: 8^3 and 1 mode draw
+        # the 12 directions of the lowest shell against a block of 7
+        import tracemalloc
+
+        g = Grid((8, 8, 8))
+        op = QOperator(build_profile(Homogeneous(2.0), g))
+        assert (lobpcg_block(g, 1), shell_directions(g, 1)) == (7, 12)
+        held = SOLVE_HELD_BLOCKS * 8 * 3 * g.ncells * 12
+        tracemalloc.start()
+        try:
+            solve_modes(op, 1, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= held
+
     def test_nonconvergence_raises(self):
         g = Grid((6, 6, 6))
         op = QOperator(smooth_medium(g, seed=8))
         with pytest.raises(SolverError):
             solve_modes(op, 10, tol=1e-12, maxiter=2)
+
+    def test_closed_shell_step_judges_its_residuals(self):
+        # a uniform medium's one step reaches rounding, and a tol below
+        # rounding fails it with the worst residual
+        op = QOperator(build_profile(Homogeneous(2.0), Grid((6, 6, 6))))
+        with pytest.raises(SolverError) as info:
+            solve_modes(op, 10, tol=1e-20)
+        assert 0 < info.value.residual <= 1e-12
 
     def test_solver_peak_memory(self):
         # the emission-bulk shape: one dof x block array is 5.3 MiB, and the
@@ -589,9 +664,10 @@ class TestSolveModes:
         assert peak <= 48 * 2**20
 
     def test_one_full_orthonormalization_per_iteration(self, monkeypatch):
-        # on the emission-bulk shape, one dof-row _orthonormalize call builds
+        # on the bandgap-1d shape, one dof-row _orthonormalize call builds
         # the start block and one cleans each iteration's new directions
-        op = QOperator(build_profile(Homogeneous(4.0), Grid((12, 12, 12), 1.0)))
+        op = QOperator(build_profile(
+            SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1), 1.0)))
         dof = 3 * op.grid.ncells
         calls = []
 
@@ -602,12 +678,10 @@ class TestSolveModes:
 
         monkeypatch.setattr(modes, "_orthonormalize", counted)
         iterations = []
-        solve_modes(op, 112, tol=1e-6, seed=0,
+        solve_modes(op, 16, tol=3e-7, seed=0,
                     on_iteration=lambda i, theta, rnorm: iterations.append(i))
-        # the last iteration converges and adds no directions; the start
-        # block lies in the lowest shells, the exact eigenspace of a
-        # homogeneous medium, and the second Rayleigh-Ritz step closes it
-        assert len(iterations) == 2
+        # the last iteration converges and adds no directions
+        assert len(iterations) > 2
         assert len(calls) == 1 + (len(iterations) - 1)
 
     def test_implicit_gram_blocks_do_not_drift(self, monkeypatch):
