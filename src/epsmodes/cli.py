@@ -130,6 +130,16 @@ class _Runner:
             # mu's rules first, so that a fault in sampling is the medium's
             _rule("mu", check_descriptor, mu_desc, self.grid)
         self.medium = _rule("medium", build_profile, desc, self.grid, mu_desc)
+        if "modes" in config["tasks"]:
+            from .modes import SOLVE_HELD_BLOCKS, start_draw
+
+            # the columns the solve draws, decided on the sampled eps and mu
+            # as solve_modes decides them (validate_config checked the count)
+            count = config["modes"]["count"]
+            _, block = start_draw(self.medium, count)
+            held = SOLVE_HELD_BLOCKS * 8 * 3 * self.grid.ncells * block
+            _within_memory("modes.count", count, held, f"the mode solve's {SOLVE_HELD_BLOCKS} "
+                           f"float64 blocks of {block} columns")
         self.atoms = [AtomSpec.from_dipoles(**entry) for entry in config["atoms"]]
         if "rate" in config["tasks"]:
             # no mode lies above sqrt(12 max(1/mu) / min(eps)) / s, the bound of |Q|
@@ -417,6 +427,21 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _within_memory(name: str, size, nbytes: int, what: str):
+    """ConfigError led by ``name=size`` if ``what``, ``nbytes`` bytes, exceeds physical memory."""
+    from .errors import ConfigError
+
+    memory = _physical_memory()
+    if memory is not None and nbytes > memory:
+        # in decimal, so that a size past the float range (10**400 cells) prints too
+        from decimal import Decimal
+
+        raise ConfigError(
+            f"{name}={size}: {what} takes {Decimal(nbytes) / 2**30:.3g} GiB, "
+            f"more than the {Decimal(memory) / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _rule(where: str, rule, *args):
     """``rule(*args)``; its fault becomes a ConfigError led by ``where``, the keys it reads."""
     from .errors import ConfigError, EpsmodesError
@@ -451,13 +476,14 @@ def validate_config(config: dict) -> dict:
     from . import emission
     from .electrostatics import check_cavity_radius
     from .lattice import Grid
-    from .medium import Homogeneous, check_permittivity, descriptor_from_dict
-    from .modes import SOLVE_HELD_BLOCKS, lobpcg_block, shell_directions
+    from .medium import check_permittivity, descriptor_from_dict
+    from .modes import lobpcg_block
 
     grid = _rule(f"grid.dims={dims}, grid.spacing={spacing!r}", Grid, tuple(dims), spacing)
     # the medium's grammar here, its values' rules where _Runner samples it
     medium = _rule("medium", descriptor_from_dict, resolved["medium"])
-    mu = _rule("mu", descriptor_from_dict, resolved["mu"]) if "mu" in resolved else None
+    if "mu" in resolved:
+        _rule("mu", descriptor_from_dict, resolved["mu"])
     # every grid a task samples fields on, checked before any is allocated
     grids = [("grid.dims", dims)]
     cavity = resolved.get("cavity_factor")
@@ -472,34 +498,17 @@ def validate_config(config: dict) -> dict:
     if rate["local_field"]:
         n = rate.setdefault("factor_grid", emission.LOCAL_FIELD_CELLS)
         grids.append(("rate.factor_grid", [n, n, n]))
-    memory = _physical_memory()
-
-    def within_memory(name, size, nbytes, what):
-        if memory is not None and nbytes > memory:
-            # in decimal, so that a size past the float range (10**400 cells) prints too
-            from decimal import Decimal
-
-            raise ConfigError(
-                f"{name}={size}: {what} takes {Decimal(nbytes) / 2**30:.3g} GiB, "
-                f"more than the {Decimal(memory) / 2**30:.3g} GiB of physical memory"
-            )
-
     for name, g in grids:
-        within_memory(name, g, 3 * 8 * math.prod(g), "one three-component float64 field")
+        _within_memory(name, g, 3 * 8 * math.prod(g), "one three-component float64 field")
     count = resolved["modes"]["count"]
     if "modes" in tasks:
-        block = _rule(f"modes.count={count}", lobpcg_block, grid, count)
-        # a uniform medium's solve draws the closed shells that hold count
-        # modes, counted on the grid's symbol, which fits where a field does
-        if all(isinstance(d, Homogeneous) for d in (medium, mu) if d is not None):
-            block = max(block, shell_directions(grid, count))
-        within_memory("modes.count", count, SOLVE_HELD_BLOCKS * 8 * 3 * grid.ncells * block,
-                      f"the mode solve's {SOLVE_HELD_BLOCKS} float64 blocks of {block} columns")
+        # the memory of its blocks is checked where _Runner samples the medium
+        _rule(f"modes.count={count}", lobpcg_block, grid, count)
     if "ldos" in resolved:
         # emission.ldos_spectrum's (count, modes) Lorentzian matrix
         n = resolved["ldos"]["count"]
-        within_memory("ldos.count", n, 8 * n * count,
-                      f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum")
+        _within_memory("ldos.count", n, 8 * n * count,
+                       f"the ({n}, {count}) float64 Lorentzian matrix of the spectrum")
 
     for task in tasks:
         key = {"ldos": "ldos", "cavity-factor": "cavity_factor"}.get(task)

@@ -7,10 +7,11 @@ the plain volume-weighted inner product and its eigenvalues are squared
 mode frequencies.  Its null space consists of ``sqrt(eps) * (grad psi +
 const)``.  The solver factors ``Q = B^T B``, ``B = w^(1/2) curl S``, and
 iterates on face fields with ``B B^T``, as MPB does (Johnson &
-Joannopoulos, Opt. Express 8, 173 (2001)); a uniform medium takes one
-Rayleigh-Ritz step over the closed lowest shells of the vacuum symbol
-instead; see :func:`solve_modes`.  The three zero-frequency modes of Q
-belong only to complete dense spectra.
+Joannopoulos, Opt. Express 8, 173 (2001)).  Every medium runs the one
+iteration; a uniform one differs only in its start block, the closed
+lowest shells of the vacuum symbol, which pass the first residual check
+(see :func:`solve_modes`).  The three zero-frequency modes of Q belong
+only to complete dense spectra.
 
 Q, the solver and the bank invariants work in lattice units (``s = 1``); a
 bank holds the frequencies over ``s`` and ``g`` times ``s^(-3/2)``.
@@ -363,8 +364,8 @@ def _preconditioner(op: QOperator):
     ``precondition(y, cutoff=c)`` also zeroes every wave vector whose
     ``|d|^2`` exceeds ``c`` in its first spectrum.  When eps and mu are both
     uniform the map does not mix wave vectors, so its output stays in the
-    shells at or below ``c``: the closed-shell draw of such a medium
-    (:func:`_closed_shells`).
+    shells at or below ``c``: the start draw of such a medium
+    (:func:`start_draw`).
 
     Also returns ``|d|^2``, the Fourier symbol of the vacuum curl-curl on
     the rfftn half grid (:func:`laplacian_symbol`).
@@ -426,11 +427,6 @@ def _closed_shells(sym: np.ndarray, nz: int, n_modes: int) -> tuple[float, int]:
     return float(cutoff), 2 * int(held[np.searchsorted(values, cutoff, side="right") - 1])
 
 
-def shell_directions(grid: Grid, n_modes: int) -> int:
-    """Columns of :func:`solve_modes`' closed-shell draw for a uniform medium."""
-    return _closed_shells(laplacian_symbol(grid), grid.dims[2], n_modes)[1]
-
-
 def _projected_matrix(gram, widths):
     """Rayleigh-Ritz matrix from Gram blocks ``gram[i, j] = b_i^T (A b_j)``, i <= j.
 
@@ -448,15 +444,14 @@ def _projected_matrix(gram, widths):
 
 
 #: dof x block float64 arrays every :func:`solve_modes` run holds at once:
-#: its first residual ``A x - x theta`` next to ``x``, ``A x`` and ``x theta``,
-#: or, for a uniform medium, the draw through the preconditioner's spectra.
-#: The block is :func:`lobpcg_block`, or for a uniform medium the larger of
-#: it and :func:`shell_directions`.
+#: the start block and its image next to the first Ritz block as it is
+#: formed, or the draw through the preconditioner's spectra.  The block is
+#: the width :func:`start_draw` gives.
 SOLVE_HELD_BLOCKS = 4
 
 
 def lobpcg_block(grid: Grid, n_modes: int) -> int:
-    """Columns of :func:`solve_modes`' blocks: ``n_modes`` plus guard columns.
+    """Columns of an inhomogeneous medium's blocks: ``n_modes`` plus guard columns.
 
     ``n_modes`` must lie between 1 and the ``2 ncells - 2`` nonzero-frequency
     modes of the transverse subspace.
@@ -470,6 +465,23 @@ def lobpcg_block(grid: Grid, n_modes: int) -> int:
     return min(n_modes + max(6, n_modes // 5), n_nonzero)
 
 
+def start_draw(m: MediumProfile, n_modes: int) -> tuple[float | None, int]:
+    """Wave-vector cutoff and width of :func:`solve_modes`' start draw.
+
+    The width is that of every block of the solve.  When eps and mu are
+    both uniform the modes are plane waves, and the fewest lowest shells of
+    the vacuum symbol ``|d|^2`` that hold ``n_modes`` range directions span
+    an invariant subspace of ``B B^T``: the draw is cut at those shells and
+    is exactly their directions, with no guard columns
+    (:func:`_closed_shells`).  Any other medium draws :func:`lobpcg_block`
+    columns over every shell (cutoff None).
+    """
+    block = lobpcg_block(m.grid, n_modes)
+    if np.ptp(m.eps) or (m.mu is not None and np.ptp(m.mu)):
+        return None, block
+    return _closed_shells(laplacian_symbol(m.grid), m.grid.dims[2], n_modes)
+
+
 def solve_modes(
     op: QOperator,
     n_modes: int,
@@ -478,41 +490,27 @@ def solve_modes(
     maxiter: int = 1000,
     on_iteration=None,
 ) -> ModeBank:
-    """Lowest nonzero-frequency eigenmodes via blocked Rayleigh-Ritz.
+    """Lowest nonzero-frequency eigenmodes via a LOBPCG-style iteration.
 
-    Both paths work on face fields ``y`` with ``B B^T``, which has Q's
+    The solver works on face fields ``y`` with ``B B^T``, which has Q's
     nonzero spectrum and is positive definite on the range of B.  Modes map
     back as ``g = B^T y / omega``, plain-orthonormal with
     ``div(sqrt(eps) g) = 0`` by construction.  Deterministic for a fixed
     seed.
 
-    When eps and mu are both uniform the modes are plane waves, and the
-    fewest lowest shells of the vacuum symbol ``|d|^2`` that hold
-    ``n_modes`` range directions (:func:`_closed_shells`) span an invariant
-    subspace of ``B B^T`` (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)).
-    The solver draws exactly that many seeded columns through the
-    preconditioner with every wave vector above the shells dropped
-    (:func:`_preconditioner`, which mixes no wave vectors for such a
-    medium), orthonormalizes them, applies ``B B^T`` once and keeps the
-    lowest ``n_modes`` of one Rayleigh-Ritz step.  Where ``n_modes`` splits
-    a degenerate shell the whole shell enters the step, and the bank holds a
-    seeded subspace of that cluster.  The residuals are reported once, as
-    iteration 0, and judged as the iteration judges them.
-
-    Any other medium runs a LOBPCG-style iteration: the search subspace is
-    spanned by the current Ritz block, preconditioned residuals and the
-    previous update directions.
-
-    The residuals are preconditioned into the range by MPB's map in two FFT
-    pairs (:func:`_preconditioner`), then orthonormalized once against
-    ``[x, p]``.  They stay in the range exactly: ``x`` and ``p`` lie in it,
-    and Gram-Schmidt and SVQB only form combinations of range vectors, which
-    holds for the oblique projector of an inhomogeneous mu as well.
-    Gram-Schmidt leaves a direction that lay numerically inside the current
-    span as round-off that is not in the range; the column-norm pre-drop and
-    the absolute SVQB floor of :func:`_orthonormalize` discard such
-    directions instead of rescaling them, so Rayleigh-Ritz never sees the
-    round-off's null-space part as a zero-frequency Ritz vector.
+    The search subspace is spanned by the current Ritz block,
+    preconditioned residuals and the previous update directions (Knyazev,
+    SIAM J. Sci. Comput. 23, 517 (2001)).  The residuals are preconditioned
+    into the range by MPB's map in two FFT pairs (:func:`_preconditioner`),
+    then orthonormalized once against ``[x, p]``.  They stay in the range
+    exactly: ``x`` and ``p`` lie in it, and Gram-Schmidt and SVQB only form
+    combinations of range vectors, which holds for the oblique projector of
+    an inhomogeneous mu as well.  Gram-Schmidt leaves a direction that lay
+    numerically inside the current span as round-off that is not in the
+    range; the column-norm pre-drop and the absolute SVQB floor of
+    :func:`_orthonormalize` discard such directions instead of rescaling
+    them, so Rayleigh-Ritz never sees the round-off's null-space part as a
+    zero-frequency Ritz vector.
 
     Each iteration starts with the one Rayleigh-Ritz step, over the start
     block alone and then over ``[x, p, w]``.  It works on Gram blocks: the
@@ -524,24 +522,30 @@ def solve_modes(
     zeroed, made orthonormal to ``c``, gives ``c_p`` and a ``p`` orthonormal
     to the new ``x`` inside the range of B, and ``x^T A p = c^T t c_p``,
     ``p^T A p = c_p^T t c_p`` need no image of ``p``.  The operator is
-    applied to ``x``, whose image the residual needs, and to ``w``.
+    applied to the start block, whose image also gives that of the first
+    Ritz block, and then to ``w`` and each later ``x``, whose image the
+    residual needs.
 
-    The start block is a seeded random draw passed through the same map,
-    which puts it in the range, over every shell: a symmetry of the medium
+    The start block is a seeded draw of :func:`start_draw`'s width passed
+    through the same map, which puts it in the range.  For any medium that
+    is not uniform the draw runs over every shell: a symmetry of the medium
     (a period that tiles the box more than once, a mirror plane) splits the
     range into subspaces the iteration never mixes, and one that misses
     the lowest shells can still hold wanted modes, which a start confined
-    to those shells would never find.
+    to those shells would never find.  For a uniform medium the map mixes
+    no wave vectors, so the draw, cut at the closed lowest shells, spans
+    their invariant subspace and the first residual check passes.  Where
+    ``n_modes`` splits a degenerate shell the whole shell enters that step,
+    and the bank holds a seeded subspace of that cluster.
 
     ``tol`` bounds eigen-residual norms relative to max(Ritz value,
     a tenth of the operator scale); eigenvalue errors are quadratically
-    smaller.  ``maxiter`` bounds the iteration; the closed-shell step of a
-    uniform medium ignores it.
+    smaller.  ``maxiter`` bounds the residual checks.
     """
     m = op.medium
     grid = m.grid
     dof = 3 * grid.ncells
-    block = lobpcg_block(grid, n_modes)
+    cutoff, block = start_draw(m, n_modes)
     shape = (3,) + grid.dims
     precondition, sym = _preconditioner(op)
 
@@ -551,19 +555,10 @@ def solve_modes(
     def apply_cols(mat):
         return op.b_raw(op.bt_raw(to_block(mat))).reshape(dof, -1)
 
-    def to_bank(y, theta):
-        # orthonormal Ritz vectors y of B B^T give those of Q as B^T y / omega
-        freqs = np.sqrt(theta)
-        g = op.bt_raw(to_block(y)).reshape(dof, -1) / freqs
-        g = _canonicalize_clusters(g, freqs)
-        return _assemble_bank(op, freqs, g, complete=False, seed=seed)
-
     rng = np.random.default_rng(seed)
-    uniform = np.ptp(m.eps) == 0 and (op.sqrt_w is None or np.ptp(op.sqrt_w) == 0)
-    cutoff, width = _closed_shells(sym, grid.dims[2], n_modes) if uniform else (None, block)
-    x = precondition(to_block(rng.standard_normal((dof, width))), cutoff).reshape(dof, -1)
+    x = precondition(to_block(rng.standard_normal((dof, block))), cutoff).reshape(dof, -1)
     x = _orthonormalize(x, [])
-    if x.shape[1] < width:
+    if x.shape[1] < block:
         raise SolverError("failed to build an independent starting block")
 
     # residuals are judged against the operator scale as well as the Ritz
@@ -572,35 +567,11 @@ def solve_modes(
     inv_mu = 1.0 if op.sqrt_w is None else op.sqrt_w**2
     op_scale = 0.1 * float(sym.max() * np.max(1.0 / m.eps) * np.max(inv_mu))
 
-    if uniform:
-        # one Rayleigh-Ritz step over the closed shells; the Ritz block's
-        # image is the basis image times the kept coefficients
-        ax = apply_cols(x)
-        t = x.T @ ax
-        evals, evecs = np.linalg.eigh((t + t.T) / 2)
-        theta, c = evals[:n_modes], evecs[:, :n_modes]
-        resid = ax @ c
-        del ax
-        x = x @ c
-        resid -= x * theta
-        rnorm = np.linalg.norm(resid, axis=0)
-        del resid
-        if on_iteration is not None:
-            on_iteration(0, theta, rnorm)
-        if not np.all(rnorm <= tol * np.maximum(theta, op_scale)):
-            worst = float(rnorm.max())
-            raise SolverError(
-                f"closed-shell Rayleigh-Ritz step missed tol (worst residual {worst:.3e})",
-                residual=worst,
-                iterations=1,
-            )
-        return to_bank(x, theta)
-
+    ax = apply_cols(x)
     parts = (x,)
-    gram = {(0, 0): x.T @ apply_cols(x)}
-    converged = False
+    gram = {(0, 0): x.T @ ax}
     rnorm = np.full(n_modes, np.inf)
-    for _iteration in range(maxiter):
+    for iteration in range(maxiter):
         # the basis parts are orthonormal by construction, so a plain
         # Rayleigh-Ritz step is stable
         t, spans = _projected_matrix(gram, [b.shape[1] for b in parts])
@@ -618,18 +589,21 @@ def solve_modes(
         # not add to the solver's peak memory
         del parts
 
-        ax = apply_cols(x)
-        resid = ax - x * theta
+        # the start block's image is kept: the first Ritz block's image is
+        # its combination, with no second apply; the residual is formed in
+        # the image's buffer
+        resid = ax @ c if iteration == 0 else apply_cols(x)
+        ax = None
+        resid -= x * theta
         rnorm = np.linalg.norm(resid, axis=0)
         if on_iteration is not None:
-            on_iteration(_iteration, theta, rnorm)
+            on_iteration(iteration, theta, rnorm)
         anchor = tol * np.maximum(theta[:n_modes], op_scale)
         if np.all(rnorm[:n_modes] <= anchor):
-            converged = True
             break
+        # x^T A x = x^T resid + theta, x being orthonormal
         tcp = t @ cp
-        gram = {(0, 0): x.T @ ax, (0, 1): c.T @ tcp, (1, 1): cp.T @ tcp}
-        del ax
+        gram = {(0, 0): x.T @ resid + np.diag(theta), (0, 1): c.T @ tcp, (1, 1): cp.T @ tcp}
 
         # fresh directions from the unconverged residuals, normalized after
         # the map so the drop tolerances are scale-free
@@ -649,15 +623,20 @@ def solve_modes(
         gram.update({(0, 2): x.T @ aw, (1, 2): p.T @ aw, (2, 2): w.T @ aw})
         parts = (x, p, w)
         del aw, w
-
-    if not converged:
+    else:
         raise SolverError(
             f"eigensolver did not converge in {maxiter} iterations "
             f"(worst residual {float(rnorm[:n_modes].max()):.3e})",
             residual=float(rnorm[:n_modes].max()),
             iterations=maxiter,
         )
-    return to_bank(x[:, :n_modes], theta[:n_modes])
+    # the residual goes before the bank's stencils run
+    del resid
+    # orthonormal Ritz vectors y of B B^T give those of Q as B^T y / omega
+    freqs = np.sqrt(theta[:n_modes])
+    g = op.bt_raw(to_block(x[:, :n_modes])).reshape(dof, -1) / freqs
+    g = _canonicalize_clusters(g, freqs)
+    return _assemble_bank(op, freqs, g, complete=False, seed=seed)
 
 
 def _assemble_bank(op, freqs, cols, complete, seed=None) -> ModeBank:

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1134,7 +1135,7 @@ class TestRun:
         assert f"error: --out-dir {tmp_path / target}: " in err and "Traceback" not in err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "run.json"]
 
-    def test_mode_blocks_checked_against_memory(self, monkeypatch):
+    def test_mode_blocks_checked_against_memory(self, tmp_path, capsys, monkeypatch):
         import epsmodes.cli as cli_mod
         from epsmodes.modes import SOLVE_HELD_BLOCKS
 
@@ -1142,21 +1143,23 @@ class TestRun:
         cfg = base_config(grid={"dims": [4, 4, 4]}, tasks=["modes"], modes={"count": 4},
                           medium={"kind": "sphere", "center": [2, 2, 2], "radius": 1.0,
                                   "eps_in": 4.0, "eps_out": 1.0})
+        path = write_config(tmp_path, cfg)
         held = SOLVE_HELD_BLOCKS * 8 * 192 * 10
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held)
-        validate_config(cfg)
+        assert run(path, tmp_path / "fits", verbosity=0) == EXIT_OK
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held - 1)
-        with pytest.raises(ConfigError, match=r"^modes\.count=4: "):
-            validate_config(cfg)
+        assert run(path, tmp_path / "refused") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: modes.count=4: ")
         # one 64^3 field fits in 8 GiB, but 2000 modes take 14 GiB a block
         cfg = base_config(grid={"dims": [64, 64, 64]}, tasks=["modes"], modes={"count": 2000})
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 8 * 2**30)
-        with pytest.raises(ConfigError, match=r"^modes\.count=2000: "):
-            validate_config(cfg)
+        assert run(write_config(tmp_path, cfg), tmp_path / "large") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: modes.count=2000: ")
+        assert not (tmp_path / "refused").exists() and not (tmp_path / "large").exists()
 
     @pytest.mark.parametrize("mu", [None, {"kind": "homogeneous", "eps": 2.0}],
                              ids=["plain", "uniform-mu"])
-    def test_closed_shells_checked_against_memory(self, monkeypatch, mu):
+    def test_closed_shells_checked_against_memory(self, tmp_path, capsys, monkeypatch, mu):
         import epsmodes.cli as cli_mod
         from epsmodes.modes import SOLVE_HELD_BLOCKS
 
@@ -1165,12 +1168,32 @@ class TestRun:
         cfg = base_config(tasks=["modes"], modes={"count": 1})
         if mu is not None:
             cfg["mu"] = mu
+        path = write_config(tmp_path, cfg)
         held = SOLVE_HELD_BLOCKS * 8 * 1536 * 12
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held)
-        validate_config(cfg)
+        assert run(path, tmp_path / "fits", verbosity=0) == EXIT_OK
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: held - 1)
-        with pytest.raises(ConfigError, match=r"^modes\.count=1: .* blocks of 12 columns"):
-            validate_config(cfg)
+        assert run(path, tmp_path / "refused") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.match(r"error: modes\.count=1: .* blocks of 12 columns", err), err
+        assert not (tmp_path / "refused").exists()
+
+    def test_uniform_sphere_refused_on_its_drawn_columns(self, tmp_path, capsys, monkeypatch):
+        # a sphere with eps_in == eps_out samples uniform: memory for 4
+        # blocks of lobpcg_block's 7 columns does not hold the 12 it draws
+        import epsmodes.cli as cli_mod
+        from epsmodes.modes import SOLVE_HELD_BLOCKS
+
+        cfg = base_config(tasks=["modes"], modes={"count": 1},
+                          medium={"kind": "sphere", "center": [4, 4, 4], "radius": 2.0,
+                                  "eps_in": 2.0, "eps_out": 2.0})
+        monkeypatch.setattr(cli_mod, "_physical_memory",
+                            lambda: SOLVE_HELD_BLOCKS * 8 * 1536 * 7)
+        out_dir = tmp_path / "out"
+        assert run(write_config(tmp_path, cfg), out_dir) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "modes.count=1" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "spacing, seed",

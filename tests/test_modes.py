@@ -38,8 +38,8 @@ from epsmodes.modes import (
     dense_transverse_spectrum,
     lobpcg_block,
     mode_residual_report,
-    shell_directions,
     solve_modes,
+    start_draw,
     transverse_subspace_basis,
 )
 from epsmodes.quantization import projector_matrix
@@ -104,6 +104,40 @@ def discrete_bloch_frequencies(eps_cells, periods, spacing=1.0, band_max=0.6):
                 continue  # zero modes excluded from solver banks
             freqs += [w] * mult * 2  # two polarizations
     return np.sort(freqs)
+
+
+def layered_bloch_frequencies(m):
+    """Nonzero frequencies of a medium that varies only along x, with multiplicity.
+
+    Such a medium is invariant under shifts in y and z, so by Bloch's theorem
+    Q splits into one Hermitian ``3 nx x 3 nx`` block per transverse wave
+    vector ``(ky, kz)`` (Yeh, Yariv & Hong, J. Opt. Soc. Am. 67, 423 (1977)
+    for the continuum).  On fields ``u(x) e^(i (ky y + kz z))`` the forward
+    difference is an ``nx x nx`` matrix along x and ``e^(i k) - 1`` along y
+    and z, the curl's adjoint is its conjugate transpose, and a block is
+    ``B^H B`` with ``B = w^(1/2) C S``.  Each block costs ``O((3 nx)^3)``, so
+    the oracle reaches grids far past the dense limit.
+    """
+    grid = m.grid
+    nx, ny, nz = grid.dims
+    coeffs = [1 / np.sqrt(m.eps), np.ones_like(m.eps) if m.mu is None else 1 / np.sqrt(m.mu)]
+    for coeff in coeffs:
+        assert np.array_equal(coeff, np.broadcast_to(coeff[:, :, :1, :1], coeff.shape))
+    inv_sqrt_eps, sqrt_w = (coeff[:, :, 0, 0].ravel() for coeff in coeffs)
+    dx = np.roll(np.eye(nx), 1, axis=1) - np.eye(nx)    # (dx f)[i] = f[i+1] - f[i]
+    zero = np.zeros((nx, nx))
+    blocks = []
+    for ky in 2 * np.pi * np.arange(ny) / ny:
+        for kz in 2 * np.pi * np.arange(nz) / nz:
+            dy, dz = ((np.exp(1j * k) - 1) * np.eye(nx) for k in (ky, kz))
+            curl = np.block([[zero, -dz, dy], [dz, zero, -dx], [-dy, dx, zero]])
+            b = sqrt_w[:, None] * curl * inv_sqrt_eps
+            blocks.append(np.linalg.eigvalsh(b.conj().T @ b))
+    evals = np.sort(np.concatenate(blocks))
+    # S grad (plus the three constants) spans the null space: ncells + 2 zeros
+    nonzero = evals[grid.ncells + 2:]
+    assert evals[grid.ncells + 1] <= 1e-12 * nonzero[-1] < nonzero[0]
+    return np.sqrt(nonzero) / grid.spacing
 
 
 def transverse_part(g, m, tol):
@@ -339,7 +373,7 @@ class TestStartBlock:
         y, bank = self.start_block(op, n_modes, monkeypatch)
         precondition, sym = _preconditioner(op)
         cutoff, width = _closed_shells(sym, grid.dims[2], n_modes)
-        assert width == shell_directions(grid, n_modes) >= n_modes
+        assert start_draw(op.medium, n_modes) == (cutoff, width) and width >= n_modes
         assert y.shape[-1] == width
         # independent columns
         sv = np.linalg.svd(y.reshape(-1, width), compute_uv=False)
@@ -372,6 +406,19 @@ class TestStartBlock:
         mu = 1.0 if op.medium.mu is None else op.medium.mu.flat[0]
         ref = homogeneous_frequencies(grid, op.medium.eps.flat[0] * mu)[:n_modes]
         assert np.abs(bank.frequencies - ref).max() <= 1e-12 * ref.max()
+
+    def test_draw_follows_the_sampled_medium(self):
+        # a sphere without contrast samples uniform and draws the closed
+        # shells; with contrast it draws lobpcg_block over every shell
+        g = Grid((8, 8, 8))
+        flat = build_profile(Sphere((4.0, 4.0, 4.0), 2.0, 2.0, 2.0), g)
+        assert start_draw(flat, 1) == start_draw(build_profile(Homogeneous(2.0), g), 1)
+        assert start_draw(flat, 1)[1] == 12
+        sphere = build_profile(Sphere((4.0, 4.0, 4.0), 2.0, 1.0, 2.0), g)
+        assert start_draw(sphere, 1) == (None, lobpcg_block(g, 1)) == (None, 7)
+        magnetic = build_profile(Homogeneous(2.0), g,
+                                 mu_desc=Sphere((4.0, 4.0, 4.0), 2.0, 1.0, 2.0))
+        assert start_draw(magnetic, 1) == (None, 7)
 
     @pytest.mark.parametrize(
         "make_op, n_modes",
@@ -417,19 +464,20 @@ class TestStartBlock:
     def test_closed_shells_converge_in_one_step(self):
         # 4^3, 6 modes: the draw of 12 is exactly the six wave vectors of
         # the lowest shell, the eigenspace of a homogeneous medium, so the
-        # one Rayleigh-Ritz step solves it
+        # first residual check passes
         g = Grid((4, 4, 4))
+        m = build_profile(Homogeneous(2.0), g)
         iterations = []
-        bank = solve_modes(QOperator(build_profile(Homogeneous(2.0), g)), 6, tol=1e-10,
+        bank = solve_modes(QOperator(m), 6, tol=1e-10,
                            seed=0, on_iteration=lambda i, theta, rnorm: iterations.append(i))
-        assert shell_directions(g, 6) == 12
+        assert start_draw(m, 6)[1] == 12
         assert iterations == [0]
         ref = homogeneous_frequencies(g, 2.0)[:6]
         assert np.abs(bank.frequencies - ref).max() <= 1e-12 * ref.max()
 
     def test_uniform_solve_applies_the_operator_once(self, monkeypatch):
         # the emission-bulk shape: one B B^T apply over the 112 counted
-        # columns, one report of the residuals, and no iteration
+        # columns and one residual check, which passes
         op = QOperator(build_profile(Homogeneous(4.0), Grid((12, 12, 12), 1.0)))
         applied = []
         b_raw = QOperator.b_raw
@@ -443,7 +491,7 @@ class TestStartBlock:
         reports = []
         bank = solve_modes(op, 112, tol=1e-6, seed=0,
                            on_iteration=lambda i, theta, rnorm: reports.append((i, rnorm)))
-        assert applied == [shell_directions(op.grid, 112)] == [112]
+        assert applied == [start_draw(op.medium, 112)[1]] == [112]
         assert [i for i, _ in reports] == [0]
         rnorm = reports[0][1]
         assert rnorm.shape == (112,) and rnorm.max() <= 1e-12
@@ -489,7 +537,7 @@ class TestSolveModes:
         # with the same seed is byte-identical
         g = Grid((16, 16, 16))
         op = QOperator(build_profile(Homogeneous(2.25), g))
-        assert shell_directions(g, 280) == 292
+        assert start_draw(op.medium, 280)[1] == 292
         expected = homogeneous_frequencies(g, 2.25)
         assert np.ptp(expected[279:292]) <= 1e-13 * expected[279] < expected[292] - expected[291]
         banks = [solve_modes(op, 280, tol=1e-8, seed=3) for _ in range(2)]
@@ -513,6 +561,26 @@ class TestSolveModes:
         bank = solve_modes(op, 15, tol=1e-10, seed=4)
         ref = dense.frequencies[3:18]  # skip the three zero modes
         assert np.abs(bank.frequencies - ref).max() <= 1e-8 * ref.max()
+
+    @pytest.mark.parametrize(
+        "mu_desc", [None, SlabStack((Layer(1.0, 1.0), Layer(1.0, 3.0)), axis=0)],
+        ids=["eps", "eps-and-mu"])
+    def test_layered_oracle_matches_dense_spectrum(self, mu_desc):
+        m = build_profile(SlabStack((Layer(1.5, 1.0), Layer(0.5, 9.0)), axis=0),
+                          Grid((4, 3, 3), 0.5), mu_desc=mu_desc)
+        ref = dense_transverse_spectrum(QOperator(m), include_zero_modes=False).frequencies
+        assert np.abs(layered_bloch_frequencies(m) - ref).max() <= 1e-13 * ref.max()
+
+    def test_layered_stack_past_the_dense_limit(self):
+        # 12x12x10 stack of 3 cells eps 1 and 1 cell eps 9 on x: 4320 dof,
+        # a period that tiles x three times, and a clear gap after mode 30
+        g = Grid((12, 12, 10))
+        m = build_profile(SlabStack((Layer(3.0, 1.0), Layer(1.0, 9.0)), axis=0), g)
+        assert 3 * g.ncells > DENSE_DOF_LIMIT
+        ref = layered_bloch_frequencies(m)
+        assert ref[30] - ref[29] > 1e-2 * ref[29]
+        bank = solve_modes(QOperator(m), 30, tol=1e-8, seed=0)
+        assert np.abs(bank.frequencies - ref[:30]).max() <= 1e-12 * ref[29]
 
     def test_slab_stack_matches_transfer_matrix(self):
         g = Grid((64, 1, 1), 1.0)
@@ -618,14 +686,14 @@ class TestSolveModes:
         assert peak >= held
 
     def test_closed_shell_solve_holds_the_counted_blocks(self):
-        # the same for a uniform medium, whose block the CLI counts as the
-        # larger of lobpcg_block and the closed shells: 8^3 and 1 mode draw
-        # the 12 directions of the lowest shell against a block of 7
+        # the same for a uniform medium, whose block is the closed shells:
+        # 8^3 and 1 mode draw the 12 directions of the lowest shell, where
+        # lobpcg_block would take 7
         import tracemalloc
 
         g = Grid((8, 8, 8))
         op = QOperator(build_profile(Homogeneous(2.0), g))
-        assert (lobpcg_block(g, 1), shell_directions(g, 1)) == (7, 12)
+        assert (lobpcg_block(g, 1), start_draw(op.medium, 1)[1]) == (7, 12)
         held = SOLVE_HELD_BLOCKS * 8 * 3 * g.ncells * 12
         tracemalloc.start()
         try:
@@ -642,11 +710,12 @@ class TestSolveModes:
             solve_modes(op, 10, tol=1e-12, maxiter=2)
 
     def test_closed_shell_step_judges_its_residuals(self):
-        # a uniform medium's one step reaches rounding, and a tol below
-        # rounding fails it with the worst residual
+        # a uniform medium's first step reaches rounding, and a tol below
+        # rounding fails the solve with the worst residual once maxiter
+        # residual checks are spent
         op = QOperator(build_profile(Homogeneous(2.0), Grid((6, 6, 6))))
         with pytest.raises(SolverError) as info:
-            solve_modes(op, 10, tol=1e-20)
+            solve_modes(op, 10, tol=1e-20, maxiter=3)
         assert 0 < info.value.residual <= 1e-12
 
     def test_solver_peak_memory(self):
@@ -683,6 +752,29 @@ class TestSolveModes:
         # the last iteration converges and adds no directions
         assert len(iterations) > 2
         assert len(calls) == 1 + (len(iterations) - 1)
+
+    def test_start_block_image_is_kept(self, monkeypatch):
+        # on the bandgap-1d shape the start block is applied once, and its
+        # image gives that of the first Ritz block; each iteration that does
+        # not converge then applies w and the next Ritz block
+        op = QOperator(build_profile(
+            SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1), 1.0)))
+        applied = []
+        b_raw = QOperator.b_raw
+
+        def counted(self, g):
+            if g.ndim == 5:
+                applied.append(g.shape[-1])
+            return b_raw(self, g)
+
+        monkeypatch.setattr(QOperator, "b_raw", counted)
+        iterations = []
+        solve_modes(op, 16, tol=3e-7, seed=0,
+                    on_iteration=lambda i, theta, rnorm: iterations.append(i))
+        n, block = len(iterations), lobpcg_block(op.grid, 16)
+        assert n > 2 and len(applied) == 2 * n - 1
+        assert applied[::2] == [block] * n
+        assert all(0 < width <= block for width in applied[1::2])
 
     def test_implicit_gram_blocks_do_not_drift(self, monkeypatch):
         # a 12^3 eps-13 sphere (39 iterations): the [x, p] Gram blocks the

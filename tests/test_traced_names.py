@@ -59,3 +59,28 @@ def test_tracer_counts_poisson_solves(tmp_path):
     assert (metrics["electrostatics.laplacian_columns"]
             == metrics["electrostatics.cg_iterations"] + 3 * 2)
     assert metrics["lattice.stencil_calls"] > 0
+
+
+def test_tracer_counts_one_iteration_per_residual_check():
+    # the benchmark counts LOBPCG iterations through solve_modes' on_iteration
+    # hook: once per residual check, so 1 for a uniform medium, whose start
+    # block passes its first check, and the hook's call count for a slab stack
+    counts = json.loads(_run(
+        "import json\n"
+        "from epsmodes import modes\n"
+        "from epsmodes.lattice import Grid\n"
+        "from epsmodes.medium import Homogeneous, Layer, SlabStack, build_profile\n"
+        "uniform = modes.QOperator(build_profile(Homogeneous(4.0), Grid((6, 6, 6))))\n"
+        "slab = modes.QOperator(build_profile(\n"
+        "    SlabStack((Layer(6.0, 1.0), Layer(2.0, 13.0)), axis=0), Grid((64, 1, 1))))\n"
+        "traced = {}\n"
+        "for name, op in (('uniform', uniform), ('slab', slab)):\n"
+        "    tracer.counters.clear()\n"
+        "    modes.solve_modes(op, 16, tol=3e-7, seed=0)\n"
+        "    traced[name] = tracer.counters['modes.lobpcg_iterations']\n"
+        "calls = []\n"
+        "modes.solve_modes(slab, 16, tol=3e-7, seed=0, on_iteration=lambda *a: calls.append(1))\n"
+        "print(json.dumps({'traced': traced, 'hook_calls': len(calls)}))\n"
+    ))
+    assert counts["traced"]["uniform"] == 1
+    assert counts["traced"]["slab"] == counts["hook_calls"] > 2
